@@ -20,8 +20,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
-	"sync"
 
 	"rlsched"
 	"rlsched/internal/obs"
@@ -80,57 +78,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profile.Engine.Tracer = timeline
 	}
 
-	// Either series output attaches a probe recorder through the
-	// campaign hook, exported under the point's canonical label — the
-	// same label the daemon's series endpoint uses.
-	type probedRun struct {
-		index int
-		label string
-		rec   *rlsched.ProbeRecorder
-	}
-	var (
-		probedMu sync.Mutex
-		probed   []probedRun
-	)
-	if *seriesCSV != "" || *reportPath != "" {
-		probeCfg := rlsched.ProbeConfig{Cadence: *seriesCadence, MaxPoints: *seriesMax}
-		profile.ProbeFor = func(i int, spec rlsched.RunSpec) *rlsched.ProbeRecorder {
-			rec := rlsched.NewProbeRecorder(probeCfg)
-			probedMu.Lock()
-			probed = append(probed, probedRun{index: i, label: rlsched.PointLabel(spec), rec: rec})
-			probedMu.Unlock()
-			return rec
-		}
-	}
-
-	// Either decision output attaches an audit recorder the same way,
-	// exported under the point's canonical label — the same label (and
-	// CSV writer) the daemon's decisions endpoint uses.
-	type auditedRun struct {
-		index int
-		label string
-		rec   *rlsched.AuditRecorder
-	}
-	var (
-		auditedMu sync.Mutex
-		audited   []auditedRun
-	)
-	if *decisionsCSV != "" || *reportPath != "" {
-		profile.AuditFor = func(i int, spec rlsched.RunSpec) *rlsched.AuditRecorder {
-			rec := rlsched.NewAuditRecorder(rlsched.AuditConfig{})
-			auditedMu.Lock()
-			audited = append(audited, auditedRun{index: i, label: rlsched.PointLabel(spec), rec: rec})
-			auditedMu.Unlock()
-			return rec
-		}
-	}
-
-	res, err := rlsched.Run(profile, rlsched.RunSpec{
+	// rlsim runs one point, so either series output attaches one probe
+	// recorder and either decision output one audit recorder straight to
+	// the engine. Both export as campaign point 0 under the point's
+	// canonical label, the label (and CSV writers) the daemon's series
+	// and decisions endpoints use.
+	spec := rlsched.RunSpec{
 		Policy:          rlsched.PolicyName(*policy),
 		NumTasks:        *n,
 		HeterogeneityCV: *cv,
 		Seed:            *seed,
-	})
+	}
+	label := rlsched.PointLabel(spec)
+	wantSeries := *seriesCSV != "" || *reportPath != ""
+	wantDecisions := *decisionsCSV != "" || *reportPath != ""
+	if wantSeries {
+		profile.Engine.Probe = rlsched.NewProbeRecorder(rlsched.ProbeConfig{Cadence: *seriesCadence, MaxPoints: *seriesMax})
+	}
+	if wantDecisions {
+		profile.Engine.Audit = rlsched.NewAuditRecorder(rlsched.AuditConfig{})
+	}
+
+	res, err := rlsched.Run(profile, spec)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -146,37 +115,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "utilisation       %.3f mean busy fraction\n", res.MeanUtilization)
 	fmt.Fprintf(stdout, "group size        %.2f mean (adaptive opnum outcome)\n", res.MeanGroupSize)
 	fmt.Fprintf(stdout, "makespan          %.1f t units\n", res.EndTime)
-	dumps := []struct {
-		path  string
-		write func(io.Writer) error
-	}{
-		{*dumpTasks, res.Collector.WriteTaskRecords},
-		{*dumpGroups, res.Collector.WriteGroupRecords},
+	// export writes one requested output file and reports it; an empty
+	// path means the output was not requested. False means it failed.
+	export := func(path string, write func(io.Writer) error) bool {
+		if path == "" {
+			return true
+		}
+		if err := writeFile(path, write); err != nil {
+			fmt.Fprintln(stderr, err)
+			return false
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", path)
+		return true
 	}
-	if timeline != nil {
-		dumps = append(dumps, struct {
-			path  string
-			write func(io.Writer) error
-		}{*dumpGantt, timeline.WriteCSV})
-	}
-	for _, dump := range dumps {
-		if dump.path == "" {
-			continue
-		}
-		f, err := os.Create(dump.path)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := dump.write(f); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", dump.path)
+	if !export(*dumpTasks, res.Collector.WriteTaskRecords) ||
+		!export(*dumpGroups, res.Collector.WriteGroupRecords) ||
+		!export(*dumpGantt, timeline.WriteCSV) {
+		return 1
 	}
 	if len(res.UtilWindows) > 0 {
 		fmt.Fprintf(stdout, "util by cycles    ")
@@ -186,87 +141,49 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 	}
 
-	var decRuns []rlsched.DecisionRunLog
-	if *decisionsCSV != "" || *reportPath != "" {
-		// Same canonical order as the daemon's decisions endpoint: by
-		// label, then campaign index.
-		sort.Slice(audited, func(i, j int) bool {
-			if audited[i].label != audited[j].label {
-				return audited[i].label < audited[j].label
-			}
-			return audited[i].index < audited[j].index
-		})
-		decRuns = make([]rlsched.DecisionRunLog, len(audited))
-		for i, ar := range audited {
-			log, _ := ar.rec.Snapshot()
-			decRuns[i] = rlsched.DecisionRunLog{Index: ar.index, Label: ar.label, Log: log}
-		}
-		if *decisionsCSV != "" {
-			if err := writeFile(*decisionsCSV, func(w io.Writer) error {
-				return rlsched.WriteDecisionsCSV(w, decRuns)
-			}); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *decisionsCSV)
-		}
+	var (
+		decRuns []rlsched.DecisionRunLog
+		runs    []rlsched.ProbeRunSeries
+	)
+	if wantDecisions {
+		log, _ := profile.Engine.Audit.Snapshot()
+		decRuns = []rlsched.DecisionRunLog{{Label: label, Log: log}}
 	}
-
-	if *seriesCSV != "" || *reportPath != "" {
-		// Same canonical order as the daemon's series endpoint: by label,
-		// then campaign index.
-		sort.Slice(probed, func(i, j int) bool {
-			if probed[i].label != probed[j].label {
-				return probed[i].label < probed[j].label
-			}
-			return probed[i].index < probed[j].index
+	if wantSeries {
+		series, _ := profile.Engine.Probe.Snapshot()
+		runs = []rlsched.ProbeRunSeries{{Label: label, Series: series}}
+	}
+	if !export(*decisionsCSV, func(w io.Writer) error { return rlsched.WriteDecisionsCSV(w, decRuns) }) ||
+		!export(*seriesCSV, func(w io.Writer) error { return rlsched.WriteSeriesCSV(w, runs) }) {
+		return 1
+	}
+	if *reportPath == "" {
+		return 0
+	}
+	rep := rlsched.NewHTMLReport(fmt.Sprintf("rlsim run: %s", *policy))
+	rep.AddKeyValues("Run summary", [][2]string{
+		{"policy", res.Policy},
+		{"tasks", fmt.Sprintf("%d submitted, %d completed", res.Submitted, res.Completed)},
+		{"avg response time", fmt.Sprintf("%.2f t units", res.AveRT)},
+		{"energy (ECS)", fmt.Sprintf("%.3f million W·t", res.ECS/1e6)},
+		{"successful rate", fmt.Sprintf("%.3f", res.SuccessRate)},
+		{"utilisation", fmt.Sprintf("%.3f", res.MeanUtilization)},
+		{"makespan", fmt.Sprintf("%.1f t units", res.EndTime)},
+	})
+	rep.AddRunSeries(runs[0])
+	// The decision audit rides along in the same report: learning
+	// curves, state-visitation heatmap, and the top-decision table
+	// that -decisions-csv exports in raw form.
+	dr := decRuns[0]
+	if len(dr.Curves) > 0 {
+		rep.AddRunSeries(rlsched.ProbeRunSeries{
+			Index: dr.Index, Label: dr.Label + " — learning curves", Series: dr.Curves,
 		})
-		runs := make([]rlsched.ProbeRunSeries, len(probed))
-		for i, pr := range probed {
-			series, _ := pr.rec.Snapshot()
-			runs[i] = rlsched.ProbeRunSeries{Index: pr.index, Label: pr.label, Series: series}
-		}
-		if *seriesCSV != "" {
-			if err := writeFile(*seriesCSV, func(w io.Writer) error {
-				return rlsched.WriteSeriesCSV(w, runs)
-			}); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *seriesCSV)
-		}
-		if *reportPath != "" {
-			rep := rlsched.NewHTMLReport(fmt.Sprintf("rlsim run: %s", *policy))
-			rep.AddKeyValues("Run summary", [][2]string{
-				{"policy", res.Policy},
-				{"tasks", fmt.Sprintf("%d submitted, %d completed", res.Submitted, res.Completed)},
-				{"avg response time", fmt.Sprintf("%.2f t units", res.AveRT)},
-				{"energy (ECS)", fmt.Sprintf("%.3f million W·t", res.ECS/1e6)},
-				{"successful rate", fmt.Sprintf("%.3f", res.SuccessRate)},
-				{"utilisation", fmt.Sprintf("%.3f", res.MeanUtilization)},
-				{"makespan", fmt.Sprintf("%.1f t units", res.EndTime)},
-			})
-			for _, rs := range runs {
-				rep.AddRunSeries(rs)
-			}
-			// The decision audit rides along in the same report: learning
-			// curves, state-visitation heatmap, and the top-decision table
-			// that -decisions-csv exports in raw form.
-			for _, dr := range decRuns {
-				if len(dr.Curves) > 0 {
-					rep.AddRunSeries(rlsched.ProbeRunSeries{
-						Index: dr.Index, Label: dr.Label + " — learning curves", Series: dr.Curves,
-					})
-				}
-				rep.AddStateHeatmap(dr)
-				rep.AddDecisionTable(dr)
-			}
-			if err := writeFile(*reportPath, rep.Render); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *reportPath)
-		}
+	}
+	rep.AddStateHeatmap(dr)
+	rep.AddDecisionTable(dr)
+	if !export(*reportPath, rep.Render) {
+		return 1
 	}
 	return 0
 }

@@ -77,26 +77,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxDecisions <= 0 {
-		c.MaxDecisions = 512
-	}
-	if c.MaxDecisions < 8 {
-		c.MaxDecisions = 8
-	}
-	c.MaxDecisions &^= 1
+	c.MaxDecisions = probe.ClampPoints(c.MaxDecisions, 512)
 	if c.TopK <= 0 {
 		c.TopK = 3
 	}
 	if c.TopK > 16 {
 		c.TopK = 16
 	}
-	if c.MaxPoints <= 0 {
-		c.MaxPoints = 256
-	}
-	if c.MaxPoints < 8 {
-		c.MaxPoints = 8
-	}
-	c.MaxPoints &^= 1
+	c.MaxPoints = probe.ClampPoints(c.MaxPoints, 256)
 	if c.MaxAgentSeries <= 0 {
 		c.MaxAgentSeries = 8
 	}
@@ -151,52 +139,6 @@ type feedRef struct {
 	seq   uint64
 }
 
-// curve is one learning-curve series folded probe-style: each retained
-// point is the mean of a doubling stride of raw samples, timestamped at
-// the last of them.
-type curve struct {
-	name, family, unit string
-	points             []probe.Point
-	stride             int
-	accT, accV         float64
-	accN               int
-}
-
-// add folds one sample in and reports whether history was rewritten
-// (the curve downsampled).
-func (c *curve) add(t, v float64, maxPoints int) bool {
-	c.accT, c.accV = t, c.accV+v
-	c.accN++
-	if c.accN < c.stride {
-		return false
-	}
-	c.points = append(c.points, probe.Point{T: c.accT, V: c.accV / float64(c.stride)})
-	c.accT, c.accV, c.accN = 0, 0, 0
-	if len(c.points) < maxPoints {
-		return false
-	}
-	half := len(c.points) / 2
-	for i := 0; i < half; i++ {
-		a, b := c.points[2*i], c.points[2*i+1]
-		c.points[i] = probe.Point{T: b.T, V: (a.V + b.V) / 2}
-	}
-	c.points = c.points[:half]
-	c.stride *= 2
-	return true
-}
-
-// snapshot deep-copies the curve, appending the in-progress stride
-// accumulation as a provisional trailing point (same convention as
-// probe.Recorder.Snapshot, so consumers never lose the freshest data).
-func (c *curve) snapshot() probe.Series {
-	pts := make([]probe.Point, len(c.points), len(c.points)+1)
-	copy(pts, c.points)
-	if c.accN > 0 {
-		pts = append(pts, probe.Point{T: c.accT, V: c.accV / float64(c.accN)})
-	}
-	return probe.Series{Name: c.name, Family: c.family, Unit: c.unit, Points: pts}
-}
-
 // Recorder is the bounded decision-audit store. All methods are safe
 // for concurrent use: the engine records single-threadedly, but the
 // daemon snapshots live recorders from HTTP handlers.
@@ -214,8 +156,10 @@ type Recorder struct {
 	latest     map[int]uint64  // agent -> Seq of its latest decision
 	open       map[int]feedRef // group ID -> decision awaiting feedback
 
-	curves   []*curve
-	curveIdx map[string]*curve
+	// curves are the learning curves in creation order, folded into the
+	// same bounded reservoir probe series use.
+	curves   []*probe.Reservoir
+	curveIdx map[string]*probe.Reservoir
 	// perAgent tracks which agents own per-agent curves (bounded by
 	// MaxAgentSeries).
 	perAgent map[int]bool
@@ -234,7 +178,7 @@ func NewRecorder(cfg Config) *Recorder {
 		agentKinds: make(map[int]map[string]uint64),
 		latest:     make(map[int]uint64),
 		open:       make(map[int]feedRef),
-		curveIdx:   make(map[string]*curve),
+		curveIdx:   make(map[string]*probe.Reservoir),
 		perAgent:   make(map[int]bool),
 	}
 }
@@ -413,11 +357,11 @@ func (r *Recorder) bumpAgentKind(agent int, kind string) {
 func (r *Recorder) curveAdd(name, family, unit string, t, v float64) {
 	c := r.curveIdx[name]
 	if c == nil {
-		c = &curve{name: name, family: family, unit: unit, stride: 1}
+		c = probe.NewReservoir(name, family, unit, r.cfg.MaxPoints)
 		r.curveIdx[name] = c
 		r.curves = append(r.curves, c)
 	}
-	if c.add(t, v, r.cfg.MaxPoints) {
+	if c.Add(t, v) {
 		r.epoch++
 	}
 }
@@ -499,7 +443,7 @@ func (r *Recorder) Snapshot() (Log, uint64) {
 	log.Retained = len(log.Decisions)
 	log.Curves = make([]probe.Series, 0, len(r.curves))
 	for _, c := range r.curves {
-		log.Curves = append(log.Curves, c.snapshot())
+		log.Curves = append(log.Curves, c.Series())
 	}
 	return log, r.epoch
 }

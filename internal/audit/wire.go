@@ -101,41 +101,28 @@ func parseCandidates(s string) ([]memory.Candidate, error) {
 		if len(f) != 7 {
 			return nil, fmt.Errorf("candidate %q has %d fields, want 7", p, len(f))
 		}
-		agent, err := strconv.Atoi(f[0])
-		if err != nil {
-			return nil, fmt.Errorf("candidate agent %q: %w", f[0], err)
+		var (
+			ints   [4]int
+			floats [3]float64
+			err    error
+		)
+		for i, name := range [...]string{"agent", "cycle", "opnum", "mode"} {
+			if ints[i], err = strconv.Atoi(f[i]); err != nil {
+				return nil, fmt.Errorf("candidate %s %q: %w", name, f[i], err)
+			}
 		}
-		cycle, err := strconv.Atoi(f[1])
-		if err != nil {
-			return nil, fmt.Errorf("candidate cycle %q: %w", f[1], err)
-		}
-		opnum, err := strconv.Atoi(f[2])
-		if err != nil {
-			return nil, fmt.Errorf("candidate opnum %q: %w", f[2], err)
-		}
-		mode, err := strconv.Atoi(f[3])
-		if err != nil {
-			return nil, fmt.Errorf("candidate mode %q: %w", f[3], err)
-		}
-		sim, err := strconv.ParseFloat(f[4], 64)
-		if err != nil {
-			return nil, fmt.Errorf("candidate similarity %q: %w", f[4], err)
-		}
-		lval, err := strconv.ParseFloat(f[5], 64)
-		if err != nil {
-			return nil, fmt.Errorf("candidate lval %q: %w", f[5], err)
-		}
-		score, err := strconv.ParseFloat(f[6], 64)
-		if err != nil {
-			return nil, fmt.Errorf("candidate score %q: %w", f[6], err)
+		for i, name := range [...]string{"similarity", "lval", "score"} {
+			if floats[i], err = strconv.ParseFloat(f[4+i], 64); err != nil {
+				return nil, fmt.Errorf("candidate %s %q: %w", name, f[4+i], err)
+			}
 		}
 		out = append(out, memory.Candidate{
-			AgentID:    agent,
-			Cycle:      cycle,
-			Action:     memory.Action{Opnum: opnum, Mode: grouping.Mode(mode)},
-			Similarity: sim,
-			LVal:       lval,
-			Score:      score,
+			AgentID:    ints[0],
+			Cycle:      ints[1],
+			Action:     memory.Action{Opnum: ints[2], Mode: grouping.Mode(ints[3])},
+			Similarity: floats[0],
+			LVal:       floats[1],
+			Score:      floats[2],
 		})
 	}
 	return out, nil

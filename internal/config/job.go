@@ -89,7 +89,8 @@ type JobSpec struct {
 	// ?format=csv, ?format=html policy report; streamed live by
 	// .../decisions/stream). Absent by default: an unaudited job pays no
 	// audit cost at all (the endpoints then return 404) and its results
-	// are byte-identical to an audited run's.
+	// are byte-identical to an audited run's. Not valid on "scale" jobs,
+	// whose streaming engine has no audit hook.
 	Decisions *DecisionsSpec `json:"decisions,omitempty"`
 	// Profile holds every experiment knob; omitted fields keep the
 	// default profile's values, exactly like File.Profile.
@@ -275,6 +276,11 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	case JobScale:
 		if s.Figure != "" || len(s.Points) != 0 {
 			return JobSpec{}, fmt.Errorf("config: %q job must not set figure or points", JobScale)
+		}
+		// The streaming scale engine has no audit hook, so a decisions
+		// block would record nothing.
+		if s.Decisions != nil {
+			return JobSpec{}, fmt.Errorf("config: %q job must not set decisions", JobScale)
 		}
 		c, err := s.Scale.Config()
 		if err != nil {

@@ -142,8 +142,8 @@ type Profile struct {
 	//
 	// The hook is bypassed — the campaign runs locally — whenever the
 	// profile carries in-process instrumentation that cannot follow a
-	// point to another machine: a ProbeFor hook, an Engine.Probe
-	// recorder, or an Engine.Tracer. Runtime-only, never serialised.
+	// point to another machine (see InProcess). Runtime-only, never
+	// serialised.
 	RunPoints func(ctx context.Context, p Profile, specs []RunSpec) ([]sched.Result, error) `json:"-"`
 	// ProbeFor, when non-nil, supplies a per-point probe recorder:
 	// RunManyCtx (and everything built on it — figures, sweeps, the
@@ -171,6 +171,17 @@ type Profile struct {
 	// concurrent use. Runtime-only, never serialised, never affects
 	// results; a nil hook costs one nil check.
 	PointSpan func(index int, spec RunSpec) func(err error) `json:"-"`
+}
+
+// InProcess reports whether the profile carries in-process
+// instrumentation: a ProbeFor or AuditFor hook, an Engine.Probe or
+// Engine.Audit recorder, or an Engine.Tracer. Such a recorder is fed by
+// the engine run itself, so it cannot follow a point to another machine
+// or be filled from the result cache: RunManyCtx then bypasses
+// RunPoints and runs the campaign locally.
+func (p Profile) InProcess() bool {
+	return p.ProbeFor != nil || p.Engine.Probe != nil ||
+		p.AuditFor != nil || p.Engine.Audit != nil || p.Engine.Tracer != nil
 }
 
 // DefaultProfile returns the tuned defaults used for every figure.

@@ -20,7 +20,7 @@ func (p Profile) CacheFingerprint() Profile {
 	// anyway so a fingerprint compares clean in tests and never leaks an
 	// engine handle.
 	p.Progress, p.Metrics, p.Logger = nil, nil, nil
-	p.RunPoints, p.ProbeFor, p.PointSpan = nil, nil, nil
-	p.Engine.Tracer, p.Engine.Stats, p.Engine.Probe = nil, nil, nil
+	p.RunPoints, p.ProbeFor, p.AuditFor, p.PointSpan = nil, nil, nil, nil
+	p.Engine.Tracer, p.Engine.Stats, p.Engine.Probe, p.Engine.Audit = nil, nil, nil, nil
 	return p
 }

@@ -160,8 +160,7 @@ func RunManyCtx(ctx context.Context, p Profile, specs []RunSpec) ([]sched.Result
 	// whole campaign — unless the profile carries in-process
 	// instrumentation (probes, audit recorders, tracers) that only a
 	// local run can feed.
-	if p.RunPoints != nil && p.ProbeFor == nil && p.Engine.Probe == nil &&
-		p.AuditFor == nil && p.Engine.Audit == nil && p.Engine.Tracer == nil {
+	if p.RunPoints != nil && !p.InProcess() {
 		return p.RunPoints(ctx, p, specs)
 	}
 	// Resolve instrumentation once, outside the hot loop: points pay a

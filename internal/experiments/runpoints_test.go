@@ -6,8 +6,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rlsched/internal/audit"
+	"rlsched/internal/obs"
 	"rlsched/internal/probe"
 	"rlsched/internal/sched"
+	"rlsched/internal/trace"
 )
 
 // TestRunPointsDelegates proves RunManyCtx hands the whole expanded spec
@@ -60,6 +63,15 @@ func TestRunPointsBypassedForProbes(t *testing.T) {
 		{"engine-probe", func(p *Profile) {
 			p.Engine.Probe = probe.NewRecorder(probe.Config{})
 		}, true},
+		{"auditfor", func(p *Profile) {
+			p.AuditFor = func(int, RunSpec) *audit.Recorder { return nil }
+		}, true},
+		{"engine-audit", func(p *Profile) {
+			p.Engine.Audit = audit.NewRecorder(audit.Config{})
+		}, true},
+		{"engine-tracer", func(p *Profile) {
+			p.Engine.Tracer = trace.NewRing(16, trace.LevelDebug)
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := base
@@ -75,7 +87,32 @@ func TestRunPointsBypassedForProbes(t *testing.T) {
 			if delegated.Load() == tc.local {
 				t.Fatalf("delegated = %v, want %v", delegated.Load(), !tc.local)
 			}
+			if p.InProcess() != tc.local {
+				t.Fatalf("InProcess = %v, want %v", p.InProcess(), tc.local)
+			}
 		})
+	}
+}
+
+// TestCacheFingerprintDropsRuntimeHooks pins that no runtime-only hook
+// reaches a cache key: a profile with every hook and recorder attached
+// fingerprints deeply equal to the bare profile.
+func TestCacheFingerprintDropsRuntimeHooks(t *testing.T) {
+	bare := DefaultProfile()
+	hooked := bare
+	hooked.Progress = func() {}
+	hooked.Metrics = obs.NewRegistry()
+	hooked.Logger = obs.NopLogger()
+	hooked.RunPoints = func(context.Context, Profile, []RunSpec) ([]sched.Result, error) { return nil, nil }
+	hooked.ProbeFor = func(int, RunSpec) *probe.Recorder { return nil }
+	hooked.AuditFor = func(int, RunSpec) *audit.Recorder { return nil }
+	hooked.PointSpan = func(int, RunSpec) func(error) { return nil }
+	hooked.Engine.Tracer = trace.NewRing(16, trace.LevelDebug)
+	hooked.Engine.Stats = new(sched.Stats)
+	hooked.Engine.Probe = probe.NewRecorder(probe.Config{})
+	hooked.Engine.Audit = audit.NewRecorder(audit.Config{})
+	if got, want := hooked.CacheFingerprint(), bare.CacheFingerprint(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fingerprint keeps a runtime hook:\n got %+v\nwant %+v", got, want)
 	}
 }
 

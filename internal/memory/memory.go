@@ -13,6 +13,7 @@ package memory
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rlsched/internal/grouping"
 )
@@ -127,6 +128,9 @@ type Shared struct {
 	// occupancy (total − evictions) and eviction pressure are visible in
 	// run stats and /metrics without walking the rings.
 	evictions uint64
+	// ids is meanField's reusable agent-ID scratch, kept so probed runs
+	// do not allocate per sample.
+	ids []int
 }
 
 // NewShared creates a memory with the paper's per-agent capacity.
@@ -339,10 +343,18 @@ func (m *Shared) MeanLVal() float64 {
 // meanField averages one Experience field over retained experiences,
 // skipping non-finite values (an unmeasurable turnaround estimate
 // records an infinite error) so the mean stays representable in JSON.
+// It sums in ascending agent-ID order: floating-point addition is not
+// associative, and map order would make the probe series differ between
+// identical runs in their last bits.
 func (m *Shared) meanField(get func(Experience) float64) float64 {
+	m.ids = m.ids[:0]
+	for id := range m.perAgent {
+		m.ids = append(m.ids, id)
+	}
+	slices.Sort(m.ids)
 	sum, n := 0.0, 0
-	for _, ring := range m.perAgent {
-		for _, e := range ring {
+	for _, id := range m.ids {
+		for _, e := range m.perAgent[id] {
 			v := get(e)
 			if math.IsInf(v, 0) || math.IsNaN(v) {
 				continue

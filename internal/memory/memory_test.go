@@ -303,6 +303,23 @@ func TestMeanSkipsNonFinite(t *testing.T) {
 	}
 }
 
+// TestMeanSumsInAgentOrder pins the determinism of the probe-facing
+// means: the float sum of the rewards below depends on the order of
+// addition (cancelling the two large terms first leaves 1), so a
+// map-ordered sum would drift between calls. Summed in agent-ID order
+// (1e16 + 1 rounds to 1e16, then -1e16) the mean is exactly 0.
+func TestMeanSumsInAgentOrder(t *testing.T) {
+	m := NewShared()
+	m.Record(exp(1, 0, 1e16, 1))
+	m.Record(exp(2, 0, 1, 1))
+	m.Record(exp(3, 0, -1e16, 1))
+	for i := 0; i < 50; i++ {
+		if got := m.MeanReward(); got != 0 {
+			t.Fatalf("call %d: MeanReward = %g, want 0 (agent-ID order)", i, got)
+		}
+	}
+}
+
 // bruteBest and bruteBestFor are the unpruned reference scans; the
 // pruned Best/BestFor must select the identical experience.
 func bruteBest(m *Shared) (Experience, float64, bool) {

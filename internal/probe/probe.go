@@ -70,9 +70,86 @@ const (
 	DefaultMaxPoints = 512
 )
 
-// minPoints is the floor MaxPoints is clamped to; below this the
+// minPoints is the floor ClampPoints enforces; below this the
 // merge-adjacent reservoir would degrade to uselessness.
 const minPoints = 8
+
+// ClampPoints resolves a reservoir bound: n <= 0 selects def, and the
+// result is clamped to an even value of at least 8 so the merge-adjacent
+// downsampler halves cleanly.
+func ClampPoints(n, def int) int {
+	if n <= 0 {
+		n = def
+	}
+	if n < minPoints {
+		n = minPoints
+	}
+	return n &^ 1
+}
+
+// Reservoir is one named series' bounded merge-adjacent point store —
+// the retention scheme behind every probe series and every decision-audit
+// learning curve: samples fold into the current stride, each completed
+// stride becomes one point (mean value, last timestamp), and when the
+// reservoir fills adjacent point pairs merge and the stride doubles.
+// Create with NewReservoir; not safe for concurrent use.
+type Reservoir struct {
+	name, family, unit string
+
+	max    int
+	points []Point
+	// stride is how many raw samples fold into one retained point; it
+	// starts at 1 and doubles every time the reservoir halves.
+	stride int
+	// accT/accV/accN accumulate the in-progress stride: last sample
+	// time, value sum and sample count.
+	accT, accV float64
+	accN       int
+}
+
+// NewReservoir returns an empty reservoir for the named series,
+// retaining at most maxPoints points; pass a bound resolved by
+// ClampPoints.
+func NewReservoir(name, family, unit string, maxPoints int) *Reservoir {
+	return &Reservoir{name: name, family: family, unit: unit, max: maxPoints, stride: 1}
+}
+
+// Add folds one sample taken at t and reports whether retained history
+// was rewritten (the reservoir halved), which callers surface as an
+// epoch bump so streaming consumers know to resend.
+func (r *Reservoir) Add(t, v float64) bool {
+	r.accT, r.accV = t, r.accV+v
+	r.accN++
+	if r.accN < r.stride {
+		return false
+	}
+	r.points = append(r.points, Point{T: r.accT, V: r.accV / float64(r.accN)})
+	r.accT, r.accV, r.accN = 0, 0, 0
+	if len(r.points) < r.max {
+		return false
+	}
+	half := len(r.points) / 2
+	for i := 0; i < half; i++ {
+		a, b := r.points[2*i], r.points[2*i+1]
+		r.points[i] = Point{T: b.T, V: (a.V + b.V) / 2}
+	}
+	r.points = r.points[:half]
+	r.stride *= 2
+	return true
+}
+
+// Series returns a deep copy of the retained points under the series'
+// identity. An in-progress stride accumulation is included as a
+// provisional trailing point so live consumers see the newest sample
+// without waiting a full stride.
+func (r *Reservoir) Series() Series {
+	pts := make([]Point, len(r.points), len(r.points)+1)
+	copy(pts, r.points)
+	if r.accN > 0 {
+		pts = append(pts, Point{T: r.accT, V: r.accV / float64(r.accN)})
+	}
+	return Series{Name: r.name, Family: r.family, Unit: r.unit, Points: pts}
+}
 
 // Config selects what a Recorder samples and how much it retains.
 type Config struct {
@@ -91,33 +168,15 @@ func (c Config) withDefaults() Config {
 	if c.Cadence <= 0 {
 		c.Cadence = DefaultCadence
 	}
-	if c.MaxPoints <= 0 {
-		c.MaxPoints = DefaultMaxPoints
-	}
-	if c.MaxPoints < minPoints {
-		c.MaxPoints = minPoints
-	}
-	c.MaxPoints &^= 1
+	c.MaxPoints = ClampPoints(c.MaxPoints, DefaultMaxPoints)
 	return c
 }
 
-// recSeries is the internal state of one registered series: its
-// identity, sampling closure and the bounded point reservoir.
+// recSeries is one registered series: its sampling closure and its
+// bounded point reservoir.
 type recSeries struct {
-	name   string
-	family string
-	unit   string
-	fn     func() float64
-
-	points []Point
-	// stride is how many raw samples fold into one retained point; it
-	// starts at 1 and doubles every time the reservoir halves.
-	stride int
-	// accT/accV/accN accumulate the in-progress stride: last sample
-	// time, value sum and sample count.
-	accT float64
-	accV float64
-	accN int
+	*Reservoir
+	fn func() float64
 }
 
 // Recorder samples registered series on the DES clock. The zero value
@@ -129,7 +188,7 @@ type Recorder struct {
 	want map[string]bool // nil = all families
 
 	mu     sync.Mutex
-	series []*recSeries
+	series []recSeries
 	epoch  uint64
 	stop   func()
 }
@@ -165,7 +224,7 @@ func (r *Recorder) Register(family, name, unit string, fn func() float64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.series = append(r.series, &recSeries{name: name, family: family, unit: unit, fn: fn, stride: 1})
+	r.series = append(r.series, recSeries{NewReservoir(name, family, unit, r.cfg.MaxPoints), fn})
 }
 
 // Start takes an immediate sample and schedules the recurring sampling
@@ -200,40 +259,15 @@ func (r *Recorder) SampleNow(t float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, s := range r.series {
-		s.accT = t
-		s.accV += s.fn()
-		s.accN++
-		if s.accN < s.stride {
-			continue
-		}
-		s.points = append(s.points, Point{T: s.accT, V: s.accV / float64(s.accN)})
-		s.accT, s.accV, s.accN = 0, 0, 0
-		if len(s.points) >= r.cfg.MaxPoints {
-			r.downsampleLocked(s)
+		if s.Add(t, s.fn()) {
+			r.epoch++
 		}
 	}
-}
-
-// downsampleLocked merges adjacent point pairs: each surviving point
-// takes the later timestamp and the mean value, the stride doubles so
-// future samples accumulate at the new resolution, and the epoch bumps
-// so streaming consumers know history was rewritten.
-func (r *Recorder) downsampleLocked(s *recSeries) {
-	half := len(s.points) / 2
-	for i := 0; i < half; i++ {
-		a, b := s.points[2*i], s.points[2*i+1]
-		s.points[i] = Point{T: b.T, V: (a.V + b.V) / 2}
-	}
-	s.points = s.points[:half]
-	s.stride *= 2
-	r.epoch++
 }
 
 // Snapshot returns a deep copy of every recorded series plus the
-// current downsample epoch (captured atomically with the points). An
-// in-progress stride accumulation is included as a provisional trailing
-// point so live consumers see the newest sample without waiting a full
-// stride.
+// current downsample epoch (captured atomically with the points); see
+// Reservoir.Series for the provisional trailing point.
 func (r *Recorder) Snapshot() ([]Series, uint64) {
 	if r == nil {
 		return nil, 0
@@ -242,12 +276,7 @@ func (r *Recorder) Snapshot() ([]Series, uint64) {
 	defer r.mu.Unlock()
 	out := make([]Series, len(r.series))
 	for i, s := range r.series {
-		pts := make([]Point, len(s.points), len(s.points)+1)
-		copy(pts, s.points)
-		if s.accN > 0 {
-			pts = append(pts, Point{T: s.accT, V: s.accV / float64(s.accN)})
-		}
-		out[i] = Series{Name: s.name, Family: s.family, Unit: s.unit, Points: pts}
+		out[i] = s.Series()
 	}
 	return out, r.epoch
 }

@@ -125,7 +125,14 @@ func (h *HTMLReport) AddStateHeatmap(run audit.RunLog) {
 	w := heatmapPad + heatmapBins*heatmapCell + padRight
 	ht := padTop + heatmapBins*heatmapCell + padBot
 	fmt.Fprintf(&b, "<figure class=\"viz-root\">\n<svg viewBox=\"0 0 %d %d\" width=\"%d\" height=\"%d\" role=\"img\">\n", w, ht, w, ht)
-	for c, n := range counts {
+	// Cells render in grid order, not map order, so the report bytes are
+	// a function of the decisions alone.
+	for i := 0; i < heatmapBins*heatmapBins; i++ {
+		c := cell{i % heatmapBins, i / heatmapBins}
+		n := counts[c]
+		if n == 0 {
+			continue
+		}
 		x := heatmapPad + c.x*heatmapCell
 		// Row 0 (lowest SiteLoad) renders at the bottom, like a chart axis.
 		y := padTop + (heatmapBins-1-c.y)*heatmapCell

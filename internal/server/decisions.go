@@ -1,196 +1,69 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"sort"
-	"strings"
-	"sync"
-	"time"
+	"io"
 
 	"rlsched/internal/audit"
-	"rlsched/internal/experiments"
 	"rlsched/internal/obs"
 	"rlsched/internal/report"
 )
 
-// decisionEntry is one simulation point's audit recorder plus its
-// identity inside the job's campaign.
-type decisionEntry struct {
-	index int
-	label string
-	rec   *audit.Recorder
+// decisionsView is an audit recorder's wire view inside a snapshot. Its
+// tag part grows with every decimation, decision and feedback, so any
+// change to what an earlier snapshot served moves it.
+func decisionsView(index int, label string, rec *audit.Recorder) (audit.RunLog, uint64) {
+	log, epoch := rec.Snapshot()
+	return audit.RunLog{Index: index, Label: label, Log: log}, epoch + log.Total + log.Fed
 }
 
-// decisionLog collects the decision-audit recorders of one job's
-// simulation points, exactly as seriesLog collects probe recorders:
-// workers append entries concurrently through the AuditFor hook while
-// HTTP handlers snapshot, and a retry attempt resets the log so stale
-// recorders never leak into responses.
-type decisionLog struct {
-	mu      sync.Mutex
-	resets  uint64
-	entries []decisionEntry
-}
-
-// auditFor builds the experiments.Profile.AuditFor hook: every point
-// gets a fresh recorder, registered here under the point's index and
-// canonical label.
-func (l *decisionLog) auditFor(cfg audit.Config) func(int, experiments.RunSpec) *audit.Recorder {
-	return func(i int, spec experiments.RunSpec) *audit.Recorder {
-		rec := audit.NewRecorder(cfg)
-		l.mu.Lock()
-		l.entries = append(l.entries, decisionEntry{index: i, label: experiments.PointLabel(spec), rec: rec})
-		l.mu.Unlock()
-		return rec
-	}
-}
-
-// reset drops all recorded runs ahead of a retry attempt.
-func (l *decisionLog) reset() {
-	l.mu.Lock()
-	l.entries = nil
-	l.resets++
-	l.mu.Unlock()
-}
-
-// snapshot returns the recorded runs sorted by (label, index) — the
-// registration order depends on worker scheduling, the sort does not —
-// plus a change tag that moves whenever a retry, a decimation or a new
-// decision rewrote or extended what an earlier snapshot served.
-func (l *decisionLog) snapshot() ([]audit.RunLog, uint64) {
-	l.mu.Lock()
-	entries := append([]decisionEntry(nil), l.entries...)
-	tag := l.resets << 32
-	l.mu.Unlock()
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].label != entries[j].label {
-			return entries[i].label < entries[j].label
-		}
-		return entries[i].index < entries[j].index
-	})
-	runs := make([]audit.RunLog, len(entries))
-	for i, en := range entries {
-		log, epoch := en.rec.Snapshot()
-		tag = tag*31 + epoch + log.Total
-		runs[i] = audit.RunLog{Index: en.index, Label: en.label, Log: log}
-	}
-	return runs, tag
-}
-
-// DecisionsResponse is the JSON payload of GET /v1/jobs/{id}/decisions.
+// DecisionsResponse is the JSON payload of GET /v1/jobs/{id}/decisions
+// and of every "decisions" SSE event on /v1/jobs/{id}/decisions/stream.
+// A stream frame is always the full snapshot, because the reservoir's
+// stride-doubling decimation rewrites retained history too often for
+// deltas to pay off at decision-log sizes.
 type DecisionsResponse struct {
 	ID   string         `json:"id"`
 	Runs []audit.RunLog `json:"runs"`
 }
 
-// DecisionsFrame is the data payload of one "decisions" SSE event on
-// /v1/jobs/{id}/decisions/stream: always the full snapshot, because the
-// reservoir's stride-doubling decimation rewrites retained history too
-// often for deltas to pay off at decision-log sizes.
-type DecisionsFrame struct {
-	ID   string         `json:"id"`
-	Runs []audit.RunLog `json:"runs"`
-}
-
-// handleDecisions serves a job's recorded scheduling decisions. Jobs
-// submitted without a "decisions" block have no recorders — they paid no
-// audit cost — so the endpoint 404s for them, mirroring /series and
-// /trace. ?format=csv serves the CLI-identical CSV export and
-// ?format=html a self-contained policy report.
-func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
+// decisionsArtifact is the /decisions view of a job (nil for jobs
+// submitted without a "decisions" block): JSON, the CLI-identical CSV
+// export, or a self-contained HTML policy report.
+func decisionsArtifact(j *job) *artifactView {
 	if j.decisions == nil {
-		writeError(w, http.StatusNotFound, "job %s was not submitted with a decisions block", j.id)
-		return
+		return nil
 	}
 	runs, _ := j.decisions.snapshot()
-	if wantsCSV(r) {
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+	return &artifactView{
+		json: DecisionsResponse{ID: j.id, Runs: runs},
 		// The CSV bytes come from the same writer the CLI uses for
 		// -decisions-csv, so the HTTP export is byte-identical to the CLI's.
-		_ = audit.WriteDecisionsCSV(w, runs)
-		return
+		csv: func(w io.Writer) error { return audit.WriteDecisionsCSV(w, runs) },
+		html: func(w io.Writer) error {
+			return report.NewPolicyReport("Policy report "+j.id, runs).Render(w)
+		},
 	}
-	if strings.EqualFold(r.URL.Query().Get("format"), "html") {
-		rep := report.NewPolicyReport("Policy report "+j.id, runs)
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_ = rep.Render(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, DecisionsResponse{ID: j.id, Runs: runs})
 }
 
-// handleDecisionsStream streams a job's decision log live over SSE: a
-// full snapshot first, then a fresh snapshot whenever the log changed,
-// with keepalives between. The stream ends with a terminal "done" event
-// carrying the job status, like /events and /series/stream.
-func (s *Server) handleDecisionsStream(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
+// decisionsFrames returns a /decisions/stream subscriber's frame writer
+// (nil for unaudited jobs): a full snapshot first, then a fresh one
+// whenever the log changed.
+func decisionsFrames(j *job) func(emitFunc) {
 	if j.decisions == nil {
-		writeError(w, http.StatusNotFound, "job %s was not submitted with a decisions block", j.id)
-		return
+		return nil
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	s.m.sse.Add(1)
-	defer s.m.sse.Add(-1)
-	tick := j.watch()
-	defer j.unwatch(tick)
-	// Point completions wake the stream through the job's watcher
-	// machinery; the poll ticker additionally surfaces decisions recorded
-	// mid-point, which trigger no notification.
-	poll := time.NewTicker(s.seriesPoll)
-	defer poll.Stop()
-	ka := time.NewTicker(s.keepAlive)
-	defer ka.Stop()
-
 	var (
 		prevTag uint64
 		first   = true
 	)
-	send := func() {
+	return func(emit emitFunc) {
 		runs, tag := j.decisions.snapshot()
 		if !first && tag == prevTag {
 			return
 		}
 		prevTag, first = tag, false
-		data, _ := json.Marshal(DecisionsFrame{ID: j.id, Runs: runs})
-		fmt.Fprintf(w, "event: decisions\ndata: %s\n\n", data)
-		fl.Flush()
-	}
-	send()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-j.doneCh:
-			send()
-			data, _ := json.Marshal(j.status())
-			fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
-			fl.Flush()
-			return
-		case <-tick:
-			send()
-		case <-poll.C:
-			send()
-		case <-ka.C:
-			fmt.Fprint(w, ": keepalive\n\n")
-			fl.Flush()
-		}
+		emit("decisions", DecisionsResponse{ID: j.id, Runs: runs})
 	}
 }
 
@@ -200,10 +73,8 @@ func (s *Server) handleDecisionsStream(w http.ResponseWriter, r *http.Request) {
 // at settle time, so the counters stay monotonic; the audit package has
 // already folded agents beyond its cardinality bound into the overflow
 // bucket, rendered here as agent="other".
-func (s *Server) foldDecisionMetrics(l *decisionLog) {
-	l.mu.Lock()
-	entries := append([]decisionEntry(nil), l.entries...)
-	l.mu.Unlock()
+func (s *Server) foldDecisionMetrics(l *pointLog[*audit.Recorder, audit.RunLog]) {
+	entries, _ := l.sorted()
 	var explored, decided float64
 	for _, en := range entries {
 		for agent, kinds := range en.rec.AgentKindCounts() {

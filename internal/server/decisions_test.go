@@ -15,6 +15,7 @@ import (
 
 	"rlsched/internal/audit"
 	"rlsched/internal/experiments"
+	"rlsched/internal/memory"
 )
 
 const decisionsPointsBody = `{"kind": "points", "points": [
@@ -47,6 +48,8 @@ func TestSubmitRejectsBadDecisionsBlock(t *testing.T) {
 		"negative max_decisions": `{"kind": "figure", "figure": "10", "decisions": {"max_decisions": -1}, "profile": ` + tinyProfile + `}`,
 		"negative top_k":         `{"kind": "figure", "figure": "10", "decisions": {"top_k": -3}, "profile": ` + tinyProfile + `}`,
 		"unknown key":            `{"kind": "figure", "figure": "10", "decisions": {"depth": 5}, "profile": ` + tinyProfile + `}`,
+		// The streaming scale engine has no audit hook.
+		"scale job": `{"kind": "scale", "decisions": {}, "scale": {"preset": "small", "sites": 4, "num_tasks": 300}}`,
 	}
 	for name, body := range cases {
 		if code, _ := postJob(t, ts, body); code != http.StatusBadRequest {
@@ -104,8 +107,8 @@ func TestDecisionsJSONAndCSV(t *testing.T) {
 	// The CLI path: the same campaign run locally through the experiments
 	// package with the same audit config, exported with the same writer.
 	prof := tinyProfileValue()
-	log := &decisionLog{}
-	prof.AuditFor = log.auditFor(audit.Config{})
+	log := newPointLog(func() *audit.Recorder { return audit.NewRecorder(audit.Config{}) }, decisionsView)
+	prof.AuditFor = log.hook
 	specs := []experiments.RunSpec{
 		{Policy: "adaptive-rl", NumTasks: 25, Seed: 1},
 		{Policy: "greedy", NumTasks: 25, Seed: 2},
@@ -222,7 +225,7 @@ func TestDecisionsStream(t *testing.T) {
 	}
 
 	var (
-		last     DecisionsFrame
+		last     DecisionsResponse
 		frames   int
 		sawDone  bool
 		curEvent string
@@ -235,7 +238,7 @@ func TestDecisionsStream(t *testing.T) {
 		case strings.HasPrefix(line, "event: "):
 			curEvent = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: ") && curEvent == "decisions":
-			var f DecisionsFrame
+			var f DecisionsResponse
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &f); err != nil {
 				t.Fatalf("frame: %v", err)
 			}
@@ -321,9 +324,8 @@ func TestDecisionsMetrics(t *testing.T) {
 // TestDecisionLogReset covers the retry path: a reset drops recorded
 // runs and bumps the change tag so streams resend in full.
 func TestDecisionLogReset(t *testing.T) {
-	log := &decisionLog{}
-	hook := log.auditFor(audit.Config{})
-	rec := hook(0, experiments.RunSpec{Policy: "greedy", NumTasks: 10, Seed: 1})
+	log := newPointLog(func() *audit.Recorder { return audit.NewRecorder(audit.Config{}) }, decisionsView)
+	rec := log.hook(0, experiments.RunSpec{Policy: "greedy", NumTasks: 10, Seed: 1})
 	if rec == nil {
 		t.Fatal("hook returned nil recorder")
 	}
@@ -338,5 +340,25 @@ func TestDecisionLogReset(t *testing.T) {
 	}
 	if tag2 == tag1 {
 		t.Fatal("reset did not change the snapshot tag")
+	}
+}
+
+// TestDecisionLogTagMovesOnFeedback pins the stream's change detection:
+// feedback rewrites a retained decision (and the reward curves) without
+// adding a decision, and the tag must still move, or a stream would skip
+// its final frame and leave subscribers with stale rewards.
+func TestDecisionLogTagMovesOnFeedback(t *testing.T) {
+	log := newPointLog(func() *audit.Recorder { return audit.NewRecorder(audit.Config{}) }, decisionsView)
+	rec := log.hook(0, experiments.RunSpec{Policy: "adaptive-rl", NumTasks: 10, Seed: 1})
+	rec.Decision(1, 0, memory.Action{Opnum: 2}, audit.Note{Kind: audit.KindExploit})
+	rec.Assigned(0, 7)
+	_, before := log.snapshot()
+	rec.Feedback(7, 2, 0.5, 0.1)
+	runs, after := log.snapshot()
+	if !runs[0].Decisions[0].Fed {
+		t.Fatal("feedback did not land on the decision")
+	}
+	if after == before {
+		t.Fatal("feedback did not change the snapshot tag")
 	}
 }

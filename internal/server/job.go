@@ -6,11 +6,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rlsched/internal/audit"
 	"rlsched/internal/cache"
 	"rlsched/internal/cluster"
 	"rlsched/internal/config"
 	"rlsched/internal/experiments"
 	"rlsched/internal/obs/span"
+	"rlsched/internal/probe"
 	"rlsched/internal/sched"
 	"rlsched/internal/trace"
 )
@@ -163,12 +165,12 @@ type job struct {
 	// a "series" block; nil otherwise, and an unprobed job pays nothing.
 	// Recorded series are runtime-only, like the trace ring: a restored
 	// job serves an empty set.
-	series *seriesLog
+	series *pointLog[*probe.Recorder, probe.RunSeries]
 	// decisions collects the per-point decision-audit recorders when the
 	// spec carried a "decisions" block; nil otherwise, and an unaudited
 	// job pays nothing. Runtime-only, like series: a restored job serves
 	// an empty set.
-	decisions *decisionLog
+	decisions *pointLog[*audit.Recorder, audit.RunLog]
 	// spans collects the job's distributed span trace when the spec asked
 	// for one ("spans": true); nil otherwise, and an untraced job pays a
 	// nil check per hook site. spanParent is the remote parent adopted
@@ -212,10 +214,12 @@ func newJob(id string, spec config.JobSpec, total int) *job {
 		j.ring = trace.NewRing(traceCap, trace.LevelDebug)
 	}
 	if spec.Series != nil {
-		j.series = &seriesLog{}
+		cfg := spec.Series.ProbeConfig()
+		j.series = newPointLog(func() *probe.Recorder { return probe.NewRecorder(cfg) }, seriesView)
 	}
 	if spec.Decisions != nil {
-		j.decisions = &decisionLog{}
+		cfg := spec.Decisions.AuditConfig()
+		j.decisions = newPointLog(func() *audit.Recorder { return audit.NewRecorder(cfg) }, decisionsView)
 	}
 	if spec.Spans {
 		j.spans = span.New(span.DeriveTraceID(id), id, spanCap)

@@ -1,80 +1,17 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"sort"
-	"strings"
-	"sync"
-	"time"
+	"io"
 
-	"rlsched/internal/experiments"
 	"rlsched/internal/probe"
 )
 
-// seriesEntry is one simulation point's probe recorder plus its identity
-// inside the job's campaign.
-type seriesEntry struct {
-	index int
-	label string
-	rec   *probe.Recorder
-}
-
-// seriesLog collects the probe recorders of one job's simulation points.
-// Workers append entries concurrently through the ProbeFor hook while
-// HTTP handlers snapshot; a retry attempt (which re-runs every point)
-// resets the log so stale recorders never leak into responses.
-type seriesLog struct {
-	mu      sync.Mutex
-	resets  uint64
-	entries []seriesEntry
-}
-
-// probeFor builds the experiments.Profile.ProbeFor hook: every point
-// gets a fresh recorder, registered here under the point's index and
-// canonical label.
-func (l *seriesLog) probeFor(cfg probe.Config) func(int, experiments.RunSpec) *probe.Recorder {
-	return func(i int, spec experiments.RunSpec) *probe.Recorder {
-		rec := probe.NewRecorder(cfg)
-		l.mu.Lock()
-		l.entries = append(l.entries, seriesEntry{index: i, label: experiments.PointLabel(spec), rec: rec})
-		l.mu.Unlock()
-		return rec
-	}
-}
-
-// reset drops all recorded runs ahead of a retry attempt.
-func (l *seriesLog) reset() {
-	l.mu.Lock()
-	l.entries = nil
-	l.resets++
-	l.mu.Unlock()
-}
-
-// snapshot returns the recorded runs sorted by (label, index) — the
-// registration order depends on worker scheduling, the sort does not —
-// plus a change tag combining the log's reset count with every
-// recorder's downsample epoch. A tag change means points served earlier
-// may have been rewritten, so streaming consumers must resend in full.
-func (l *seriesLog) snapshot() ([]probe.RunSeries, uint64) {
-	l.mu.Lock()
-	entries := append([]seriesEntry(nil), l.entries...)
-	tag := l.resets << 32
-	l.mu.Unlock()
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].label != entries[j].label {
-			return entries[i].label < entries[j].label
-		}
-		return entries[i].index < entries[j].index
-	})
-	runs := make([]probe.RunSeries, len(entries))
-	for i, en := range entries {
-		series, epoch := en.rec.Snapshot()
-		tag += epoch
-		runs[i] = probe.RunSeries{Index: en.index, Label: en.label, Series: series}
-	}
-	return runs, tag
+// seriesView is a probe recorder's wire view inside a snapshot. Its tag
+// part is the recorder's downsample epoch: new points reach a stream as
+// deltas, so only a rewrite of history forces a reset frame.
+func seriesView(index int, label string, rec *probe.Recorder) (probe.RunSeries, uint64) {
+	series, epoch := rec.Snapshot()
+	return probe.RunSeries{Index: index, Label: label, Series: series}, epoch
 }
 
 // SeriesResponse is the JSON payload of GET /v1/jobs/{id}/series.
@@ -113,37 +50,19 @@ type SeriesFrame struct {
 	Deltas []RunDelta        `json:"deltas,omitempty"`
 }
 
-// wantsCSV decides the response encoding of the series endpoint:
-// ?format=csv wins, then an Accept header naming text/csv; JSON is the
-// default.
-func wantsCSV(r *http.Request) bool {
-	if f := r.URL.Query().Get("format"); f != "" {
-		return strings.EqualFold(f, "csv")
-	}
-	return strings.Contains(r.Header.Get("Accept"), "text/csv")
-}
-
-// handleSeries serves a job's recorded simulation series. Jobs submitted
-// without a "series" block have no recorders — they paid no sampling
-// cost — so the endpoint 404s for them, mirroring /trace.
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
+// seriesArtifact is the /series view of a job (nil for jobs submitted
+// without a "series" block). The CSV bytes come from the same writer the
+// CLIs use for -series-csv, so the HTTP export is byte-identical to the
+// CLI's.
+func seriesArtifact(j *job) *artifactView {
 	if j.series == nil {
-		writeError(w, http.StatusNotFound, "job %s was not submitted with a series block", j.id)
-		return
+		return nil
 	}
 	runs, _ := j.series.snapshot()
-	if wantsCSV(r) {
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		// The CSV bytes come from the same writer the CLIs use for
-		// -series-csv, so the HTTP export is byte-identical to the CLI's.
-		_ = probe.WriteSeriesCSV(w, runs)
-		return
+	return &artifactView{
+		json: SeriesResponse{ID: j.id, Runs: runs},
+		csv:  func(w io.Writer) error { return probe.WriteSeriesCSV(w, runs) },
 	}
-	writeJSON(w, http.StatusOK, SeriesResponse{ID: j.id, Runs: runs})
 }
 
 // structureChanged reports whether two snapshots differ in run identity
@@ -201,46 +120,20 @@ func seriesDeltas(id string, prev, cur []probe.RunSeries) *SeriesFrame {
 	return frame
 }
 
-// handleSeriesStream streams a job's series live over SSE: a full
-// snapshot first, then delta frames as points accumulate, with reset
-// frames whenever history was rewritten (downsampling, a retry). The
-// stream ends with a terminal "done" event carrying the job status,
-// like /events.
-func (s *Server) handleSeriesStream(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
+// seriesFrames returns a /series/stream subscriber's frame writer (nil
+// for jobs without series): a full snapshot first, then delta frames as
+// points accumulate, with reset frames whenever history was rewritten
+// (downsampling, a retry) or the run set changed.
+func seriesFrames(j *job) func(emitFunc) {
 	if j.series == nil {
-		writeError(w, http.StatusNotFound, "job %s was not submitted with a series block", j.id)
-		return
+		return nil
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	s.m.sse.Add(1)
-	defer s.m.sse.Add(-1)
-	tick := j.watch()
-	defer j.unwatch(tick)
-	// Point completions wake the stream through the job's watcher
-	// machinery; the poll ticker additionally surfaces samples recorded
-	// mid-point, which trigger no notification.
-	poll := time.NewTicker(s.seriesPoll)
-	defer poll.Stop()
-	ka := time.NewTicker(s.keepAlive)
-	defer ka.Stop()
-
 	var (
 		prev    []probe.RunSeries
 		prevTag uint64
 		first   = true
 	)
-	send := func() {
+	return func(emit emitFunc) {
 		cur, tag := j.series.snapshot()
 		var frame *SeriesFrame
 		if first || tag != prevTag || structureChanged(prev, cur) {
@@ -249,31 +142,8 @@ func (s *Server) handleSeriesStream(w http.ResponseWriter, r *http.Request) {
 			frame = seriesDeltas(j.id, prev, cur)
 		}
 		prev, prevTag, first = cur, tag, false
-		if frame == nil {
-			return
-		}
-		data, _ := json.Marshal(frame)
-		fmt.Fprintf(w, "event: series\ndata: %s\n\n", data)
-		fl.Flush()
-	}
-	send()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-j.doneCh:
-			send()
-			data, _ := json.Marshal(j.status())
-			fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
-			fl.Flush()
-			return
-		case <-tick:
-			send()
-		case <-poll.C:
-			send()
-		case <-ka.C:
-			fmt.Fprint(w, ": keepalive\n\n")
-			fl.Flush()
+		if frame != nil {
+			emit("series", frame)
 		}
 	}
 }

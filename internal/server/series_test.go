@@ -47,11 +47,18 @@ func TestSubmitRejectsBadSeriesBlock(t *testing.T) {
 		"unknown family":   `{"kind": "figure", "figure": "10", "series": {"select": ["vibes"]}, "profile": ` + tinyProfile + `}`,
 		"negative cadence": `{"kind": "figure", "figure": "10", "series": {"cadence": -1}, "profile": ` + tinyProfile + `}`,
 		"unknown key":      `{"kind": "figure", "figure": "10", "series": {"hz": 5}, "profile": ` + tinyProfile + `}`,
+		"series name":      `{"kind": "figure", "figure": "10", "series": {"select": ["power.draw"]}, "profile": ` + tinyProfile + `}`,
 	}
 	for name, body := range cases {
 		if code, _ := postJob(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, code)
 		}
+	}
+	// The series block README.md documents is accepted as written.
+	readme := `{"cadence": 50, "max_points": 512, "select": ["power"]}`
+	body := `{"kind": "points", "points": [{"Policy": "greedy", "NumTasks": 10, "Seed": 1}], "series": ` + readme + `, "profile": ` + tinyProfile + `}`
+	if code, m := postJob(t, ts, body); code != http.StatusAccepted {
+		t.Errorf("README series block: HTTP %d, want 202: %v", code, m)
 	}
 }
 
@@ -117,8 +124,8 @@ func TestSeriesJSONAndCSV(t *testing.T) {
 	// The CLI path: the same campaign run locally through the experiments
 	// package with the same probe config, exported with the same writer.
 	prof := tinyProfileValue()
-	log := &seriesLog{}
-	prof.ProbeFor = log.probeFor(probe.Config{Cadence: 20})
+	log := newPointLog(func() *probe.Recorder { return probe.NewRecorder(probe.Config{Cadence: 20}) }, seriesView)
+	prof.ProbeFor = log.hook
 	specs := []experiments.RunSpec{
 		{Policy: "greedy", NumTasks: 25, Seed: 1},
 		{Policy: "round-robin", NumTasks: 25, Seed: 2},
@@ -273,9 +280,8 @@ func TestSeriesDeltasStepBack(t *testing.T) {
 // TestSeriesLogReset covers the retry path: a reset drops recorded runs
 // and bumps the change tag so streams resend in full.
 func TestSeriesLogReset(t *testing.T) {
-	log := &seriesLog{}
-	hook := log.probeFor(probe.Config{})
-	rec := hook(0, experiments.RunSpec{Policy: "greedy", NumTasks: 10, Seed: 1})
+	log := newPointLog(func() *probe.Recorder { return probe.NewRecorder(probe.Config{}) }, seriesView)
+	rec := log.hook(0, experiments.RunSpec{Policy: "greedy", NumTasks: 10, Seed: 1})
 	if rec == nil {
 		t.Fatal("hook returned nil recorder")
 	}

@@ -222,9 +222,9 @@ type Server struct {
 	// comment line this often so proxies and clients can tell a quiet
 	// job from a dead connection. Tests shorten it.
 	keepAlive time.Duration
-	// seriesPoll is how often a series stream re-snapshots its job's
-	// recorders between point completions, surfacing samples recorded
-	// mid-point. Tests shorten it.
+	// seriesPoll is how often a series or decisions stream re-snapshots
+	// its job's recorders between point completions, surfacing samples
+	// and decisions recorded mid-point. Tests shorten it.
 	seriesPoll time.Duration
 	// retryBase is the first retry's backoff delay; attempt k waits
 	// retryBase << k. Tests shrink it to keep retries instant.
@@ -554,12 +554,12 @@ func New(opts Options) (*Server, error) {
 	handle("GET /v1/jobs/{id}/result", s.handleResult)
 	handle("DELETE /v1/jobs/{id}", s.handleCancel)
 	handle("GET /v1/jobs/{id}/events", s.handleEvents)
-	handle("GET /v1/jobs/{id}/trace", s.handleTrace)
-	handle("GET /v1/jobs/{id}/spans", s.handleSpans)
-	handle("GET /v1/jobs/{id}/series", s.handleSeries)
-	handle("GET /v1/jobs/{id}/series/stream", s.handleSeriesStream)
-	handle("GET /v1/jobs/{id}/decisions", s.handleDecisions)
-	handle("GET /v1/jobs/{id}/decisions/stream", s.handleDecisionsStream)
+	handle("GET /v1/jobs/{id}/trace", s.artifactGet("trace enabled", traceArtifact))
+	handle("GET /v1/jobs/{id}/spans", s.artifactGet("spans enabled", spansArtifact))
+	handle("GET /v1/jobs/{id}/series", s.artifactGet("a series block", seriesArtifact))
+	handle("GET /v1/jobs/{id}/series/stream", s.artifactStream("a series block", seriesFrames))
+	handle("GET /v1/jobs/{id}/decisions", s.artifactGet("a decisions block", decisionsArtifact))
+	handle("GET /v1/jobs/{id}/decisions/stream", s.artifactStream("a decisions block", decisionsFrames))
 	handle("GET /v1/cluster", s.handleClusterStatus)
 	handle("POST /v1/cluster/register", s.handleClusterRegister)
 	handle("GET /healthz", s.handleHealthz)
@@ -946,49 +946,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
+// handleEvents streams a job's progress: a "progress" frame with the
+// status up front and on every change, then the terminal "done" frame.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	s.m.sse.Add(1)
-	defer s.m.sse.Add(-1)
-	tick := j.watch()
-	defer j.unwatch(tick)
-	// The keepalive comment keeps idle proxies from reaping the stream
-	// during a long quiet stretch and lets clients distinguish a slow job
-	// from a dead connection.
-	ka := time.NewTicker(s.keepAlive)
-	defer ka.Stop()
-	emit := func(event string) {
-		data, _ := json.Marshal(j.status())
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-		fl.Flush()
-	}
-	emit("progress")
-	for {
-		select {
-		case <-r.Context().Done():
-			// Client went away: tear the stream down immediately. The job
-			// itself is unaffected.
-			return
-		case <-j.doneCh:
-			emit("done")
-			return
-		case <-tick:
-			emit("progress")
-		case <-ka.C:
-			fmt.Fprint(w, ": keepalive\n\n")
-			fl.Flush()
-		}
+	if j := s.lookup(w, r); j != nil {
+		s.serveSSE(w, r, j, false, func(emit emitFunc) { emit("progress", j.status()) })
 	}
 }
 
@@ -1018,17 +980,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WritePrometheus(w)
 }
 
-// handleTrace serves a traced job's retained engine events. Jobs
-// submitted without "trace": true have no ring — they paid no tracing
-// cost — so the endpoint 404s for them.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
+// traceArtifact is the /trace view of a job: its retained engine
+// events, or nil for jobs submitted without "trace": true.
+func traceArtifact(j *job) *artifactView {
 	if j.ring == nil {
-		writeError(w, http.StatusNotFound, "job %s was not submitted with trace enabled", j.id)
-		return
+		return nil
 	}
 	evs := j.ring.Events()
 	out := TraceResponse{
@@ -1044,45 +1000,40 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Events[i] = TraceEvent{At: e.At, Level: e.Level.String(), Kind: e.Kind, Fields: fields}
 	}
-	writeJSON(w, http.StatusOK, out)
+	return &artifactView{json: out}
 }
 
-// handleSpans serves a span-traced job's distributed trace: every
-// recorded span — coordinator-side campaign structure, lease attempts,
-// imported worker timelines — in a stable order, with the drop count.
-// Jobs submitted without "spans": true have no trace (they paid no span
-// cost), so the endpoint 404s for them. ?format=html renders the
-// self-contained waterfall view instead of JSON.
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
+// spansArtifact is the /spans view of a job (nil for jobs submitted
+// without "spans": true): every recorded span — coordinator-side
+// campaign structure, lease attempts, imported worker timelines — in a
+// stable order with the drop count, as JSON or as a self-contained HTML
+// waterfall.
+func spansArtifact(j *job) *artifactView {
 	if j.spans == nil {
-		writeError(w, http.StatusNotFound, "job %s was not submitted with spans enabled", j.id)
-		return
+		return nil
 	}
 	recs := j.spans.Snapshot()
-	if r.URL.Query().Get("format") == "html" {
-		rep := report.NewHTMLReport("Trace " + j.id)
-		rep.AddKeyValues("Trace", [][2]string{
-			{"Job", j.id},
-			{"Trace ID", j.spans.TraceID()},
-			{"Spans", strconv.Itoa(len(recs))},
-			{"Dropped", strconv.FormatUint(j.spans.Dropped(), 10)},
-		})
-		rep.AddWaterfall("Campaign waterfall", recs)
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_ = rep.Render(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, SpansResponse{
+	out := SpansResponse{
 		ID:       j.id,
 		TraceID:  j.spans.TraceID(),
 		Retained: len(recs),
 		Dropped:  j.spans.Dropped(),
 		Spans:    recs,
-	})
+	}
+	return &artifactView{
+		json: out,
+		html: func(w io.Writer) error {
+			rep := report.NewHTMLReport("Trace " + j.id)
+			rep.AddKeyValues("Trace", [][2]string{
+				{"Job", j.id},
+				{"Trace ID", out.TraceID},
+				{"Spans", strconv.Itoa(len(recs))},
+				{"Dropped", strconv.FormatUint(out.Dropped, 10)},
+			})
+			rep.AddWaterfall("Campaign waterfall", recs)
+			return rep.Render(w)
+		},
+	}
 }
 
 // worker drains the queue until Shutdown closes it.
@@ -1214,8 +1165,8 @@ func (s *Server) runJob(j *job) {
 	// content-addressed cache when possible, leased to cluster workers
 	// when a pool has capacity, run locally otherwise. The runner
 	// bypasses the hook on its own whenever the job carries in-process
-	// instrumentation (trace ring, series probes) that only a local run
-	// can feed.
+	// instrumentation (see Profile.InProcess) that only a local run can
+	// feed.
 	prof.RunPoints = s.dispatcher.Runner(cluster.JobMeta{
 		ID: j.id, RequestID: j.reqID, Trace: j.spans, Parent: jobSpan.ID(),
 	})
@@ -1223,12 +1174,12 @@ func (s *Server) runJob(j *job) {
 		prof.Engine.Tracer = j.ring
 	}
 	if j.series != nil {
-		prof.ProbeFor = j.series.probeFor(j.spec.Series.ProbeConfig())
+		prof.ProbeFor = j.series.hook
 	}
 	if j.decisions != nil {
-		prof.AuditFor = j.decisions.auditFor(j.spec.Decisions.AuditConfig())
+		prof.AuditFor = j.decisions.hook
 	}
-	if j.spans != nil && (j.ring != nil || j.series != nil || j.decisions != nil) {
+	if j.spans != nil && prof.InProcess() {
 		// In-process instrumentation forces the campaign to run locally
 		// (RunManyCtx bypasses RunPoints), so the dispatcher never sees
 		// these points: hang each engine run directly under job.run.
@@ -1382,6 +1333,13 @@ func (s *Server) execute(ctx context.Context, j *job, prof experiments.Profile, 
 		// trace ring when the job asked for one.
 		c.Stats = prof.Engine.Stats
 		c.Tracer = prof.Engine.Tracer
+		// A series block records the run as the campaign's point 0.
+		// (Normalize rejects decisions blocks: the scale engine has no
+		// audit hook.)
+		spec := experiments.RunSpec{Policy: c.Policy, NumTasks: c.NumTasks, Seed: c.Seed}
+		if prof.ProbeFor != nil {
+			c.Probe = prof.ProbeFor(0, spec)
+		}
 		res, err := experiments.RunScale(c)
 		if err != nil {
 			return nil, nil, nil, err
@@ -1389,7 +1347,6 @@ func (s *Server) execute(ctx context.Context, j *job, prof experiments.Profile, 
 		if prof.Progress != nil {
 			prof.Progress()
 		}
-		spec := experiments.RunSpec{Policy: c.Policy, NumTasks: c.NumTasks, Seed: c.Seed}
 		return nil, []PointResult{summarizePoint(spec, res)}, nil, nil
 	default:
 		return nil, nil, nil, fmt.Errorf("unknown job kind %q", j.spec.Kind)
