@@ -60,14 +60,27 @@ func deterministicf(format string, args ...any) *leaseError {
 // to keep the dependency one-way: the server embeds the cluster, never
 // the reverse.
 type client struct {
-	hc   *http.Client
-	poll time.Duration
+	hc *http.Client
 	// timeout bounds each individual HTTP call (one submit, one status
-	// poll, one result fetch) — not the lease as a whole, which lasts as
-	// long as the point runs. It turns a stalled connection into a
-	// transient, re-leasable failure instead of a hung campaign.
+	// long poll, one result fetch) — not the lease as a whole, which
+	// lasts as long as the point runs. It turns a stalled connection into
+	// a transient, re-leasable failure instead of a hung campaign.
 	timeout time.Duration
 }
+
+// MaxStatusWait caps the ?wait= long poll of GET /v1/jobs/{id}: the
+// server answers a longer wait with 400, and a lease never asks for one.
+const MaxStatusWait = time.Minute
+
+// Pacing of status requests a worker answers early — before the long
+// poll's wait elapsed and with the job still unsettled. A worker that
+// predates ?wait= ignores it and answers at once; the pace doubles from
+// earlyPaceMin to earlyPaceMax so a lease on such a worker polls it, at
+// worst, as often as a fixed 100 ms poll would, instead of spinning.
+const (
+	earlyPaceMin = 10 * time.Millisecond
+	earlyPaceMax = 100 * time.Millisecond
+)
 
 // call wraps one HTTP exchange in the per-request timeout.
 func (c *client) call(ctx context.Context, req *http.Request) (*http.Response, context.CancelFunc, error) {
@@ -154,13 +167,17 @@ func (c *client) submit(ctx context.Context, base string, spec config.JobSpec, m
 	return st.ID, nil
 }
 
-// wait polls the worker until the leased job settles, cancelling the
-// remote job (best effort) if ctx ends first.
+// wait long-polls the worker until the leased job settles, cancelling
+// the remote job (best effort) if ctx ends first. Each status request
+// asks the worker to hold the answer for half the per-call timeout, so
+// a settled point is reported the moment it settles while a stalled
+// worker still trips the timeout.
 func (c *client) wait(ctx context.Context, base, id string, meta leaseMeta) (jobStatus, *leaseError) {
-	t := time.NewTicker(c.poll)
-	defer t.Stop()
+	hold := min(c.timeout/2, MaxStatusWait)
+	pace := earlyPaceMin
 	for {
-		st, lerr := c.status(ctx, base, id, meta)
+		asked := time.Now()
+		st, lerr := c.status(ctx, base, id, hold, meta)
 		if lerr != nil {
 			if ctx.Err() != nil {
 				c.cancel(base, id)
@@ -171,18 +188,25 @@ func (c *client) wait(ctx context.Context, base, id string, meta leaseMeta) (job
 		case "done", "failed", "timeout", "cancelled":
 			return st, nil
 		}
+		if time.Since(asked) >= hold {
+			continue // the full wait passed: ask again at once
+		}
+		t := time.NewTimer(pace)
 		select {
 		case <-ctx.Done():
+			t.Stop()
 			c.cancel(base, id)
 			return jobStatus{}, transientf("cluster: lease wait: %v", ctx.Err())
 		case <-t.C:
 		}
+		pace = min(2*pace, earlyPaceMax)
 	}
 }
 
-// status fetches one job status snapshot.
-func (c *client) status(ctx context.Context, base, id string, meta leaseMeta) (jobStatus, *leaseError) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id, nil)
+// status fetches one job status snapshot, held by the worker for up to
+// hold while the job is unsettled.
+func (c *client) status(ctx context.Context, base, id string, hold time.Duration, meta leaseMeta) (jobStatus, *leaseError) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id+"?wait="+hold.String(), nil)
 	if err != nil {
 		return jobStatus{}, deterministicf("cluster: building status request: %v", err)
 	}

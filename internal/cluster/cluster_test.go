@@ -60,12 +60,28 @@ type fakeWorker struct {
 	// for that long before processing it, honouring request cancellation
 	// — a straggling or hung worker.
 	stallSubmit atomic.Int64
+	// onSubmit, when set to a func(*http.Request), runs before each
+	// submission is processed and may block — tests park or time leases
+	// with it.
+	onSubmit atomic.Value
+	// runFor, when positive (nanoseconds), keeps each job reporting
+	// "running" for that long after its submission.
+	runFor atomic.Int64
+
+	// jobCalls counts every job-API request; statusCalls the status
+	// requests among them, and lastWait holds the ?wait= the latest one
+	// asked for. Like a worker that predates long polls, the fake
+	// answers status requests at once whatever the wait.
+	jobCalls    atomic.Int64
+	statusCalls atomic.Int64
+	lastWait    atomic.Value
 }
 
 type fakeJob struct {
-	state   string
-	errMsg  string
-	results []sched.Result
+	state    string
+	errMsg   string
+	results  []sched.Result
+	settleAt time.Time
 }
 
 func newFakeWorker(t *testing.T) *fakeWorker {
@@ -84,6 +100,9 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 				return
 			case <-time.After(d):
 			}
+		}
+		if fn, _ := f.onSubmit.Load().(func(*http.Request)); fn != nil {
+			fn(r)
 		}
 		if f.failSubmits.Load() > 0 {
 			f.failSubmits.Add(-1)
@@ -114,6 +133,7 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 				fj = fakeJob{state: "done", results: res}
 			}
 		}
+		fj.settleAt = time.Now().Add(time.Duration(f.runFor.Load()))
 		f.mu.Lock()
 		f.jobs[id] = fj
 		f.mu.Unlock()
@@ -121,6 +141,8 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 		fmt.Fprintf(w, `{"id":%q,"state":"queued"}`, id)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		f.statusCalls.Add(1)
+		f.lastWait.Store(r.URL.Query().Get("wait"))
 		f.mu.Lock()
 		fj, ok := f.jobs[r.PathValue("id")]
 		f.mu.Unlock()
@@ -128,8 +150,12 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 			http.Error(w, `{"error":"unknown job"}`, http.StatusNotFound)
 			return
 		}
+		state := fj.state
+		if time.Now().Before(fj.settleAt) {
+			state = "running"
+		}
 		_ = json.NewEncoder(w).Encode(map[string]any{
-			"id": r.PathValue("id"), "state": fj.state, "error": fj.errMsg,
+			"id": r.PathValue("id"), "state": state, "error": fj.errMsg,
 		})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
@@ -144,7 +170,12 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 			"id": r.PathValue("id"), "results": fj.results,
 		})
 	})
-	f.srv = httptest.NewServer(mux)
+	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/jobs") {
+			f.jobCalls.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(f.srv.Close)
 	return f
 }
@@ -289,7 +320,7 @@ func TestDispatcherCachesRepeatedCampaign(t *testing.T) {
 func TestDispatcherFanOutMatchesLocal(t *testing.T) {
 	w1, w2 := newFakeWorker(t), newFakeWorker(t)
 	pool := poolOf(t, w1.srv.URL, w2.srv.URL)
-	d := NewDispatcher(Options{Cache: memCache(t), Pool: pool, Poll: 5 * time.Millisecond})
+	d := NewDispatcher(Options{Cache: memCache(t), Pool: pool})
 
 	p := testProfile()
 	specs := testSpecs()
@@ -326,7 +357,7 @@ func TestDispatcherWorkerLossReLeases(t *testing.T) {
 	bad, good := newFakeWorker(t), newFakeWorker(t)
 	bad.failSubmits.Store(1000)
 	pool := poolOf(t, bad.srv.URL, good.srv.URL)
-	d := NewDispatcher(Options{Cache: memCache(t), Pool: pool, Poll: 5 * time.Millisecond})
+	d := NewDispatcher(Options{Cache: memCache(t), Pool: pool})
 
 	p := testProfile()
 	specs := testSpecs()
@@ -361,7 +392,7 @@ func TestDispatcherAllWorkersLostFallsBackLocally(t *testing.T) {
 	bad := newFakeWorker(t)
 	pool := poolOf(t, bad.srv.URL)
 	bad.failSubmits.Store(1000)
-	d := NewDispatcher(Options{Cache: memCache(t), Pool: pool, Poll: 5 * time.Millisecond})
+	d := NewDispatcher(Options{Cache: memCache(t), Pool: pool})
 
 	p := testProfile()
 	specs := testSpecs()
@@ -385,7 +416,7 @@ func TestDispatcherDeterministicFailureLowestIndex(t *testing.T) {
 	w := newFakeWorker(t)
 	w.failState.Store("failed")
 	pool := poolOf(t, w.srv.URL)
-	d := NewDispatcher(Options{Cache: memCache(t), Pool: pool, Poll: 5 * time.Millisecond})
+	d := NewDispatcher(Options{Cache: memCache(t), Pool: pool})
 
 	_, err := d.Runner(JobMeta{ID: "job-000001"})(context.Background(), testProfile(), testSpecs())
 	if err == nil {
@@ -402,7 +433,7 @@ func TestDispatcherJournalsLeasesAndCacheRefs(t *testing.T) {
 	var mu sync.Mutex
 	var recs []journal.Record
 	d := NewDispatcher(Options{
-		Cache: memCache(t), Pool: pool, Poll: 5 * time.Millisecond,
+		Cache: memCache(t), Pool: pool,
 		Journal: func(r journal.Record) { mu.Lock(); recs = append(recs, r); mu.Unlock() },
 	})
 	specs := testSpecs()[:2]
@@ -437,7 +468,7 @@ func TestDispatcherWarmCacheSkipsWorkers(t *testing.T) {
 	st := memCache(t)
 	w := newFakeWorker(t)
 	pool := poolOf(t, w.srv.URL)
-	d := NewDispatcher(Options{Cache: st, Pool: pool, Poll: 5 * time.Millisecond})
+	d := NewDispatcher(Options{Cache: st, Pool: pool})
 	p := testProfile()
 	specs := testSpecs()
 	if _, err := d.Runner(JobMeta{ID: "job-000001"})(context.Background(), p, specs); err != nil {

@@ -21,8 +21,6 @@ import (
 
 // Dispatcher defaults; see Options.
 const (
-	// DefaultPoll is how often a lease polls its worker job's status.
-	DefaultPoll = 100 * time.Millisecond
 	// DefaultLeaseTimeout bounds each individual lease HTTP call.
 	DefaultLeaseTimeout = 15 * time.Second
 	// DefaultRetryBase seeds the exponential backoff after a transient
@@ -59,12 +57,10 @@ type Options struct {
 	// global timeout (each individual call is bounded by LeaseTimeout;
 	// the lease as a whole lasts as long as the point runs).
 	Client *http.Client
-	// Poll is the lease status-poll interval; 0 selects DefaultPoll.
-	Poll time.Duration
 	// LeaseTimeout bounds each individual lease HTTP call (one submit,
-	// one status poll, one result fetch); 0 selects DefaultLeaseTimeout.
-	// A stalled worker connection becomes a transient, re-leasable
-	// failure instead of a hung campaign.
+	// one status long poll, one result fetch); 0 selects
+	// DefaultLeaseTimeout. A stalled worker connection becomes a
+	// transient, re-leasable failure instead of a hung campaign.
 	LeaseTimeout time.Duration
 	// RetryBase/RetryCap shape the capped exponential backoff (with
 	// deterministic jitter, see backoffDelay) a worker sits out after a
@@ -118,10 +114,6 @@ func NewDispatcher(opts Options) *Dispatcher {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	poll := opts.Poll
-	if poll <= 0 {
-		poll = DefaultPoll
-	}
 	leaseTimeout := opts.LeaseTimeout
 	if leaseTimeout <= 0 {
 		leaseTimeout = DefaultLeaseTimeout
@@ -144,7 +136,7 @@ func NewDispatcher(opts Options) *Dispatcher {
 		jn:         opts.Journal,
 		log:        log,
 		reg:        reg,
-		cl:         &client{hc: hc, poll: poll, timeout: leaseTimeout},
+		cl:         &client{hc: hc, timeout: leaseTimeout},
 		retryBase:  retryBase,
 		retryCap:   retryCap,
 		hedgeFloor: hedgeFloor,
@@ -396,10 +388,13 @@ type flight struct {
 
 // fan-out worker modes returned by the shared scheduler.
 const (
-	modeExit  = iota // nothing left (or the campaign failed): leave
-	modeWait         // queue empty but points in flight: poll for hedge work
-	modeFresh        // a fresh point was popped from the queue
-	modeHedge        // a straggling flight was duplicated to this worker
+	modeExit = iota // nothing left (or the campaign failed): leave
+	// modeWait: the queue is empty but points are in flight. The worker
+	// sleeps until a flight settles or requeues, the campaign fails, or
+	// a straggler reaches its hedge deadline.
+	modeWait
+	modeFresh // a fresh point was popped from the queue
+	modeHedge // a straggling flight was duplicated to this worker
 )
 
 // fanOut leases the missing points to alive workers — one in-flight
@@ -431,30 +426,48 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 		tries    = make([]int, len(specs))
 		errIdx   = len(specs)
 		firstEr  error
+		// wake is closed and replaced (under mu) whenever a flight
+		// settles, a point is requeued or the campaign fails: the events
+		// that can hand an idle worker new work or let it leave.
+		wake = make(chan struct{})
 	)
+	broadcast := func() {
+		close(wake)
+		wake = make(chan struct{})
+	}
 	// next hands a worker its next unit: a fresh point if the queue has
-	// one, else the oldest hedgeable straggler, else wait/exit.
-	next := func(w string) (*flight, int) {
+	// one, else the oldest hedgeable straggler, else wait/exit. In
+	// modeWait it also returns the channel to sleep on and how long until
+	// the next straggler this worker could hedge crosses the hedge
+	// deadline (0: none).
+	next := func(w string) (*flight, int, <-chan struct{}, time.Duration) {
 		mu.Lock()
 		defer mu.Unlock()
 		if firstEr != nil {
-			return nil, modeExit
+			return nil, modeExit, nil, 0
 		}
 		if len(queue) > 0 {
 			i := queue[0]
 			queue = queue[1:]
 			fl := &flight{idx: i, start: time.Now(), holders: map[string]bool{w: true}}
 			inflight[i] = fl
-			return fl, modeFresh
+			return fl, modeFresh, nil, 0
 		}
 		if len(inflight) == 0 {
-			return nil, modeExit
+			return nil, modeExit, nil, 0
 		}
+		var due time.Duration
 		if !d.hedgeOff {
 			delay := d.hedgeDelay()
 			var best *flight
 			for _, fl := range inflight {
-				if fl.done || fl.hedged || fl.holders[w] || time.Since(fl.start) < delay {
+				if fl.done || fl.hedged || fl.holders[w] {
+					continue
+				}
+				if left := delay - time.Since(fl.start); left > 0 {
+					if due == 0 || left < due {
+						due = left
+					}
 					continue
 				}
 				if best == nil || fl.start.Before(best.start) ||
@@ -465,16 +478,17 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 			if best != nil {
 				best.hedged = true
 				best.holders[w] = true
-				return best, modeHedge
+				return best, modeHedge, nil, 0
 			}
 		}
-		return nil, modeWait
+		return nil, modeWait, wake, due
 	}
 	record := func(i int, err error) {
 		mu.Lock()
 		if i < errIdx {
 			errIdx, firstEr = i, err
 		}
+		broadcast()
 		mu.Unlock()
 	}
 
@@ -485,15 +499,26 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 			defer wg.Done()
 			attempt := 0
 			for ctx.Err() == nil {
-				fl, mode := next(url)
+				fl, mode, woken, due := next(url)
 				switch mode {
 				case modeExit:
 					return
 				case modeWait:
+					var (
+						t        *time.Timer
+						hedgeDue <-chan time.Time
+					)
+					if due > 0 {
+						t = time.NewTimer(due)
+						hedgeDue = t.C
+					}
 					select {
 					case <-ctx.Done():
-						return
-					case <-time.After(d.cl.poll):
+					case <-woken:
+					case <-hedgeDue:
+					}
+					if t != nil {
+						t.Stop()
 					}
 					continue
 				case modeHedge:
@@ -539,6 +564,7 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 					delete(inflight, fl.idx)
 					cancels := append([]context.CancelFunc(nil), fl.cancels...)
 					results[fl.idx] = res
+					broadcast()
 					mu.Unlock()
 					// First valid result wins: reclaim the loser's lease.
 					for _, c := range cancels {
@@ -570,6 +596,7 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 						delete(inflight, fl.idx)
 						if lerr.transient {
 							queue = append(queue, fl.idx)
+							broadcast()
 						}
 					}
 				}

@@ -152,7 +152,7 @@ func TestDispatcherHedgesStraggler(t *testing.T) {
 	fast.stallSubmit.Store(int64(50 * time.Millisecond))
 	pool := poolOf(t, slow.srv.URL, fast.srv.URL)
 	d := NewDispatcher(Options{
-		Cache: memCache(t), Pool: pool, Poll: 5 * time.Millisecond,
+		Cache: memCache(t), Pool: pool,
 		HedgeAfter: 150 * time.Millisecond,
 	})
 
@@ -208,7 +208,7 @@ func TestFanOutNoGoroutineLeakOnCancel(t *testing.T) {
 	pool := poolOf(t, w.srv.URL)
 	hc := &http.Client{}
 	d := NewDispatcher(Options{
-		Cache: memCache(t), Pool: pool, Poll: 5 * time.Millisecond,
+		Cache: memCache(t), Pool: pool,
 		Client: hc, RetryBase: 10 * time.Millisecond,
 	})
 	baseline := runtime.NumGoroutine()
@@ -243,7 +243,7 @@ func TestFanOutNoGoroutineLeakOnStalledWorker(t *testing.T) {
 	pool := poolOf(t, w.srv.URL)
 	hc := &http.Client{}
 	d := NewDispatcher(Options{
-		Cache: memCache(t), Pool: pool, Poll: 5 * time.Millisecond,
+		Cache: memCache(t), Pool: pool,
 		Client: hc, LeaseTimeout: 100 * time.Millisecond, RetryBase: 10 * time.Millisecond,
 	})
 	baseline := runtime.NumGoroutine()

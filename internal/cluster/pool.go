@@ -7,8 +7,9 @@
 // RunPoints executor. For every campaign the dispatcher first answers
 // what it can from the cache, then leases the remaining points to alive
 // workers (one in-flight lease per worker, each lease a single-point
-// job over the worker's ordinary REST API), and finally runs whatever
-// could not be placed locally. Because every point derives all of its
+// job over the worker's ordinary REST API: submitted, long-polled until
+// it settles, fetched), and finally runs whatever could not be placed
+// locally. Because every point derives all of its
 // randomness from its spec, a leased point's result is byte-identical
 // to a local run of the same spec — the cluster adds capacity, not
 // noise — and a lease lost to a dead worker is simply re-issued.

@@ -8,8 +8,13 @@
 // API (all bodies JSON unless noted):
 //
 //	POST   /v1/jobs             submit a config.JobSpec -> 202 + JobStatus
-//	GET    /v1/jobs             list all jobs (submission order)
-//	GET    /v1/jobs/{id}        job status snapshot
+//	GET    /v1/jobs             list retained jobs (submission order)
+//	GET    /v1/jobs/{id}        job status snapshot; ?wait=<Go duration>
+//	                            (0s to 1m, cluster.MaxStatusWait) makes it
+//	                            a long poll that answers when the job
+//	                            settles, the wait elapses, the client
+//	                            leaves or Shutdown begins; any other wait
+//	                            is a 400
 //	GET    /v1/jobs/{id}/result finished payload (409 until done);
 //	                            ?view=full serves the full per-point
 //	                            engine results of "keep_results" jobs
@@ -45,6 +50,11 @@
 //	GET    /metrics             Prometheus text exposition; ?format=json
 //	                            serves the legacy flat-JSON counter view
 //
+// The daemon retains the maxSettledJobs (128) most recently settled
+// jobs. Beyond that the job that settled longest ago is evicted and its
+// id answers 404 on every route; queued and running jobs are never
+// evicted, and journal replay applies the same bound.
+//
 // Every campaign point a job runs flows through a content-addressed
 // result cache keyed by the canonical hash of the point's spec, the
 // result-relevant profile fields and the engine version (see
@@ -53,9 +63,10 @@
 // bit-deterministic functions of their specs. With Options.Cluster the
 // daemon joins a cluster: a coordinator leases cache-miss points to
 // worker daemons over this same REST API (single-point keep_results
-// jobs) and reassembles their full results byte-identically, re-leasing
-// points lost to dead workers; a worker serves leases but never fans
-// out. See internal/cluster.
+// jobs, each followed by a status long poll) and reassembles their
+// full results byte-identically, re-leasing points lost to dead
+// workers; a worker serves leases but never fans out. See
+// internal/cluster.
 //
 // Telemetry runs through internal/obs: every route is wrapped in HTTP
 // middleware (request counts, latency histograms, in-flight gauge,
@@ -90,6 +101,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -199,11 +211,18 @@ type Server struct {
 	// it. Defaults to the pool's alive count (0 without a pool).
 	aliveWorkers func() int
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string
-	seq    int
-	closed bool
+	mu   sync.Mutex
+	jobs map[string]*job
+	// order lists registered ids in submission order; settled lists the
+	// settled ones in the order they settled, oldest first, so the
+	// registry can evict beyond maxSettledJobs.
+	order   []string
+	settled []string
+	seq     int
+	closed  bool
+	// stopping closes when Shutdown begins, releasing parked status long
+	// polls.
+	stopping chan struct{}
 	// durSum/durN track completed job runtimes (seconds) so a 429's
 	// Retry-After can estimate when a queue slot will free up.
 	durSum float64
@@ -241,6 +260,15 @@ type Server struct {
 	// paths.
 	faultInject func(attempt int) error
 }
+
+// maxSettledJobs bounds how many settled jobs the registry keeps: once
+// more have settled, the one that settled longest ago is forgotten and
+// its id answers 404 on every route. Queued and running jobs are never
+// evicted. A retained settled job costs about 2-3.5 KB (spec, status
+// and result summary; a worker's lease job also holds its full engine
+// result), so the bound holds at most about 0.45 MiB — without it a
+// long-lived daemon grows with every job it serves.
+const maxSettledJobs = 128
 
 // traceCap bounds the per-job trace ring: enough to hold the tail of a
 // campaign's scheduling decisions without letting a huge job balloon the
@@ -354,6 +382,7 @@ func New(opts Options) (*Server, error) {
 		baseCtx:    ctx,
 		cancelAll:  cancel,
 		jobs:       make(map[string]*job),
+		stopping:   make(chan struct{}),
 		reg:        reg,
 		m:          newMetrics(reg),
 		log:        log,
@@ -410,8 +439,23 @@ func New(opts Options) (*Server, error) {
 			s.order = append(s.order, j.id)
 			if j.state == StateQueued {
 				pending = append(pending, j)
+			} else {
+				s.settled = append(s.settled, j.id)
 			}
 		}
+		// Replay applies the live bound, evicting in the order the jobs
+		// settled: the order their terminal records were written (a job
+		// settled without one, an unparsable spec, counts as oldest).
+		settledAt := make(map[string]int)
+		for i, r := range recs {
+			if r.Op == journal.OpTerminal {
+				settledAt[r.ID] = i + 1
+			}
+		}
+		sort.SliceStable(s.settled, func(a, b int) bool {
+			return settledAt[s.settled[a]] < settledAt[s.settled[b]]
+		})
+		s.evictLocked()
 	}
 	// The queue gets extra headroom for replayed jobs so recovery never
 	// competes with fresh submissions for slots.
@@ -653,6 +697,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.closed {
 		s.closed = true
 		close(s.queue)
+		close(s.stopping)
 	}
 	s.mu.Unlock()
 	drained := make(chan struct{})
@@ -696,6 +741,36 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // carries.
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// noteSettled records that a registered job reached a terminal state
+// and evicts the settled jobs beyond maxSettledJobs, longest-settled
+// first. Each job is noted once, by whichever path settled it.
+func (s *Server) noteSettled(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.settled = append(s.settled, j.id)
+	s.evictLocked()
+}
+
+// evictLocked drops the longest-settled jobs beyond maxSettledJobs from
+// the registry. Callers hold s.mu.
+func (s *Server) evictLocked() {
+	excess := len(s.settled) - maxSettledJobs
+	if excess <= 0 {
+		return
+	}
+	for _, id := range s.settled[:excess] {
+		delete(s.jobs, id)
+	}
+	s.settled = s.settled[excess:]
+	kept := s.order[:0]
+	for _, id := range s.order {
+		if _, ok := s.jobs[id]; ok {
+			kept = append(kept, id)
+		}
+	}
+	s.order = kept
 }
 
 // lookup resolves the {id} path segment; on miss it writes a 404 and
@@ -836,10 +911,37 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// handleStatus serves a job's status snapshot. With ?wait=<Go duration>
+// it is a long poll: the answer waits until the job settles, the wait
+// elapses, the client leaves or the server starts shutting down,
+// whichever comes first — so a cluster lease learns its point finished
+// the moment it does, in one request.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if j := s.lookup(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.status())
+	var wait time.Duration
+	if v := r.URL.Query().Get("wait"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 || d > cluster.MaxStatusWait {
+			writeError(w, http.StatusBadRequest,
+				"wait must be a Go duration between 0s and %s, got %q", cluster.MaxStatusWait, v)
+			return
+		}
+		wait = d
 	}
+	j := s.lookup(w, r)
+	if j == nil {
+		return
+	}
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		select {
+		case <-j.doneCh:
+		case <-t.C:
+		case <-r.Context().Done():
+		case <-s.stopping:
+		}
+		t.Stop()
+	}
+	writeJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -934,6 +1036,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// A client's cancellation is a decision, not an accident: journal
 		// it so the job stays cancelled across restarts.
 		s.journalTerminal(j, StateCancelled, "", nil)
+		s.noteSettled(j)
 	default: // running
 		j.cancelled = true
 		cancel := j.cancel
@@ -1077,6 +1180,7 @@ func (s *Server) safeRun(j *job) {
 		s.m.settled[StateFailed].Inc()
 		s.log.ErrorContext(obs.WithJobID(context.Background(), j.id), "job panicked", "panic", fmt.Sprint(r))
 		s.journalTerminal(j, StateFailed, errMsg, nil)
+		s.noteSettled(j)
 		j.notify()
 	}()
 	s.runJob(j)
@@ -1102,6 +1206,7 @@ func (s *Server) runJob(j *job) {
 		if wasClient {
 			s.journalTerminal(j, StateCancelled, "", nil)
 		}
+		s.noteSettled(j)
 		j.notify()
 		return
 	}
@@ -1261,6 +1366,7 @@ func (s *Server) runJob(j *job) {
 	state, errMsg, attempts := j.state, j.err, j.attempts
 	close(j.doneCh)
 	j.mu.Unlock()
+	s.noteSettled(j)
 	if jobSpan != nil {
 		jobSpan.SetStr("state", string(state))
 		jobSpan.End()
