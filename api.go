@@ -451,7 +451,7 @@ func RunScale(c ScaleConfig) (Result, error) { return experiments.RunScale(c) }
 
 // NewEngineFromSource builds an engine that pulls tasks from a streaming
 // source instead of a pre-generated slice. Set EngineConfig.LowMemory to
-// aggregate observations on the fly (O(active) memory).
+// retain no per-task records (O(active) memory).
 func NewEngineFromSource(cfg EngineConfig, pl *Platform, src WorkloadSource, policy Policy, r *Stream) (*Engine, error) {
 	return sched.NewFromSource(cfg, pl, src, policy, r)
 }

@@ -6,17 +6,13 @@
 // these over time into PP_j; Eq. 6 averages PP_j over the processors of a
 // node into E_c; the evaluation metric is ECS = Σ_c E_c.
 //
-// The package offers both the pure formulas (for tests and analytical
-// cross-checks) and an Accountant that snapshots a live platform during a
-// simulation to produce deltas, per-node breakdowns and time series.
+// The platform integrates these itself (platform.Processor.Energy,
+// Node.Energy, Platform.TotalEnergy); this package holds the pure
+// formulas, for tests and analytical cross-checks, and the derived
+// efficiency indicators of a finished run.
 package energy
 
-import (
-	"fmt"
-	"sort"
-
-	"rlsched/internal/platform"
-)
+import "rlsched/internal/platform"
 
 // Eq5 computes PP_j from aggregate dwell times:
 //
@@ -49,151 +45,6 @@ func ECS(nodeEnergies []float64) float64 {
 		sum += e
 	}
 	return sum
-}
-
-// Snapshot captures the platform's cumulative energy state at an instant.
-type Snapshot struct {
-	// At is the simulation time of the snapshot.
-	At float64
-	// NodeEnergy maps node ID to cumulative E_c (Eq. 6).
-	NodeEnergy map[int]float64
-	// Total is the cumulative ECS.
-	Total float64
-	// MeanUtilization is the platform-wide busy fraction.
-	MeanUtilization float64
-}
-
-// Take advances every processor to time now and captures a snapshot.
-func Take(pl *platform.Platform, now float64) Snapshot {
-	pl.AdvanceAll(now)
-	s := Snapshot{At: now, NodeEnergy: make(map[int]float64, pl.NumNodes())}
-	for _, n := range pl.Nodes() {
-		e := n.Energy()
-		s.NodeEnergy[n.ID] = e
-		s.Total += e
-	}
-	s.MeanUtilization = pl.MeanUtilization()
-	return s
-}
-
-// Delta returns the energy consumed between two snapshots (later minus
-// earlier). It panics if the snapshots are out of order.
-func Delta(earlier, later Snapshot) Snapshot {
-	if later.At < earlier.At {
-		panic(fmt.Sprintf("energy: Delta snapshots out of order: %g then %g", earlier.At, later.At))
-	}
-	d := Snapshot{At: later.At, NodeEnergy: make(map[int]float64, len(later.NodeEnergy))}
-	for id, e := range later.NodeEnergy {
-		d.NodeEnergy[id] = e - earlier.NodeEnergy[id]
-		d.Total += d.NodeEnergy[id]
-	}
-	d.MeanUtilization = later.MeanUtilization
-	return d
-}
-
-// Accountant samples a platform over a simulation run and retains an
-// energy/utilisation time series for reporting (Figures 8–12 all derive
-// from it). The lite variant (NewAccountantLite) keeps only the latest
-// sample — and skips the per-node energy map entirely — so sampling a
-// multi-thousand-node platform every tick of a long run costs O(1)
-// retained memory; series-derived views (EnergyBetween, PowerSeries,
-// PeakPower) then degenerate to the final state.
-type Accountant struct {
-	pl      *platform.Platform
-	samples []Snapshot
-	lite    bool
-}
-
-// NewAccountant creates an accountant for the platform and records an
-// initial sample at time zero.
-func NewAccountant(pl *platform.Platform) *Accountant {
-	a := &Accountant{pl: pl}
-	a.Sample(0)
-	return a
-}
-
-// NewAccountantLite creates a retain-last-only accountant for
-// large-scale runs.
-func NewAccountantLite(pl *platform.Platform) *Accountant {
-	a := &Accountant{pl: pl, lite: true}
-	a.Sample(0)
-	return a
-}
-
-// Sample records a snapshot at time now and returns it.
-func (a *Accountant) Sample(now float64) Snapshot {
-	if a.lite {
-		a.pl.AdvanceAll(now)
-		s := Snapshot{At: now, Total: a.pl.TotalEnergy(), MeanUtilization: a.pl.MeanUtilization()}
-		if len(a.samples) == 0 {
-			a.samples = append(a.samples, s)
-		} else {
-			a.samples[0] = s
-		}
-		return s
-	}
-	s := Take(a.pl, now)
-	a.samples = append(a.samples, s)
-	return s
-}
-
-// Samples returns the recorded series in chronological order.
-func (a *Accountant) Samples() []Snapshot { return a.samples }
-
-// TotalEnergy returns cumulative ECS as of the latest sample.
-func (a *Accountant) TotalEnergy() float64 {
-	if len(a.samples) == 0 {
-		return 0
-	}
-	return a.samples[len(a.samples)-1].Total
-}
-
-// EnergyBetween interpolates cumulative ECS at two instants from the
-// sample series (linear between the bracketing samples; clamped to the
-// series range) and returns the difference.
-func (a *Accountant) EnergyBetween(t0, t1 float64) float64 {
-	return a.interp(t1) - a.interp(t0)
-}
-
-// interp returns cumulative energy at time t by linear interpolation.
-func (a *Accountant) interp(t float64) float64 {
-	n := len(a.samples)
-	if n == 0 {
-		return 0
-	}
-	if t <= a.samples[0].At {
-		return a.samples[0].Total
-	}
-	if t >= a.samples[n-1].At {
-		return a.samples[n-1].Total
-	}
-	i := sort.Search(n, func(k int) bool { return a.samples[k].At >= t })
-	lo, hi := a.samples[i-1], a.samples[i]
-	if hi.At == lo.At {
-		return hi.Total
-	}
-	frac := (t - lo.At) / (hi.At - lo.At)
-	return lo.Total + frac*(hi.Total-lo.Total)
-}
-
-// PerNode returns the latest cumulative energy per node, sorted by node ID.
-func (a *Accountant) PerNode() []NodeEnergy {
-	if len(a.samples) == 0 {
-		return nil
-	}
-	last := a.samples[len(a.samples)-1]
-	out := make([]NodeEnergy, 0, len(last.NodeEnergy))
-	for id, e := range last.NodeEnergy {
-		out = append(out, NodeEnergy{NodeID: id, Energy: e})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
-	return out
-}
-
-// NodeEnergy pairs a node with its cumulative consumption.
-type NodeEnergy struct {
-	NodeID int
-	Energy float64
 }
 
 // Efficiency bundles derived energy-efficiency indicators.
@@ -233,43 +84,4 @@ func ComputeEfficiency(pl *platform.Platform, now float64, completed int) Effici
 		eff.IdleFraction = idle / total
 	}
 	return eff
-}
-
-// PowerPoint is one entry of a power time series.
-type PowerPoint struct {
-	// At is the end of the interval.
-	At float64
-	// Watts is the average platform draw over the interval since the
-	// previous sample.
-	Watts float64
-}
-
-// PowerSeries converts the accountant's cumulative samples into average
-// power per sampling interval — the "power over time" view reports plot.
-// Zero-length intervals are skipped.
-func (a *Accountant) PowerSeries() []PowerPoint {
-	var out []PowerPoint
-	for i := 1; i < len(a.samples); i++ {
-		dt := a.samples[i].At - a.samples[i-1].At
-		if dt <= 0 {
-			continue
-		}
-		out = append(out, PowerPoint{
-			At:    a.samples[i].At,
-			Watts: (a.samples[i].Total - a.samples[i-1].Total) / dt,
-		})
-	}
-	return out
-}
-
-// PeakPower returns the highest interval-average draw observed (0 when
-// fewer than two samples exist).
-func (a *Accountant) PeakPower() float64 {
-	peak := 0.0
-	for _, p := range a.PowerSeries() {
-		if p.Watts > peak {
-			peak = p.Watts
-		}
-	}
-	return peak
 }

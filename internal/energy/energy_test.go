@@ -44,112 +44,96 @@ func TestECSSum(t *testing.T) {
 	}
 }
 
-func TestTakeMatchesPlatform(t *testing.T) {
+// The platform integrates energy itself; these tests pin the platform
+// behaviour the paper's metric rests on, in the terms of Eq. 5 and 6.
+
+// busyPlatform returns a generated platform with every third processor
+// busy from time zero.
+func busyPlatform(t *testing.T) *platform.Platform {
+	t.Helper()
 	pl := makePlatform(t)
-	s := Take(pl, 50)
-	if math.Abs(s.Total-pl.TotalEnergy()) > 1e-9 {
-		t.Fatalf("snapshot total %g != platform %g", s.Total, pl.TotalEnergy())
+	for i, p := range pl.Processors() {
+		if i%3 == 0 {
+			p.SetState(platform.StateBusy, 0)
+		}
 	}
-	if len(s.NodeEnergy) != pl.NumNodes() {
-		t.Fatalf("snapshot covers %d nodes, want %d", len(s.NodeEnergy), pl.NumNodes())
+	return pl
+}
+
+func TestNodeEnergyIsEq6OfProcessors(t *testing.T) {
+	pl := busyPlatform(t)
+	pl.AdvanceAll(50)
+	var nodes []float64
+	for _, n := range pl.Nodes() {
+		pp := make([]float64, len(n.Processors))
+		for i, p := range n.Processors {
+			pp[i] = p.Energy()
+		}
+		if got, want := n.Energy(), Eq6(pp); got != want {
+			t.Fatalf("node %d energy %g, Eq6 of its processors %g", n.ID, got, want)
+		}
+		nodes = append(nodes, n.Energy())
 	}
-	sum := 0.0
-	for _, e := range s.NodeEnergy {
-		sum += e
-	}
-	if math.Abs(sum-s.Total) > 1e-9 {
-		t.Fatalf("node energies sum %g != total %g", sum, s.Total)
+	if got, want := pl.TotalEnergy(), ECS(nodes); got != want {
+		t.Fatalf("platform total %g != ECS of node energies %g", got, want)
 	}
 }
 
 func TestDeltaMonotonicity(t *testing.T) {
-	pl := makePlatform(t)
-	s1 := Take(pl, 10)
-	s2 := Take(pl, 30)
-	d := Delta(s1, s2)
-	if d.Total <= 0 {
-		t.Fatal("idle platform must consume energy between snapshots")
+	pl := busyPlatform(t)
+	pl.AdvanceAll(10)
+	before := pl.TotalEnergy()
+	nodeBefore := make([]float64, pl.NumNodes())
+	for i, n := range pl.Nodes() {
+		nodeBefore[i] = n.Energy()
 	}
-	for id, e := range d.NodeEnergy {
-		if e < 0 {
-			t.Fatalf("node %d consumed negative energy %g", id, e)
+	pl.AdvanceAll(30)
+	if pl.TotalEnergy() <= before {
+		t.Fatal("platform must consume energy between two instants")
+	}
+	for i, n := range pl.Nodes() {
+		if n.Energy() < nodeBefore[i] {
+			t.Fatalf("node %d consumed negative energy %g", n.ID, n.Energy()-nodeBefore[i])
 		}
 	}
 }
 
 func TestDeltaOutOfOrderPanics(t *testing.T) {
 	pl := makePlatform(t)
-	s1 := Take(pl, 10)
-	s2 := Take(pl, 30)
+	pl.AdvanceAll(30)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for out-of-order Delta")
+			t.Fatal("expected panic for advancing the platform backwards")
 		}
 	}()
-	Delta(s2, s1)
-}
-
-func TestAccountantSeries(t *testing.T) {
-	pl := makePlatform(t)
-	a := NewAccountant(pl)
-	for _, at := range []float64{10, 20, 30, 40} {
-		a.Sample(at)
-	}
-	samples := a.Samples()
-	if len(samples) != 5 { // initial + 4
-		t.Fatalf("got %d samples, want 5", len(samples))
-	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i].Total < samples[i-1].Total {
-			t.Fatalf("cumulative energy decreased at sample %d", i)
-		}
-	}
-	if a.TotalEnergy() != samples[4].Total {
-		t.Fatal("TotalEnergy disagrees with last sample")
-	}
+	pl.AdvanceAll(10)
 }
 
 func TestEnergyBetweenInterpolation(t *testing.T) {
 	pl := makePlatform(t)
-	a := NewAccountant(pl)
-	a.Sample(100)
-	// Idle platform: energy is linear in time, so the interpolated half
-	// interval is exactly half the total.
-	half := a.EnergyBetween(0, 50)
-	full := a.EnergyBetween(0, 100)
+	// Idle platform: energy is linear in time, so the first half of the
+	// interval consumes exactly half of the whole.
+	pl.AdvanceAll(50)
+	half := pl.TotalEnergy()
+	pl.AdvanceAll(100)
+	full := pl.TotalEnergy()
 	if math.Abs(half*2-full) > 1e-6 {
-		t.Fatalf("interpolated half %g vs full %g", half, full)
+		t.Fatalf("half interval %g vs full %g", half, full)
 	}
-	// Clamped beyond range.
-	if got := a.EnergyBetween(100, 200); got != 0 {
-		t.Fatalf("beyond-range delta %g, want 0", got)
-	}
-}
-
-func TestEnergyBetweenEmpty(t *testing.T) {
-	a := &Accountant{}
-	if a.EnergyBetween(0, 10) != 0 {
-		t.Fatal("empty accountant should report 0")
-	}
-	if a.TotalEnergy() != 0 {
-		t.Fatal("empty accountant total should be 0")
-	}
-	if a.PerNode() != nil {
-		t.Fatal("empty accountant PerNode should be nil")
+	// A zero-length interval consumes nothing.
+	pl.AdvanceAll(100)
+	if got := pl.TotalEnergy(); got != full {
+		t.Fatalf("zero-length interval moved the total from %g to %g", full, got)
 	}
 }
 
 func TestPerNodeSorted(t *testing.T) {
 	pl := makePlatform(t)
-	a := NewAccountant(pl)
-	a.Sample(25)
-	per := a.PerNode()
-	if len(per) != pl.NumNodes() {
-		t.Fatalf("PerNode covers %d nodes, want %d", len(per), pl.NumNodes())
-	}
-	for i := 1; i < len(per); i++ {
-		if per[i-1].NodeID >= per[i].NodeID {
-			t.Fatal("PerNode not sorted by node ID")
+	// Per-node results (energy, queues, utilisation accounts) are indexed
+	// by node ID, so the platform lists its nodes as IDs 0..n-1 in order.
+	for i, n := range pl.Nodes() {
+		if n.ID != i {
+			t.Fatalf("node %d at position %d", n.ID, i)
 		}
 	}
 }
@@ -219,59 +203,40 @@ func TestQuickEq6Bounds(t *testing.T) {
 	}
 }
 
-// Property: cumulative snapshots never decrease regardless of sampling
-// pattern.
+// Property: cumulative energy, platform-wide and per node, never
+// decreases, whatever the sampling pattern and state changes.
 func TestQuickSnapshotMonotone(t *testing.T) {
 	pl := platform.MustGenerate(platform.DefaultGenConfig(), rng.NewStream(77, "q"))
-	a := NewAccountant(pl)
+	procs := pl.Processors()
 	now := 0.0
-	f := func(step uint8) bool {
+	f := func(step, proc uint8, busy bool) bool {
 		now += float64(step) / 8
-		before := a.TotalEnergy()
-		s := a.Sample(now)
-		return s.Total >= before-1e-9
+		before := pl.TotalEnergy()
+		p := procs[int(proc)%len(procs)]
+		nodeBefore := p.Node.Energy()
+		state := platform.StateIdle
+		if busy {
+			state = platform.StateBusy
+		}
+		p.SetState(state, now)
+		pl.AdvanceAll(now)
+		return pl.TotalEnergy() >= before && p.Node.Energy() >= nodeBefore
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func BenchmarkTakeSnapshot(b *testing.B) {
-	pl := platform.MustGenerate(platform.DefaultGenConfig(), rng.NewStream(1, "bench"))
-	for i := 0; i < b.N; i++ {
-		Take(pl, float64(i))
-	}
-}
-
 func TestPowerSeries(t *testing.T) {
 	pl := makePlatform(t)
-	a := NewAccountant(pl)
-	a.Sample(10)
+	pl.AdvanceAll(10)
+	idle := pl.TotalEnergy() / 10
 	// Make one processor busy for the next interval, raising the draw.
-	p := pl.Processors()[0]
-	p.SetState(platform.StateBusy, 10)
-	a.Sample(20)
-	series := a.PowerSeries()
-	if len(series) != 2 {
-		t.Fatalf("series length %d, want 2", len(series))
-	}
-	if series[0].At != 10 || series[1].At != 20 {
-		t.Fatalf("sample times %g/%g", series[0].At, series[1].At)
-	}
-	if series[1].Watts <= series[0].Watts {
-		t.Fatalf("busy interval draw %g not above idle %g", series[1].Watts, series[0].Watts)
-	}
-	if got := a.PeakPower(); got != series[1].Watts {
-		t.Fatalf("peak %g, want %g", got, series[1].Watts)
-	}
-}
-
-func TestPowerSeriesEmpty(t *testing.T) {
-	a := &Accountant{}
-	if a.PowerSeries() != nil {
-		t.Fatal("empty accountant should give nil series")
-	}
-	if a.PeakPower() != 0 {
-		t.Fatal("empty accountant peak should be 0")
+	pl.Processors()[0].SetState(platform.StateBusy, 10)
+	before := pl.TotalEnergy()
+	pl.AdvanceAll(20)
+	busy := (pl.TotalEnergy() - before) / 10
+	if busy <= idle {
+		t.Fatalf("busy interval draw %g not above idle %g", busy, idle)
 	}
 }

@@ -42,8 +42,6 @@ type GroupRecord struct {
 type CycleRecord struct {
 	Cycle int
 	At    float64
-	// CumBusyTime is Σ over processors of busy dwell time at time At.
-	CumBusyTime float64
 	// CumBusyDemand and CumCapDemand are the engaged-utilisation
 	// integrals: busy processor-time and total processor-time accumulated
 	// while nodes had work present (running or waiting). Their ratio is
@@ -52,59 +50,59 @@ type CycleRecord struct {
 	CumCapDemand  float64
 }
 
-// Collector accumulates a single simulation run's observations. It runs
-// in one of two modes: the default retains every record (exact, O(tasks)
-// memory), while streaming mode (NewStreamingCollector) aggregates on
-// the fly in constant memory — see streaming.go.
+// Collector accumulates a single simulation run's observations. Every
+// aggregate comes from counters fed as records arrive, so both modes
+// report identical headline metrics. The mode only decides what is
+// retained: the default keeps every task and group record and the full
+// cycle series (exact RTPercentile, record export), while streaming mode
+// (NewStreamingCollector) keeps a response-time histogram and a strided
+// cycle series in constant memory — see streaming.go.
 type Collector struct {
-	numProcessors int
-	streaming     bool
-
 	tasks  []TaskRecord
 	groups []GroupRecord
 	cycles []CycleRecord
 
-	rt      stats.Accumulator
-	wait    stats.Accumulator
-	success int
+	completed   int
+	success     int
+	rt          stats.Accumulator
+	wait        stats.Accumulator
+	prioTotal   [len(workload.Priorities)]int
+	prioHits    [len(workload.Priorities)]int
+	groupTasks  int
+	groupReward int
+	lval        stats.Accumulator
+	gsize       stats.Accumulator
+	// groupErr records the first group whose reward exceeded its size.
+	groupErr error
 
-	// Streaming-mode aggregates, unused otherwise.
-	completedCount int
-	prioTotal      [len(workload.Priorities)]int
-	prioHits       [len(workload.Priorities)]int
-	groupTasks     int
-	groupReward    int
-	lval           stats.Accumulator
-	gsize          stats.Accumulator
-	rtHist         rtHistogram
-	lastCycleAt    float64
-	haveCycle      bool
-	cycleSeen      int
-	cycleStride    int
+	cycleSeen   int
+	cycleStride int
+	lastCycleAt float64
+
+	// rtHist is non-nil exactly in streaming mode.
+	rtHist *rtHistogram
 }
 
-// NewCollector creates a collector for a platform with the given processor
-// count (needed to normalise utilisation).
+// NewCollector creates a collector that retains every record, for a
+// platform with the given (positive) processor count.
 func NewCollector(numProcessors int) *Collector {
 	if numProcessors <= 0 {
 		panic(fmt.Sprintf("metrics: processor count must be positive, got %d", numProcessors))
 	}
-	return &Collector{numProcessors: numProcessors}
+	return &Collector{cycleStride: 1}
 }
 
 // RecordTask logs one task completion.
 func (c *Collector) RecordTask(r TaskRecord) {
+	c.completed++
 	c.rt.Add(r.ResponseTime)
 	c.wait.Add(r.WaitTime)
+	c.prioTotal[r.Priority]++
 	if r.MetDeadline {
 		c.success++
+		c.prioHits[r.Priority]++
 	}
-	if c.streaming {
-		c.completedCount++
-		c.prioTotal[r.Priority]++
-		if r.MetDeadline {
-			c.prioHits[r.Priority]++
-		}
+	if c.rtHist != nil {
 		c.rtHist.add(r.ResponseTime)
 		return
 	}
@@ -113,34 +111,35 @@ func (c *Collector) RecordTask(r TaskRecord) {
 
 // RecordGroup logs one group completion.
 func (c *Collector) RecordGroup(r GroupRecord) {
-	if c.streaming {
-		c.groupTasks += r.Size
-		c.groupReward += r.Reward
-		c.lval.Add(r.LVal)
-		c.gsize.Add(float64(r.Size))
-		return
+	if r.Reward > r.Size && c.groupErr == nil {
+		c.groupErr = fmt.Errorf("metrics: group %d reward %d > size %d", r.GroupID, r.Reward, r.Size)
 	}
-	c.groups = append(c.groups, r)
+	c.groupTasks += r.Size
+	c.groupReward += r.Reward
+	c.lval.Add(r.LVal)
+	c.gsize.Add(float64(r.Size))
+	if c.rtHist == nil {
+		c.groups = append(c.groups, r)
+	}
 }
 
 // RecordCycle logs one learning cycle. Records must arrive in
-// non-decreasing time order (the DES guarantees this).
-func (c *Collector) RecordCycle(at, cumBusyTime, cumBusyDemand, cumCapDemand float64) {
-	if c.streaming {
-		if c.haveCycle && at < c.lastCycleAt {
-			panic(fmt.Sprintf("metrics: cycle times not monotone: %g after %g", at, c.lastCycleAt))
-		}
-		c.haveCycle, c.lastCycleAt = true, at
-		c.recordCycleStreaming(at, cumBusyTime, cumBusyDemand, cumCapDemand)
+// non-decreasing time order (the DES guarantees this). Streaming mode
+// keeps a bounded, uniformly strided subset of the series.
+func (c *Collector) RecordCycle(at, cumBusyDemand, cumCapDemand float64) {
+	if c.cycleSeen > 0 && at < c.lastCycleAt {
+		panic(fmt.Sprintf("metrics: cycle times not monotone: %g after %g", at, c.lastCycleAt))
+	}
+	idx := c.cycleSeen
+	c.cycleSeen++
+	c.lastCycleAt = at
+	if idx%c.cycleStride != 0 {
 		return
 	}
-	if n := len(c.cycles); n > 0 && at < c.cycles[n-1].At {
-		panic(fmt.Sprintf("metrics: cycle times not monotone: %g after %g", at, c.cycles[n-1].At))
+	c.cycles = append(c.cycles, CycleRecord{Cycle: idx, At: at, CumBusyDemand: cumBusyDemand, CumCapDemand: cumCapDemand})
+	if c.rtHist != nil && len(c.cycles) >= maxCycleRecords {
+		c.decimateCycles()
 	}
-	c.cycles = append(c.cycles, CycleRecord{
-		Cycle: len(c.cycles), At: at,
-		CumBusyTime: cumBusyTime, CumBusyDemand: cumBusyDemand, CumCapDemand: cumCapDemand,
-	})
 }
 
 // Tasks returns the recorded task completions (empty in streaming mode).
@@ -154,12 +153,7 @@ func (c *Collector) Groups() []GroupRecord { return c.groups }
 func (c *Collector) Cycles() []CycleRecord { return c.cycles }
 
 // Completed returns the number of completed tasks.
-func (c *Collector) Completed() int {
-	if c.streaming {
-		return c.completedCount
-	}
-	return len(c.tasks)
-}
+func (c *Collector) Completed() int { return c.completed }
 
 // AveRT implements Eq. 4: the mean of (waiting + execution) time over
 // completed tasks.
@@ -184,7 +178,7 @@ func (c *Collector) DeadlineHits() int { return c.success }
 // (approximate in streaming mode, exact otherwise). It returns 0 when
 // nothing completed.
 func (c *Collector) RTPercentile(p float64) float64 {
-	if c.streaming {
+	if c.rtHist != nil {
 		return c.rtHist.percentile(p)
 	}
 	if len(c.tasks) == 0 {
@@ -200,54 +194,21 @@ func (c *Collector) RTPercentile(p float64) float64 {
 // SuccessByPriority breaks the deadline-hit rate down per priority class
 // over completed tasks.
 func (c *Collector) SuccessByPriority() map[workload.Priority]float64 {
-	if c.streaming {
-		out := make(map[workload.Priority]float64)
-		for _, p := range workload.Priorities {
-			if n := c.prioTotal[p]; n > 0 {
-				out[p] = float64(c.prioHits[p]) / float64(n)
-			}
+	out := make(map[workload.Priority]float64)
+	for _, p := range workload.Priorities {
+		if n := c.prioTotal[p]; n > 0 {
+			out[p] = float64(c.prioHits[p]) / float64(n)
 		}
-		return out
-	}
-	hits := map[workload.Priority]int{}
-	totals := map[workload.Priority]int{}
-	for _, t := range c.tasks {
-		totals[t.Priority]++
-		if t.MetDeadline {
-			hits[t.Priority]++
-		}
-	}
-	out := make(map[workload.Priority]float64, len(totals))
-	for p, n := range totals {
-		out[p] = float64(hits[p]) / float64(n)
 	}
 	return out
 }
 
 // MeanGroupLVal returns the average learning value across completed groups.
-func (c *Collector) MeanGroupLVal() float64 {
-	if c.streaming {
-		return c.lval.Mean()
-	}
-	var a stats.Accumulator
-	for _, g := range c.groups {
-		a.Add(g.LVal)
-	}
-	return a.Mean()
-}
+func (c *Collector) MeanGroupLVal() float64 { return c.lval.Mean() }
 
 // MeanGroupSize returns the average group size — how the adaptive opnum
 // settled.
-func (c *Collector) MeanGroupSize() float64 {
-	if c.streaming {
-		return c.gsize.Mean()
-	}
-	var a stats.Accumulator
-	for _, g := range c.groups {
-		a.Add(float64(g.Size))
-	}
-	return a.Mean()
-}
+func (c *Collector) MeanGroupSize() float64 { return c.gsize.Mean() }
 
 // UtilizationByCycleFraction reconstructs the Figures 9/10 series: the
 // utilisation rate achieved within each of `buckets` consecutive spans of
@@ -264,18 +225,6 @@ func (c *Collector) UtilizationByCycleFraction(buckets int) []float64 {
 			return 0, false
 		}
 		return (b.CumBusyDemand - a.CumBusyDemand) / cap, true
-	})
-}
-
-// RawUtilizationByCycleFraction is the raw variant: busy time divided by
-// total processor-time per learning-cycle window.
-func (c *Collector) RawUtilizationByCycleFraction(buckets int) []float64 {
-	return c.windowedSeries(buckets, func(a, b CycleRecord) (float64, bool) {
-		span := b.At - a.At
-		if span <= 0 {
-			return 0, false
-		}
-		return (b.CumBusyTime - a.CumBusyTime) / (span * float64(c.numProcessors)), true
 	})
 }
 
@@ -329,36 +278,16 @@ func (c *Collector) CumulativeUtilizationByCycleFraction(buckets int) []float64 
 }
 
 // Validate cross-checks collector invariants (used in integration tests).
-// Streaming mode validates the counter-based equivalents.
 func (c *Collector) Validate() error {
-	if c.streaming {
-		switch {
-		case c.success > c.completedCount:
-			return fmt.Errorf("metrics: %d successes > %d completions", c.success, c.completedCount)
-		case c.groupTasks != c.completedCount:
-			return fmt.Errorf("metrics: groups cover %d tasks, %d completed", c.groupTasks, c.completedCount)
-		case c.groupReward != c.success:
-			return fmt.Errorf("metrics: group rewards sum to %d, task successes %d", c.groupReward, c.success)
-		}
-		return nil
-	}
-	if c.success > len(c.tasks) {
-		return fmt.Errorf("metrics: %d successes > %d completions", c.success, len(c.tasks))
-	}
-	groupTasks := 0
-	groupReward := 0
-	for _, g := range c.groups {
-		if g.Reward > g.Size {
-			return fmt.Errorf("metrics: group %d reward %d > size %d", g.GroupID, g.Reward, g.Size)
-		}
-		groupTasks += g.Size
-		groupReward += g.Reward
-	}
-	if groupTasks != len(c.tasks) {
-		return fmt.Errorf("metrics: groups cover %d tasks, %d completed", groupTasks, len(c.tasks))
-	}
-	if groupReward != c.success {
-		return fmt.Errorf("metrics: group rewards sum to %d, task successes %d", groupReward, c.success)
+	switch {
+	case c.success > c.completed:
+		return fmt.Errorf("metrics: %d successes > %d completions", c.success, c.completed)
+	case c.groupErr != nil:
+		return c.groupErr
+	case c.groupTasks != c.completed:
+		return fmt.Errorf("metrics: groups cover %d tasks, %d completed", c.groupTasks, c.completed)
+	case c.groupReward != c.success:
+		return fmt.Errorf("metrics: group rewards sum to %d, task successes %d", c.groupReward, c.success)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -100,24 +101,23 @@ func TestGroupAggregates(t *testing.T) {
 
 func TestRecordCycleMonotonePanic(t *testing.T) {
 	c := NewCollector(4)
-	c.RecordCycle(10, 1, 1, 2)
+	c.RecordCycle(10, 1, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on non-monotone cycle time")
 		}
 	}()
-	c.RecordCycle(5, 2, 2, 3)
+	c.RecordCycle(5, 2, 3)
 }
 
 // fillCycles records n cycles at unit intervals with the given per-cycle
 // engaged busy/cap increments.
 func fillCycles(c *Collector, n int, busyInc, capInc float64) {
-	busy, cap, raw := 0.0, 0.0, 0.0
+	busy, cap := 0.0, 0.0
 	for i := 0; i < n; i++ {
 		busy += busyInc
 		cap += capInc
-		raw += busyInc
-		c.RecordCycle(float64(i), raw, busy, cap)
+		c.RecordCycle(float64(i), busy, cap)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestUtilizationSeriesTooFewCycles(t *testing.T) {
 	if c.UtilizationByCycleFraction(10) != nil {
 		t.Fatal("no cycles should give nil series")
 	}
-	c.RecordCycle(0, 0, 0, 0)
+	c.RecordCycle(0, 0, 0)
 	if c.UtilizationByCycleFraction(10) != nil {
 		t.Fatal("one cycle should give nil series")
 	}
@@ -155,19 +155,6 @@ func TestUtilizationBucketsPanic(t *testing.T) {
 		}
 	}()
 	c.UtilizationByCycleFraction(0)
-}
-
-func TestRawUtilization(t *testing.T) {
-	c := NewCollector(4)
-	// Raw busy time grows 2 per unit time over 4 processors: util 0.5.
-	for i := 0; i <= 100; i++ {
-		c.RecordCycle(float64(i), float64(i)*2, 0, 0)
-	}
-	for _, u := range c.RawUtilizationByCycleFraction(10) {
-		if math.Abs(u-0.5) > 1e-9 {
-			t.Fatalf("raw utilisation %g, want 0.5", u)
-		}
-	}
 }
 
 func TestCumulativeUtilization(t *testing.T) {
@@ -217,6 +204,40 @@ func TestValidateCatchesOversizedReward(t *testing.T) {
 	}
 }
 
+// TestCollectorKindsAgree feeds the same records to a retaining and a
+// streaming collector: every aggregate, and the verdict of Validate on a
+// group whose reward exceeds its size while the totals still balance,
+// must match.
+func TestCollectorKindsAgree(t *testing.T) {
+	retained, streaming := NewCollector(2), NewStreamingCollector(2)
+	for _, c := range []*Collector{retained, streaming} {
+		c.RecordTask(TaskRecord{ID: 0, Priority: workload.PriorityHigh, ResponseTime: 3, WaitTime: 1, MetDeadline: true})
+		c.RecordTask(TaskRecord{ID: 1, Priority: workload.PriorityLow, ResponseTime: 5.5, WaitTime: 2, MetDeadline: true})
+		c.RecordTask(TaskRecord{ID: 2, Priority: workload.PriorityHigh, ResponseTime: 8, WaitTime: 0.5, MetDeadline: true})
+		c.RecordGroup(GroupRecord{GroupID: 0, Size: 1, Reward: 2, LVal: 1.5})
+		c.RecordGroup(GroupRecord{GroupID: 1, Size: 2, Reward: 1, LVal: -0.25})
+	}
+	type summary struct {
+		Completed, Hits      int
+		AveRT, Wait, Success float64
+		ByPriority           map[workload.Priority]float64
+		GroupLVal, GroupSize float64
+	}
+	sum := func(c *Collector) summary {
+		return summary{c.Completed(), c.DeadlineHits(), c.AveRT(), c.MeanWait(), c.SuccessRate(3),
+			c.SuccessByPriority(), c.MeanGroupLVal(), c.MeanGroupSize()}
+	}
+	if a, b := sum(retained), sum(streaming); !reflect.DeepEqual(a, b) {
+		t.Fatalf("aggregates differ:\nretained  %+v\nstreaming %+v", a, b)
+	}
+	for name, c := range map[string]*Collector{"retained": retained, "streaming": streaming} {
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), "group 0 reward 2 > size 1") {
+			t.Errorf("%s collector: Validate = %v, want the oversized group 0", name, err)
+		}
+	}
+}
+
 // Property: windowed utilisation always lies within the min/max of the
 // underlying per-cycle ratios for any monotone recording.
 func TestQuickWindowedUtilizationBounded(t *testing.T) {
@@ -231,7 +252,7 @@ func TestQuickWindowedUtilizationBounded(t *testing.T) {
 			cp := b + float64(inc%3) + 0.5
 			busy += b
 			cap += cp
-			c.RecordCycle(float64(i), busy, busy, cap)
+			c.RecordCycle(float64(i), busy, cap)
 		}
 		for _, u := range c.UtilizationByCycleFraction(10) {
 			if u < 0 || u > 1+1e-9 {

@@ -2,14 +2,13 @@ package metrics
 
 import "math"
 
-// Streaming mode: a Collector built by NewStreamingCollector aggregates
-// every observation on arrival instead of retaining records, so memory
-// stays constant no matter how many tasks a run streams through. The
-// headline metrics (AveRT, MeanWait, SuccessRate, DeadlineHits,
-// SuccessByPriority, MeanGroupLVal, MeanGroupSize) are exact;
-// RTPercentile comes from a bounded geometric histogram (a few percent
-// relative error); the learning-cycle series is downsampled to a bounded
-// uniformly strided subset; Tasks() and Groups() return nothing.
+// Streaming mode: a Collector built by NewStreamingCollector retains no
+// records, so memory stays constant no matter how many tasks a run
+// streams through. The headline metrics come from the same counters as
+// in the default mode and are exact; RTPercentile comes from a bounded
+// geometric histogram (a few percent relative error); the learning-cycle
+// series is downsampled to a bounded uniformly strided subset; Tasks()
+// and Groups() return nothing.
 
 const (
 	// rtHistBuckets and rtHistGamma shape the response-time histogram:
@@ -73,35 +72,23 @@ func (h *rtHistogram) percentile(p float64) float64 {
 // large-scale runs (see the streaming-mode notes above).
 func NewStreamingCollector(numProcessors int) *Collector {
 	c := NewCollector(numProcessors)
-	c.streaming = true
-	c.cycleStride = 1
+	c.rtHist = new(rtHistogram)
 	return c
 }
 
 // Streaming reports whether the collector aggregates instead of
 // retaining records.
-func (c *Collector) Streaming() bool { return c.streaming }
+func (c *Collector) Streaming() bool { return c.rtHist != nil }
 
-// recordCycleStreaming keeps a bounded, uniformly strided subset of the
-// cycle series.
-func (c *Collector) recordCycleStreaming(at, cumBusyTime, cumBusyDemand, cumCapDemand float64) {
-	idx := c.cycleSeen
-	c.cycleSeen++
-	if c.cycleStride > 1 && idx%c.cycleStride != 0 {
-		return
-	}
-	c.cycles = append(c.cycles, CycleRecord{
-		Cycle: idx, At: at,
-		CumBusyTime: cumBusyTime, CumBusyDemand: cumBusyDemand, CumCapDemand: cumCapDemand,
-	})
-	if len(c.cycles) >= maxCycleRecords {
-		kept := c.cycles[:0]
-		for i, rec := range c.cycles {
-			if i%2 == 0 {
-				kept = append(kept, rec)
-			}
+// decimateCycles halves the retained cycle series to every other record
+// and doubles the keep-stride, so the subset stays uniform over the run.
+func (c *Collector) decimateCycles() {
+	kept := c.cycles[:0]
+	for i, rec := range c.cycles {
+		if i%2 == 0 {
+			kept = append(kept, rec)
 		}
-		c.cycles = kept
-		c.cycleStride *= 2
 	}
+	c.cycles = kept
+	c.cycleStride *= 2
 }

@@ -86,13 +86,12 @@ type Config struct {
 	Audit *audit.Recorder `json:"-"`
 	// LowMemory switches the run to streaming observation so memory stays
 	// O(active tasks + aggregate statistics) regardless of workload length:
-	// metric records are aggregated instead of retained (Collector.Tasks/
-	// Groups return nothing, RTPercentile becomes approximate), the energy
-	// accountant keeps only its latest sample, and learning-cycle
-	// utilisation bookkeeping is O(1) per cycle instead of
-	// O(processors+nodes). Required for multi-million-task scale runs;
-	// leave off to keep full per-task records and byte-identical historical
-	// results.
+	// the collector retains no task or group records (Collector.Tasks/
+	// Groups return nothing, RTPercentile becomes approximate) and only a
+	// strided cycle series, and learning-cycle utilisation bookkeeping is
+	// O(1) per cycle instead of O(processors+nodes). Required for
+	// multi-million-task scale runs; leave off to keep full per-task
+	// records and byte-identical historical results.
 	LowMemory bool
 }
 
@@ -182,7 +181,6 @@ type Engine struct {
 
 	agents   []*Agent
 	mem      *memory.Shared
-	acct     *energy.Accountant
 	col      *metrics.Collector
 	ctx      *Context
 	maxOpnum int
@@ -340,11 +338,6 @@ func NewFromSource(cfg Config, pl *platform.Platform, src workload.Source, polic
 		e.siteTotal = sum
 	}
 	e.ctx = &Context{engine: e, Rand: r.Split("policy"), Memory: e.mem, Audit: cfg.Audit}
-	if cfg.LowMemory {
-		e.acct = energy.NewAccountantLite(pl)
-	} else {
-		e.acct = energy.NewAccountant(pl)
-	}
 	// Guard against scheduling loops: a generous bound relative to the
 	// tasks streamed in so far, raised as arrivals are pulled (New starts
 	// it at its final value when the count is known up front).
@@ -471,7 +464,7 @@ func (e *Engine) MustRun() Result {
 
 func (e *Engine) buildResult() Result {
 	end := e.sim.Now()
-	e.acct.Sample(end)
+	e.pl.AdvanceAll(end)
 	res := Result{
 		Policy:          e.policy.Name(),
 		Submitted:       e.submitted,
@@ -669,9 +662,11 @@ func (e *Engine) houseKeep(*des.Simulator) {
 	}
 }
 
-// tick samples energy and runs the policy's decision interval.
+// tick folds energy up to now and runs the policy's decision interval.
+// The AdvanceAll splits the energy integrals at every tick, which fixes
+// the float rounding of ECS.
 func (e *Engine) tick(*des.Simulator) {
-	e.acct.Sample(e.sim.Now())
+	e.pl.AdvanceAll(e.sim.Now())
 	e.policy.OnTick(e.ctx)
 	if !e.done() {
 		e.sim.AfterFunc(e.cfg.TickInterval, e.tick)
@@ -747,7 +742,6 @@ func (e *Engine) acctDelta(node *platform.Node, dBusy, dUndisp int) {
 		e.lite.busyEngaged -= a.busy
 		e.lite.engagedCap -= node.NumProcessors()
 	}
-	e.lite.busyCount += dBusy
 	a.busy += dBusy
 	a.undispatched += dUndisp
 	if a.busy+a.undispatched > 0 {
@@ -756,20 +750,17 @@ func (e *Engine) acctDelta(node *platform.Node, dBusy, dUndisp int) {
 	}
 }
 
-// liteUtil is the low-memory replacement for the recordCycle platform
-// sweep: the same three cumulative integrals (busy processor-time, and
-// the engaged-node busy/capacity demands behind the Figures 9/10
-// utilisation rate), maintained incrementally at every dispatch
-// transition so reading them at a cycle boundary is O(1).
+// liteUtil is the low-memory replacement for the recordCycle node
+// sweep: the same two cumulative integrals (the engaged-node
+// busy/capacity demands behind the Figures 9/10 utilisation rate),
+// maintained incrementally at every dispatch transition so reading them
+// at a cycle boundary is O(1).
 type liteUtil struct {
 	lastT float64
-	// busyCount is the number of busy processors platform-wide;
 	// busyEngaged and engagedCap are the busy and total processor counts
 	// summed over engaged nodes (those with running or queued work).
-	busyCount   int
 	busyEngaged int
 	engagedCap  int
-	busyTime    float64
 	busyDemand  float64
 	capDemand   float64
 }
@@ -777,7 +768,6 @@ type liteUtil struct {
 // advance folds the elapsed interval into the integrals.
 func (u *liteUtil) advance(now float64) {
 	if dt := now - u.lastT; dt > 0 {
-		u.busyTime += float64(u.busyCount) * dt
 		u.busyDemand += float64(u.busyEngaged) * dt
 		u.capDemand += float64(u.engagedCap) * dt
 	}
@@ -1146,28 +1136,25 @@ func (e *Engine) completeGroup(g *grouping.Group, node *platform.Node) {
 	e.tryDispatch(node)
 }
 
-// recordCycle logs the platform's cumulative busy time and engaged
-// capacity at a learning-cycle boundary. In low-memory mode the values
-// come from the incrementally maintained integrals in O(1); otherwise
-// from the historical platform sweep, kept bit-exact.
+// recordCycle logs the engaged-utilisation integrals at a learning-cycle
+// boundary. In low-memory mode the values come from the incrementally
+// maintained integrals in O(1); otherwise from the historical node sweep,
+// kept bit-exact. The sweep's AdvanceAll splits the energy integrals at
+// every cycle, which fixes the float rounding of ECS.
 func (e *Engine) recordCycle(now float64) {
 	if e.lite != nil {
 		e.lite.advance(now)
-		e.col.RecordCycle(now, e.lite.busyTime, e.lite.busyDemand, e.lite.capDemand)
+		e.col.RecordCycle(now, e.lite.busyDemand, e.lite.capDemand)
 		return
 	}
 	e.pl.AdvanceAll(now)
-	busy := 0.0
-	for _, p := range e.pl.Processors() {
-		busy += p.BusyTime()
-	}
 	var busyDemand, capDemand float64
 	for _, n := range e.pl.Nodes() {
 		a := e.touchAcct(n)
 		busyDemand += a.busyDemand
 		capDemand += a.capDemand
 	}
-	e.col.RecordCycle(now, busy, busyDemand, capDemand)
+	e.col.RecordCycle(now, busyDemand, capDemand)
 }
 
 // placeBacklog retries the agent's deferred groups in FIFO order.

@@ -151,8 +151,8 @@ func TestCycleSeriesMonotone(t *testing.T) {
 		if cycles[i].At < cycles[i-1].At {
 			t.Fatal("cycle times not monotone")
 		}
-		if cycles[i].CumBusyTime < cycles[i-1].CumBusyTime {
-			t.Fatal("cumulative busy time decreased")
+		if cycles[i].CumBusyDemand < cycles[i-1].CumBusyDemand || cycles[i].CumCapDemand < cycles[i-1].CumCapDemand {
+			t.Fatal("cumulative engaged-utilisation integrals decreased")
 		}
 	}
 }

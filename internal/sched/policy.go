@@ -224,9 +224,6 @@ func (c *Context) Sleep(p *platform.Processor) {
 // learn from aggregate performance, e.g. the Online-RL reward signal).
 func (c *Context) Metrics() *metrics.Collector { return c.engine.col }
 
-// EnergySoFar returns cumulative ECS as of the latest energy sample.
-func (c *Context) EnergySoFar() float64 { return c.engine.acct.TotalEnergy() }
-
 // Agents returns the engine's agents (stable order by site ID).
 func (c *Context) Agents() []*Agent { return c.engine.agents }
 

@@ -825,6 +825,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			j.adoptTraceparent(tp)
 		}
 	}
+	// The 202 body is the job as accepted. Snapshot it before the queue
+	// send: once sent, a worker may start the job at any moment.
+	accepted := j.status()
 	select {
 	case s.queue <- j:
 	default:
@@ -857,7 +860,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.log.InfoContext(obs.WithJobID(r.Context(), j.id), "job accepted",
 		"kind", spec.Kind, "figure", spec.Figure, "points_total", total,
 		"trace", spec.Trace, "spans", spec.Spans)
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // retryAfterLocked estimates (in whole seconds, at least 1) how long a

@@ -7,6 +7,12 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Information only, never a gate: the root module's non-test Go line
+# count (perfbench/ is its own module; hidden build directories skipped).
+lines="$(find . -path './.*' -prune -o -path ./perfbench -prune -o \
+	-name '*.go' ! -name '*_test.go' -type f -print | xargs cat | wc -l)" || lines=unknown
+echo "check.sh: root module non-test Go lines: $lines"
+
 unformatted="$(gofmt -l .)"
 if [ -n "$unformatted" ]; then
 	echo "check.sh: gofmt needed on:" >&2
