@@ -46,8 +46,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 	// Shared memory carried over.
-	if restored.ownShared.Len() != policy.ownShared.Len() {
-		t.Fatalf("restored memory %d entries, want %d", restored.ownShared.Len(), policy.ownShared.Len())
+	if restored.ownShared.Occupancy() != policy.ownShared.Occupancy() {
+		t.Fatalf("restored memory %d entries, want %d", restored.ownShared.Occupancy(), policy.ownShared.Occupancy())
 	}
 
 	// The restored policy schedules another run identically to the saved

@@ -7,10 +7,12 @@
 // The store is single-threaded by design: the discrete-event simulation
 // engine serialises all agent activity, so the "communication link between
 // the shared-learning memory and all agents" (assumed contention-free at
-// uniform speed in the paper) is a plain method call here.
+// uniform speed in the paper) is a plain method call here. Lookups scan
+// agents in ascending ID order, so equal scores resolve alike in every run.
 package memory
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -37,17 +39,14 @@ type State struct {
 	SiteLoad float64
 }
 
-// Vector returns the state as a feature slice (for the neural network).
-func (s State) Vector() []float64 {
-	return []float64{s.Load, s.FreeSlots, s.MeanPower, s.SiteLoad}
-}
-
-// distance is a squared Euclidean distance on normalised features.
+// distance is a squared Euclidean distance on normalised features. The
+// builtin max follows math.Max's NaN and ±Inf rules and inlines.
 func (s State) distance(o State) float64 {
 	d := 0.0
-	a, b := s.Vector(), o.Vector()
+	a := [...]float64{s.Load, s.FreeSlots, s.MeanPower, s.SiteLoad}
+	b := [...]float64{o.Load, o.FreeSlots, o.MeanPower, o.SiteLoad}
 	for i := range a {
-		scale := math.Max(1, math.Max(math.Abs(a[i]), math.Abs(b[i])))
+		scale := max(1, max(math.Abs(a[i]), math.Abs(b[i])))
 		diff := (a[i] - b[i]) / scale
 		d += diff * diff
 	}
@@ -109,17 +108,14 @@ func (e Experience) LVal() float64 {
 }
 
 // Shared is the shared learning memory: a bounded ring of experiences per
-// agent, plus cheap aggregate counters.
+// agent, plus cheap aggregate counters. Every scan walks rings in
+// ascending agent-ID order, so no result depends on map iteration order;
+// byID serves only Record and ForAgent.
 type Shared struct {
 	capacity int
-	perAgent map[int][]Experience
-	// ringMax caches each ring's maximum l_val, letting Best/BestFor
-	// skip whole rings that cannot improve on the running best. With
-	// thousands of agents a lookup would otherwise evaluate every
-	// retained experience — including an Exp call per entry in BestFor —
-	// on every reward regression.
-	ringMax map[int]float64
-	total   uint64
+	rings    []*ring
+	byID     map[int]*ring
+	total    uint64
 	// lookups/hits count Best/BestFor calls and how many found an
 	// experience — the shared-memory hit rate probes report.
 	lookups uint64
@@ -128,9 +124,16 @@ type Shared struct {
 	// occupancy (total − evictions) and eviction pressure are visible in
 	// run stats and /metrics without walking the rings.
 	evictions uint64
-	// ids is meanField's reusable agent-ID scratch, kept so probed runs
-	// do not allocate per sample.
-	ids []int
+}
+
+// ring is one agent's retained experiences, oldest first, with each
+// entry's LVal cached in lvals and their maximum (NaNs ignored) in max:
+// the bounds that let lookups skip rings and entries that cannot win.
+type ring struct {
+	id    int
+	exps  []Experience
+	lvals []float64
+	max   float64
 }
 
 // NewShared creates a memory with the paper's per-agent capacity.
@@ -142,34 +145,41 @@ func NewSharedWithCapacity(capacity int) *Shared {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("memory: capacity must be positive, got %d", capacity))
 	}
-	return &Shared{
-		capacity: capacity,
-		perAgent: make(map[int][]Experience),
-		ringMax:  make(map[int]float64),
-	}
+	return &Shared{capacity: capacity, byID: make(map[int]*ring)}
 }
 
 // Capacity returns the per-agent bound.
 func (m *Shared) Capacity() int { return m.capacity }
 
 // Record stores an experience, evicting the agent's oldest entry when the
-// per-agent bound is reached.
+// per-agent bound is reached. An agent's ring is allocated at full
+// capacity on its first record, so later records allocate nothing.
 func (m *Shared) Record(e Experience) {
-	ring := m.perAgent[e.AgentID]
-	if len(ring) >= m.capacity {
-		copy(ring, ring[1:])
-		ring = ring[:len(ring)-1]
+	r := m.byID[e.AgentID]
+	if r == nil {
+		r = &ring{
+			id:    e.AgentID,
+			exps:  make([]Experience, 0, m.capacity),
+			lvals: make([]float64, 0, m.capacity),
+		}
+		i, _ := slices.BinarySearchFunc(m.rings, r.id, func(r *ring, id int) int { return cmp.Compare(r.id, id) })
+		m.rings = slices.Insert(m.rings, i, r)
+		m.byID[r.id] = r
+	}
+	if n := len(r.exps); n >= m.capacity {
+		copy(r.exps, r.exps[1:])
+		copy(r.lvals, r.lvals[1:])
+		r.exps, r.lvals = r.exps[:n-1], r.lvals[:n-1]
 		m.evictions++
 	}
-	ring = append(ring, e)
-	m.perAgent[e.AgentID] = ring
-	max := math.Inf(-1)
-	for _, r := range ring {
-		if v := r.LVal(); v > max {
-			max = v
+	r.exps = append(r.exps, e)
+	r.lvals = append(r.lvals, e.LVal())
+	r.max = math.Inf(-1)
+	for _, v := range r.lvals {
+		if v > r.max {
+			r.max = v
 		}
 	}
-	m.ringMax[e.AgentID] = max
 	m.total++
 }
 
@@ -178,77 +188,97 @@ func (m *Shared) Record(e Experience) {
 // more collective experience exists, the less the agents explore.
 func (m *Shared) TotalRecorded() uint64 { return m.total }
 
-// Len returns the number of currently retained experiences.
-func (m *Shared) Len() int {
-	n := 0
-	for _, ring := range m.perAgent {
-		n += len(ring)
-	}
-	return n
-}
-
 // Agents returns the number of agents that have recorded at least once.
-func (m *Shared) Agents() int { return len(m.perAgent) }
+func (m *Shared) Agents() int { return len(m.rings) }
 
 // ForAgent returns the retained experiences of one agent, oldest first.
 // The returned slice is the internal ring; callers must not mutate it.
-func (m *Shared) ForAgent(id int) []Experience { return m.perAgent[id] }
+func (m *Shared) ForAgent(id int) []Experience {
+	if r := m.byID[id]; r != nil {
+		return r.exps
+	}
+	return nil
+}
 
 // Best returns the retained experience with the maximum learning value
 // across all agents — the lookup the paper prescribes when an agent's
 // reward regresses ("the agent immediately checks and learns the actions
 // from the shared-learning memory — considering the action with the
 // maximum learning value", §IV.C). ok is false when the memory is empty.
+// Among exactly tied values the lowest agent ID wins, then that agent's
+// oldest entry.
 func (m *Shared) Best() (Experience, bool) {
-	var best Experience
+	var best *Experience
 	bestV := math.Inf(-1)
-	found := false
-	for id, ring := range m.perAgent {
+	for _, r := range m.rings {
 		// A ring whose maximum l_val cannot strictly beat the running
-		// best holds no winner (selection uses strict >), so skip it —
-		// the pruning that keeps lookups cheap at thousands of agents.
-		if found && m.ringMax[id] <= bestV {
+		// best holds no winner (selection uses strict >), so skip it.
+		if best != nil && r.max <= bestV {
 			continue
 		}
-		for _, e := range ring {
-			if v := e.LVal(); v > bestV || (!found && v == bestV) {
-				best, bestV, found = e, v, true
+		for i, v := range r.lvals {
+			if v > bestV || (best == nil && v == bestV) {
+				best, bestV = &r.exps[i], v
 			}
 		}
 	}
-	m.lookups++
-	if found {
-		m.hits++
-	}
-	return best, found
+	return m.settle(best)
 }
 
 // BestFor returns the experience maximising similarity-weighted learning
 // value for the given state: sim(state)·l_val. This lets agents prefer
 // remembered actions taken under circumstances like the present one.
+// Among exactly tied scores the lowest agent ID wins, then that agent's
+// oldest entry.
 func (m *Shared) BestFor(s State) (Experience, bool) {
-	var best Experience
+	var best *Experience
 	bestV := math.Inf(-1)
-	found := false
-	for id, ring := range m.perAgent {
+	for _, r := range m.rings {
 		// Similarity lies in (0, 1], so sim·l_val is bounded above by
 		// the ring's maximum l_val when positive and by 0 otherwise;
 		// rings that cannot strictly beat the running best are skipped
 		// without evaluating a single similarity.
-		if found && math.Max(m.ringMax[id], 0) <= bestV {
+		if best != nil && max(r.max, 0) <= bestV {
 			continue
 		}
-		for _, e := range ring {
-			if v := e.State.Similarity(s) * e.LVal(); v > bestV || (!found && v == bestV) {
-				best, bestV, found = e, v, true
+		for i, lv := range r.lvals {
+			// The ring bound, per entry.
+			if best != nil && max(lv, 0) <= bestV {
+				continue
+			}
+			d := r.exps[i].State.distance(s)
+			// Now lv > bestV, and once bestV > 0 the entry wins only if
+			// e^-d·lv > bestV. As e^d >= p = (1+d/32)^32, an entry with
+			// p >= (lv/bestV)(1+1e-9) scores at most bestV(1−1e-9)
+			// exactly; computing p, the quotient, Exp and the product
+			// errs by under 1e-14 relative, so its computed score cannot
+			// beat bestV either and Exp is skipped. A p that overflows
+			// means Exp(-d) is 0: the score is 0 or NaN and cannot win.
+			if bestV > 0 {
+				p := 1 + d/32
+				for range 5 {
+					p *= p
+				}
+				if p >= lv/bestV*(1+1e-9) {
+					continue
+				}
+			}
+			if v := math.Exp(-d) * lv; v > bestV || (best == nil && v == bestV) {
+				best, bestV = &r.exps[i], v
 			}
 		}
 	}
+	return m.settle(best)
+}
+
+// settle counts a lookup and returns its winner, if any.
+func (m *Shared) settle(best *Experience) (Experience, bool) {
 	m.lookups++
-	if found {
-		m.hits++
+	if best == nil {
+		return Experience{}, false
 	}
-	return best, found
+	m.hits++
+	return *best, true
 }
 
 // Candidate is one retained experience scored against a query state —
@@ -265,8 +295,8 @@ type Candidate struct {
 
 // TopFor returns the k highest-scoring candidates for the given state,
 // best first, appended to out (which may be nil). Ties are broken by
-// (AgentID, Cycle) so the result is deterministic regardless of map
-// iteration order. TopFor is an audit-only observation: it does not
+// (AgentID, Cycle), the order Best and BestFor scan in, so the result
+// is deterministic. TopFor is an audit-only observation: it does not
 // touch the lookup/hit counters, and it never prunes, so it may see
 // candidates a pruned BestFor scan skipped — but the top entry always
 // scores at least as high as BestFor's winner.
@@ -284,14 +314,14 @@ func (m *Shared) TopFor(s State, k int, out []Candidate) []Candidate {
 		}
 		return a.Cycle < b.Cycle
 	}
-	for id, ring := range m.perAgent {
-		for _, e := range ring {
+	for _, r := range m.rings {
+		for i, e := range r.exps {
 			c := Candidate{
-				AgentID:    id,
+				AgentID:    r.id,
 				Cycle:      e.Cycle,
 				Action:     e.Action,
 				Similarity: e.State.Similarity(s),
-				LVal:       e.LVal(),
+				LVal:       r.lvals[i],
 			}
 			c.Score = c.Similarity * c.LVal
 			if math.IsNaN(c.Score) {
@@ -315,46 +345,14 @@ func (m *Shared) TopFor(s State, k int, out []Candidate) []Candidate {
 	return out
 }
 
-// BestAction is BestFor restricted to the action, with a default when
-// memory is empty.
-func (m *Shared) BestAction(s State, def Action) Action {
-	if e, ok := m.BestFor(s); ok {
-		return e.Action
-	}
-	return def
-}
-
-// MeanLVal returns the average learning value over retained experiences
-// (0 when empty) — a convergence indicator used by reports.
-func (m *Shared) MeanLVal() float64 {
-	sum, n := 0.0, 0
-	for _, ring := range m.perAgent {
-		for _, e := range ring {
-			sum += e.LVal()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // meanField averages one Experience field over retained experiences,
 // skipping non-finite values (an unmeasurable turnaround estimate
 // records an infinite error) so the mean stays representable in JSON.
-// It sums in ascending agent-ID order: floating-point addition is not
-// associative, and map order would make the probe series differ between
-// identical runs in their last bits.
+// It sums in ring order: floating-point addition is not associative.
 func (m *Shared) meanField(get func(Experience) float64) float64 {
-	m.ids = m.ids[:0]
-	for id := range m.perAgent {
-		m.ids = append(m.ids, id)
-	}
-	slices.Sort(m.ids)
 	sum, n := 0.0, 0
-	for _, id := range m.ids {
-		for _, e := range m.perAgent[id] {
+	for _, r := range m.rings {
+		for _, e := range r.exps {
 			v := get(e)
 			if math.IsInf(v, 0) || math.IsNaN(v) {
 				continue

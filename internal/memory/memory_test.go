@@ -1,7 +1,9 @@
 package memory
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -33,8 +35,8 @@ func TestCapacityEviction(t *testing.T) {
 	if m.TotalRecorded() != 40 {
 		t.Fatalf("TotalRecorded %d, want 40", m.TotalRecorded())
 	}
-	if m.Len() != CapacityPerAgent {
-		t.Fatalf("Len %d, want %d", m.Len(), CapacityPerAgent)
+	if m.Occupancy() != CapacityPerAgent {
+		t.Fatalf("Occupancy %d, want %d", m.Occupancy(), CapacityPerAgent)
 	}
 }
 
@@ -111,20 +113,6 @@ func TestBestForPrefersSimilarStates(t *testing.T) {
 	}
 }
 
-func TestBestActionDefault(t *testing.T) {
-	m := NewShared()
-	def := Action{Opnum: 3, Mode: grouping.ModeIdentical}
-	if got := m.BestAction(State{}, def); got != def {
-		t.Fatalf("BestAction on empty memory = %+v, want default", got)
-	}
-	rec := exp(1, 0, 9, 1)
-	rec.Action = Action{Opnum: 5, Mode: grouping.ModeMixed}
-	m.Record(rec)
-	if got := m.BestAction(State{}, def); got != rec.Action {
-		t.Fatalf("BestAction = %+v, want %+v", got, rec.Action)
-	}
-}
-
 func TestSimilarityProperties(t *testing.T) {
 	a := State{Load: 5, FreeSlots: 3, MeanPower: 70, SiteLoad: 20}
 	if s := a.Similarity(a); math.Abs(s-1) > 1e-12 {
@@ -147,25 +135,13 @@ func TestSimilaritySymmetry(t *testing.T) {
 	}
 }
 
-func TestMeanLVal(t *testing.T) {
-	m := NewShared()
-	if m.MeanLVal() != 0 {
-		t.Fatal("empty memory mean l_val should be 0")
-	}
-	m.Record(exp(1, 0, 4, 1))
-	m.Record(exp(1, 1, 8, 1))
-	if got := m.MeanLVal(); got != 6 {
-		t.Fatalf("MeanLVal = %g, want 6", got)
-	}
-}
-
 func TestCustomCapacity(t *testing.T) {
 	m := NewSharedWithCapacity(2)
 	for i := 0; i < 5; i++ {
 		m.Record(exp(1, i, 1, 1))
 	}
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", m.Len())
+	if m.Occupancy() != 2 {
+		t.Fatalf("Occupancy = %d, want 2", m.Occupancy())
 	}
 	defer func() {
 		if recover() == nil {
@@ -173,16 +149,6 @@ func TestCustomCapacity(t *testing.T) {
 		}
 	}()
 	NewSharedWithCapacity(0)
-}
-
-func TestStateVectorLength(t *testing.T) {
-	v := State{Load: 1, FreeSlots: 2, MeanPower: 3, SiteLoad: 4}.Vector()
-	want := []float64{1, 2, 3, 4}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("Vector = %v", v)
-		}
-	}
 }
 
 // Property: the per-agent bound holds for any recording sequence, and the
@@ -320,13 +286,14 @@ func TestMeanSumsInAgentOrder(t *testing.T) {
 	}
 }
 
-// bruteBest and bruteBestFor are the unpruned reference scans; the
-// pruned Best/BestFor must select the identical experience.
-func bruteBest(m *Shared) (Experience, float64, bool) {
+// bruteBest and bruteBestFor are the unpruned reference scans, in
+// ascending agent ID below agents and oldest entry first; the pruned
+// Best/BestFor must select the identical experience, ties included.
+func bruteBest(m *Shared, agents int) (Experience, float64, bool) {
 	var best Experience
 	bestV := math.Inf(-1)
 	found := false
-	for id := 0; id < 1<<16; id++ {
+	for id := 0; id < agents; id++ {
 		for _, e := range m.ForAgent(id) {
 			if v := e.LVal(); v > bestV || (!found && v == bestV) {
 				best, bestV, found = e, v, true
@@ -336,11 +303,11 @@ func bruteBest(m *Shared) (Experience, float64, bool) {
 	return best, bestV, found
 }
 
-func bruteBestFor(m *Shared, s State) (Experience, float64, bool) {
+func bruteBestFor(m *Shared, s State, agents int) (Experience, float64, bool) {
 	var best Experience
 	bestV := math.Inf(-1)
 	found := false
-	for id := 0; id < 1<<16; id++ {
+	for id := 0; id < agents; id++ {
 		for _, e := range m.ForAgent(id) {
 			if v := e.State.Similarity(s) * e.LVal(); v > bestV || (!found && v == bestV) {
 				best, bestV, found = e, v, true
@@ -350,9 +317,28 @@ func bruteBestFor(m *Shared, s State) (Experience, float64, bool) {
 	return best, bestV, found
 }
 
-// TestPrunedLookupMatchesBruteForce pins the ring-max pruning in
-// Best/BestFor against exhaustive scans, including negative and zero
-// learning values, across many agents and evictions.
+// checkLookups fails unless Best and BestFor(q) pick the same entry —
+// identified by agent and cycle, so NaN fields compare — as the
+// brute-force scans over agent IDs below agents.
+func checkLookups(t *testing.T, m *Shared, q State, agents int, step string) {
+	t.Helper()
+	same := func(a, b Experience, aok, bok bool) bool {
+		return aok == bok && (!aok || a.AgentID == b.AgentID && a.Cycle == b.Cycle)
+	}
+	wantE, wantV, wantOK := bruteBest(m, agents)
+	if gotE, gotOK := m.Best(); !same(gotE, wantE, gotOK, wantOK) {
+		t.Fatalf("%s: Best = %+v (%v), brute force %+v (%v, v=%g)", step, gotE, gotOK, wantE, wantOK, wantV)
+	}
+	wantE, wantV, wantOK = bruteBestFor(m, q, agents)
+	if gotE, gotOK := m.BestFor(q); !same(gotE, wantE, gotOK, wantOK) {
+		t.Fatalf("%s: BestFor = %+v (%v), brute force %+v (%v, v=%g)", step, gotE, gotOK, wantE, wantOK, wantV)
+	}
+}
+
+// TestPrunedLookupMatchesBruteForce pins the pruned Best/BestFor against
+// exhaustive scans, including negative and zero learning values, across
+// many agents and evictions: first on tie-free data, then on data full of
+// exact ties.
 func TestPrunedLookupMatchesBruteForce(t *testing.T) {
 	m := NewShared()
 	// Deterministic pseudo-random fill: 60 agents, enough records per
@@ -368,9 +354,8 @@ func TestPrunedLookupMatchesBruteForce(t *testing.T) {
 			AgentID: int(rnd() * 60),
 			Cycle:   i,
 			// Continuous rewards spanning negatives keep l_vals exact-
-			// tie-free: under a tie, which maximiser wins depends on map
-			// iteration order (with or without pruning), so an entry-wise
-			// comparison is only meaningful on tie-free data.
+			// tie-free, so this phase checks the pruning alone; the next
+			// phase checks the tie order.
 			Reward: rnd()*4 - 1,
 			Error:  rnd()*2 + 0.1,
 			State: State{
@@ -383,38 +368,225 @@ func TestPrunedLookupMatchesBruteForce(t *testing.T) {
 		if i%50 != 0 {
 			continue
 		}
-		wantE, wantV, wantOK := bruteBest(m)
+		wantE, wantV, wantOK := bruteBest(m, 60)
 		gotE, gotOK := m.Best()
 		if gotOK != wantOK || gotE != wantE {
 			t.Fatalf("step %d: Best = %+v (%v), brute force %+v (%v, v=%g)", i, gotE, gotOK, wantE, wantOK, wantV)
 		}
 		q := State{Load: rnd() * 100, FreeSlots: rnd() * 10, MeanPower: rnd() * 300, SiteLoad: rnd() * 500}
-		wantE, wantV, wantOK = bruteBestFor(m, q)
+		wantE, wantV, wantOK = bruteBestFor(m, q, 60)
 		gotE, gotOK = m.BestFor(q)
 		if gotOK != wantOK || gotE != wantE {
 			t.Fatalf("step %d: BestFor = %+v (%v), brute force %+v (%v, v=%g)", i, gotE, gotOK, wantE, wantOK, wantV)
 		}
 	}
+
+	// Tie-heavy phase: integer rewards, errors below ErrorFloor (so every
+	// l_val is 4·reward) and states drawn from a pool of three, queried
+	// with the same three, so equal scores across agents and within a
+	// ring are the rule. Agents are recorded in a shuffled order so ring
+	// creation order differs from ID order.
+	m = NewShared()
+	pool := []State{
+		{Load: 10, FreeSlots: 2, MeanPower: 60, SiteLoad: 30},
+		{Load: 12, FreeSlots: 1, MeanPower: 80, SiteLoad: 90},
+		{Load: 400, MeanPower: 100, SiteLoad: 2000},
+	}
+	for i := 0; i < 2000; i++ {
+		m.Record(Experience{
+			AgentID: (int(rnd()*40) * 7) % 40,
+			Cycle:   i,
+			Reward:  float64(int(rnd()*5) - 1),
+			Error:   rnd() * ErrorFloor,
+			State:   pool[int(rnd()*3)],
+		})
+		if i%25 == 0 {
+			checkLookups(t, m, pool[int(rnd()*3)], 40, fmt.Sprintf("tie step %d", i))
+		}
+	}
 }
 
-// TestPrunedLookupTiesKeepValue: under exact l_val ties the winning
-// entry is iteration-order-dependent (it always was), but the winning
-// value must still be the true maximum.
+// TestPrunedLookupTiesKeepValue: under exact ties the lowest agent ID
+// wins, on every call, and the winning value is the true maximum.
 func TestPrunedLookupTiesKeepValue(t *testing.T) {
 	m := NewShared()
-	for a := 0; a < 50; a++ {
+	for _, a := range rand.New(rand.NewSource(3)).Perm(50) {
 		m.Record(exp(a, a, 3, 0.1)) // all floored to l_val 12
 	}
-	e, ok := m.Best()
-	if !ok || e.LVal() != 12 {
-		t.Fatalf("Best under ties = %+v (%v), want l_val 12", e, ok)
-	}
 	q := State{Load: 1}
-	e, ok = m.BestFor(q)
-	if !ok {
-		t.Fatal("BestFor found nothing")
-	}
-	if v := e.State.Similarity(q) * e.LVal(); math.Abs(v-12*State{}.Similarity(q)) > 1e-12 {
-		t.Fatalf("BestFor tie value %g, want %g", v, 12*State{}.Similarity(q))
+	for i := 0; i < 20; i++ {
+		e, ok := m.Best()
+		if !ok || e.LVal() != 12 {
+			t.Fatalf("Best under ties = %+v (%v), want l_val 12", e, ok)
+		}
+		if e.AgentID != 0 {
+			t.Fatalf("call %d: Best under ties chose agent %d, want 0", i, e.AgentID)
+		}
+		e, ok = m.BestFor(q)
+		if !ok {
+			t.Fatal("BestFor found nothing")
+		}
+		if v := e.State.Similarity(q) * e.LVal(); math.Abs(v-12*State{}.Similarity(q)) > 1e-12 {
+			t.Fatalf("BestFor tie value %g, want %g", v, 12*State{}.Similarity(q))
+		}
+		if e.AgentID != 0 {
+			t.Fatalf("call %d: BestFor under ties chose agent %d, want 0", i, e.AgentID)
+		}
 	}
 }
+
+// TestBestForCutoffBoundary pins the exactness of BestFor's distance
+// cutoff where it matters: candidates whose score e^-d·l_val lands within
+// a few ulps of the running best (above, equal and below it), and
+// candidates so far away that Exp(-d) underflows to 0.
+func TestBestForCutoffBoundary(t *testing.T) {
+	q := State{}
+	for _, x := range []float64{0.001, 0.3, 0.7, 1} { // d = x² with Load x
+		for _, lead := range []float64{1, 3.7, 1e-300, 1e300} {
+			d := State{Load: x}.distance(q)
+			m := NewShared()
+			// Agent 0 sets the running best at distance 0: score = lead.
+			m.Record(Experience{AgentID: 0, Reward: lead, Error: 1})
+			// Agents 1..13 sit at distance d with l_vals stepping through
+			// the ulps around lead/e^-d, so their computed scores fall
+			// below, on and above lead.
+			base := lead / math.Exp(-d)
+			lv := base
+			for k := 0; k < 6; k++ {
+				lv = math.Nextafter(lv, 0)
+			}
+			for a := 1; a <= 13; a++ {
+				m.Record(Experience{AgentID: a, Cycle: a, Reward: lv, Error: 1, State: State{Load: x}})
+				lv = math.Nextafter(lv, math.Inf(1))
+			}
+			checkLookups(t, m, q, 15, fmt.Sprintf("x=%g lead=%g", x, lead))
+			// Far entries: ±MaxFloat features make the distance +Inf, so
+			// Exp(-d) is 0 whatever the l_val, and the near entries keep
+			// the lead.
+			far := State{Load: -math.MaxFloat64, SiteLoad: math.MaxFloat64}
+			for a := 15; a < 20; a++ {
+				m.Record(Experience{AgentID: a, Cycle: a, Reward: math.MaxFloat64 / 4, Error: 1, State: far})
+			}
+			m.Record(Experience{AgentID: 20, Cycle: 20, Reward: math.Inf(1), Error: 1, State: far})
+			checkLookups(t, m, State{Load: math.MaxFloat64}, 21, fmt.Sprintf("far x=%g lead=%g", x, lead))
+		}
+	}
+	// Only far entries: every score is 0 (or NaN for the infinite l_val),
+	// so the tie goes to the lowest agent.
+	m := NewShared()
+	far := State{Load: math.MaxFloat64}
+	m.Record(Experience{AgentID: 3, Reward: math.Inf(1), Error: 1, State: far})
+	m.Record(Experience{AgentID: 5, Reward: 2, Error: 1, State: far})
+	m.Record(Experience{AgentID: 4, Reward: 7, Error: 1, State: far})
+	checkLookups(t, m, State{Load: -math.MaxFloat64}, 6, "only far")
+	if e, _ := m.BestFor(State{Load: -math.MaxFloat64}); e.AgentID != 4 {
+		t.Fatalf("only-far BestFor chose agent %d, want 4 (lowest finite l_val tie)", e.AgentID)
+	}
+}
+
+// TestLookupsAllocFree pins that lookups, and records into an agent's
+// full ring, allocate nothing.
+func TestLookupsAllocFree(t *testing.T) {
+	m := NewShared()
+	for i := 0; i < 40*CapacityPerAgent; i++ {
+		e := exp(i%40, i, float64(i%7), 0.3+float64(i%5)/4)
+		e.State = State{Load: float64(i % 13), SiteLoad: float64(i % 29)}
+		m.Record(e)
+	}
+	q := State{Load: 5, SiteLoad: 11}
+	if n := testing.AllocsPerRun(100, func() { sinkExperience, _ = m.BestFor(q) }); n != 0 {
+		t.Fatalf("BestFor allocates %g per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkExperience, _ = m.Best() }); n != 0 {
+		t.Fatalf("Best allocates %g per call, want 0", n)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { m.Record(exp(i%40, i, 1, 1)); i++ }); n != 0 {
+		t.Fatalf("Record into a full ring allocates %g per call, want 0", n)
+	}
+}
+
+// fuzzValues are the special floats the fuzzer draws rewards, errors and
+// state features from, besides plain byte values.
+var fuzzValues = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.1, ErrorFloor, 3, 1e-300, 1e300,
+	math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// FuzzBestForMatchesBruteForce decodes records and a query from bytes
+// and checks Best and BestFor against the brute-force scans. Each record
+// takes six bytes: agent, reward, error and three state bytes; the last
+// bytes left over pick the query.
+func FuzzBestForMatchesBruteForce(f *testing.F) {
+	f.Add([]byte{0, 10, 4, 1, 2, 3, 1, 10, 4, 1, 2, 3, 2, 200, 13, 9, 9, 9, 7})
+	f.Add([]byte{3, 251, 1, 0, 0, 0, 2, 251, 1, 0, 0, 0, 1, 251, 1, 0, 0, 0})
+	f.Add([]byte{0, 252, 252, 250, 250, 250, 1, 5, 255, 253, 251, 0, 4, 4, 4})
+	f.Add([]byte("shared learning memory, fuzzed"))
+	// Only negative scores: the entry with the lower l_val wins, because
+	// similarity shrinks a negative score towards 0.
+	f.Add([]byte("1B00000A00000"))
+	val := func(b byte) float64 {
+		if i := 255 - int(b); i < len(fuzzValues) {
+			return fuzzValues[i]
+		}
+		return float64(b%32) - 4
+	}
+	state := func(b []byte) State {
+		return State{Load: val(b[0]), FreeSlots: val(b[1]) / 4, MeanPower: val(b[2]) * 10, SiteLoad: val(b[0] ^ b[2])}
+	}
+	const agents = 8
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := NewSharedWithCapacity(4)
+		for i := 0; len(data) >= 6; i++ {
+			m.Record(Experience{
+				AgentID: int(data[0] % agents), Cycle: i,
+				Reward: val(data[1]), Error: val(data[2]) / 8,
+				State: state(data[3:6]),
+			})
+			data = data[6:]
+			q := State{}
+			if len(data) >= 3 {
+				q = state(data[:3])
+			}
+			checkLookups(t, m, q, agents, fmt.Sprintf("record %d", i))
+		}
+	})
+}
+
+// BenchmarkBestFor times one similarity-weighted lookup over full rings
+// (15 entries per agent) at the paper's 5 sites, the scale workload's
+// 250 and the large preset's 5,000, filled from a fixed seed with
+// rewards and errors in the ranges real runs record, and queried with a
+// rotating set of states.
+func BenchmarkBestFor(b *testing.B) {
+	for _, agents := range []int{5, 250, 5000} {
+		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
+			rnd := rand.New(rand.NewSource(1))
+			state := func() State {
+				return State{
+					Load: rnd.Float64() * 400, FreeSlots: float64(rnd.Intn(8)),
+					MeanPower: 60 + rnd.Float64()*60, SiteLoad: rnd.Float64() * 2000,
+				}
+			}
+			m := NewShared()
+			for c := 0; c < CapacityPerAgent; c++ {
+				for a := 0; a < agents; a++ {
+					e := exp(a, c, float64(rnd.Intn(7)), 0.1+rnd.Float64()*1.4)
+					e.State = state()
+					m.Record(e)
+				}
+			}
+			queries := make([]State, 64)
+			for i := range queries {
+				queries[i] = state()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkExperience, _ = m.BestFor(queries[i%len(queries)])
+			}
+		})
+	}
+}
+
+var sinkExperience Experience
