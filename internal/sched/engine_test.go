@@ -373,27 +373,6 @@ func TestHeavyLoadBacklogDrains(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineRun500(b *testing.B) {
-	r := rng.NewStream(1, "bench")
-	pcfg := platform.DefaultGenConfig()
-	pcfg.Sites = 3
-	pcfg.MinNodesPerSite, pcfg.MaxNodesPerSite = 2, 3
-	pl0 := platform.MustGenerate(pcfg, r.Split("platform"))
-	wcfg := workload.DefaultGenConfig()
-	wcfg.NumTasks = 500
-	wcfg.MeanInterArrival = 1
-	wcfg.SlowestSpeedMIPS = pl0.SlowestSpeed()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		rr := rng.NewStream(uint64(i), "bench-run")
-		pl := platform.MustGenerate(pcfg, rr.Split("platform"))
-		tasks := workload.MustGenerate(wcfg, rr.Split("workload"))
-		b.StartTimer()
-		MustNew(DefaultConfig(), pl, tasks, NewGreedy(), rr.Split("engine")).MustRun()
-	}
-}
-
 func TestEngineTracing(t *testing.T) {
 	r := rng.NewStream(61, "tr")
 	pcfg := platform.DefaultGenConfig()

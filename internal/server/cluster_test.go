@@ -123,9 +123,11 @@ func TestClusterFigureMatchesSolo(t *testing.T) {
 	}
 }
 
-// dyingWorker proxies one worker and simulates its death: after serving
-// one full-result response, every later request fails with a 500 — the
-// coordinator's next lease against it dies mid-flight.
+// dyingWorker proxies one worker and simulates its death inside a lease:
+// submits and status polls pass through, but the first full-result fetch
+// and every request after it fail with a 500. The victim's first lease is
+// therefore always lost mid-flight, whichever worker drains the queue
+// first, and the coordinator must requeue that point.
 type dyingWorker struct {
 	proxy *httputil.ReverseProxy
 	mu    sync.Mutex
@@ -134,6 +136,9 @@ type dyingWorker struct {
 
 func (d *dyingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	d.mu.Lock()
+	if strings.HasSuffix(r.URL.Path, "/result") {
+		d.dead = true
+	}
 	dead := d.dead
 	d.mu.Unlock()
 	if dead {
@@ -143,11 +148,6 @@ func (d *dyingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d.proxy.ServeHTTP(w, r)
-	if strings.HasSuffix(r.URL.Path, "/result") {
-		d.mu.Lock()
-		d.dead = true
-		d.mu.Unlock()
-	}
 }
 
 // TestClusterWorkerLossReLeases kills a worker mid-campaign and checks

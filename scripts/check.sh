@@ -1,9 +1,9 @@
 #!/bin/sh
-# check.sh — the repo's pre-merge gate: vet, build, full tests, then the
-# race detector over the short-mode suite (the full figure sweeps under
-# -race would take tens of minutes; the short suite still runs every
-# parallel-runner and engine test). Pass FULL_RACE=1 to run the race
-# detector over the complete suite instead.
+# check.sh — the repo's pre-merge gate: vet, build, full tests, the race
+# detector over the short-mode suite (the full figure sweeps under -race
+# would take tens of minutes; the short suite still runs every
+# parallel-runner and engine test), then every benchmark run once. Pass
+# FULL_RACE=1 to run the race detector over the complete suite instead.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -28,11 +28,9 @@ if [ "${FULL_RACE:-0}" = "1" ]; then
 else
 	go test -race -short ./...
 fi
-# Benchmark drift check: compares current timings against the committed
-# BENCH_*.json baselines. A >20% slowdown prints a warning table (and a
-# CI step-summary entry) but never fails the gate — single runs are too
-# noisy to block on. Skip entirely with SKIP_BENCH_COMPARE=1.
-if [ "${SKIP_BENCH_COMPARE:-0}" != "1" ]; then
-	go run ./cmd/benchcmp
-fi
+# Benchmark smoke: every Go benchmark runs exactly once, so a benchmark
+# that no longer builds or fails its own checks (each b.Fatal()s on error)
+# breaks the gate. No timing is compared here; the perfbench module and
+# BENCHMARK.json are the repo's benchmark record.
+go test -run '^$' -bench . -benchtime 1x ./...
 echo "check.sh: all gates passed"
