@@ -136,28 +136,16 @@ func NewEngine(cfg EngineConfig, pl *Platform, tasks []*Task, policy Policy, r *
 	return sched.New(cfg, pl, tasks, policy, r)
 }
 
-// Figure constructors, one per evaluation figure of the paper.
-var (
-	// Figure7 reproduces average response time vs task count.
-	Figure7 = experiments.Figure7
-	// Figure8 reproduces energy consumption vs task count.
-	Figure8 = experiments.Figure8
-	// Figure9 reproduces utilisation vs learning cycles, heavily loaded.
-	Figure9 = experiments.Figure9
-	// Figure10 reproduces utilisation vs learning cycles, lightly loaded.
-	Figure10 = experiments.Figure10
-	// Figure11 reproduces successful rate vs resource heterogeneity.
-	Figure11 = experiments.Figure11
-	// Figure12 reproduces energy consumption vs resource heterogeneity.
-	Figure12 = experiments.Figure12
-)
+// FigureByID regenerates one figure by identifier: "7".."12", "E1".."E3"
+// or their "figureN" forms.
+func FigureByID(p Profile, id string) (Figure, error) {
+	return experiments.FigureByID(context.Background(), p, id)
+}
 
-// FigureByID dispatches a figure constructor by identifier ("7".."12").
-func FigureByID(p Profile, id string) (Figure, error) { return experiments.FigureByID(p, id) }
-
-// AllFigureIDs lists the reproducible figures in paper order.
+// AllFigureIDs lists the reproducible paper figures in paper order.
 func AllFigureIDs() []string {
-	return append([]string(nil), experiments.AllFigureIDs...)
+	ids, _ := experiments.FigureIDs(experiments.FigureIDAll) // a table group: never an error
+	return ids
 }
 
 // AllFigures regenerates every figure under the profile.
@@ -316,12 +304,12 @@ func RunManyContext(ctx context.Context, p Profile, specs []RunSpec) ([]Result, 
 
 // FigureByIDContext is FigureByID under a context.
 func FigureByIDContext(ctx context.Context, p Profile, id string) (Figure, error) {
-	return experiments.FigureByIDCtx(ctx, p, id)
+	return experiments.FigureByID(ctx, p, id)
 }
 
 // AllFiguresContext is AllFigures under a context.
 func AllFiguresContext(ctx context.Context, p Profile) ([]Figure, error) {
-	return experiments.AllCtx(ctx, p)
+	return experiments.Figures(ctx, p, experiments.FigureIDAll)
 }
 
 // Simulation-state probes: in-sim time-series telemetry sampled on the

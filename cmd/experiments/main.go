@@ -1,8 +1,9 @@
-// Command experiments regenerates the paper's evaluation figures (7-12).
+// Command experiments regenerates the paper's evaluation figures (7-12)
+// and the extension figures (E1-E3).
 //
 // Usage:
 //
-//	experiments [-fig 7|8|9|10|11|12|all] [-reps N] [-seed S]
+//	experiments [-fig 7..12|E1..E3|all|ext] [-reps N] [-seed S]
 //	            [-period T] [-sizescale F] [-workers W] [-csv] [-chart]
 //
 // Each figure prints as an aligned table (default), optionally with an
@@ -10,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -31,7 +33,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	figID := fs.String("fig", "all", "figure to regenerate: 7..12, E1, E2, ext, or all")
+	figID := fs.String("fig", "all", "figure to regenerate: 7..12, E1..E3, ext, or all")
 	reps := fs.Int("reps", 0, "replications per point (0 = profile default)")
 	seed := fs.Uint64("seed", 0, "base seed (0 = profile default)")
 	period := fs.Float64("period", 0, "observation period override (time units)")
@@ -90,13 +92,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	ids := experiments.AllFigureIDs
-	switch *figID {
-	case "all":
-	case "ext":
-		ids = experiments.ExtensionFigureIDs
-	default:
-		ids = []string{*figID}
+	ids, err := experiments.FigureIDs(*figID)
+	if err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
 	}
 	var htmlRep *report.HTMLReport
 	if *reportPath != "" {
@@ -110,10 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		fig, err := experiments.FigureByID(profile, id)
-		if err != nil {
-			fig, err = experiments.ExtensionFigureByID(profile, id)
-		}
+		fig, err := experiments.FigureByID(context.Background(), profile, id)
 		if err != nil {
 			fmt.Fprintf(stderr, "experiments: %v\n", err)
 			return 1

@@ -23,8 +23,8 @@ func TestRunUnknownFigure(t *testing.T) {
 	if code := run([]string{"-fig", "99"}, &out, &errOut); code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
-	if !strings.Contains(errOut.String(), "unknown") {
-		t.Fatalf("stderr: %q", errOut.String())
+	if msg := errOut.String(); !strings.Contains(msg, `unknown figure "99"`) || strings.Contains(msg, "extension figure") {
+		t.Fatalf("stderr: %q", msg)
 	}
 }
 
@@ -35,23 +35,27 @@ func TestRunBadConfigPath(t *testing.T) {
 	}
 }
 
-// TestRunTinyFigure regenerates figure 10 under a deliberately tiny
-// config file: the full CLI path from flags through config.Load to the
-// figure sweep and table report.
+// TestRunTinyFigure regenerates figure 10 and the extension group under
+// a deliberately tiny config file: the full CLI path from flags through
+// config.Load to the figure sweep and table report.
 func TestRunTinyFigure(t *testing.T) {
 	cfgPath := filepath.Join(t.TempDir(), "tiny.json")
 	cfg := `{"profile": {"Replications": 1, "ObservationPeriod": 300, "LightTasks": 30, "HeavyTasks": 50, "Workers": 2}}`
 	if err := os.WriteFile(cfgPath, []byte(cfg), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-fig", "10", "-config", cfgPath, "-csv"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit code = %d, stderr=%q", code, errOut.String())
-	}
-	s := out.String()
-	for _, want := range []string{"figure10", "regenerated in"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("stdout missing %q:\n%s", want, s)
+	for fig, ids := range map[string][]string{
+		"10":  {"figure10"},
+		"ext": {"figureE1", "figureE2", "figureE3"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-fig", fig, "-config", cfgPath, "-csv"}, &out, &errOut); code != 0 {
+			t.Fatalf("-fig %s: exit code = %d, stderr=%q", fig, code, errOut.String())
+		}
+		for _, id := range ids {
+			if want := "(" + id + " regenerated in"; !strings.Contains(out.String(), want) {
+				t.Fatalf("-fig %s: stdout missing %q:\n%s", fig, want, out.String())
+			}
 		}
 	}
 }

@@ -33,9 +33,8 @@
 //	fmt.Printf("AveRT=%.1f  ECS=%.2fM  success=%.2f\n",
 //		result.AveRT, result.ECS/1e6, result.SuccessRate)
 //
-// Figures are regenerated with the constructors Figure7 … Figure12 (or
-// FigureByID / AllFigures) and rendered with RenderTable, RenderChart and
-// RenderCSV. The cmd/experiments binary wraps exactly that flow.
+// Figures are regenerated with FigureByID (or AllFigures) and rendered
+// with RenderTable, RenderChart and RenderCSV. The cmd/experiments binary wraps exactly that flow.
 //
 // Everything is deterministic: a (Profile, RunSpec) pair with a fixed
 // Seed reproduces results bit-for-bit.

@@ -101,7 +101,7 @@ func ExampleReadWorkloadTrace() {
 func ExampleRenderTable() {
 	p := rlsched.DefaultProfile()
 	p.Replications = 1
-	fig, err := rlsched.Figure12(p)
+	fig, err := rlsched.FigureByID(p, "12")
 	if err != nil {
 		panic(err)
 	}

@@ -31,7 +31,7 @@ func main() {
 	// as a table and an ASCII chart.
 	small := profile
 	small.Replications = 1
-	fig, err := rlsched.Figure7(small)
+	fig, err := rlsched.FigureByID(small, "7")
 	if err != nil {
 		log.Fatal(err)
 	}

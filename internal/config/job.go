@@ -35,8 +35,9 @@ type JobSpec struct {
 	// Kind selects the job shape: JobFigure or JobPoints. Required.
 	Kind string `json:"kind"`
 	// Figure identifies the figure for JobFigure jobs: "7".."12",
-	// "E1".."E3", their "figureN" forms, or "all" for the six paper
-	// figures. Stored canonically after Normalize.
+	// "E1".."E3", their "figureN" forms, "all" for the six paper figures
+	// or "ext" for the three extension figures. Stored canonically after
+	// Normalize.
 	Figure string `json:"figure,omitempty"`
 	// Points lists the simulation points for JobPoints jobs.
 	Points []experiments.RunSpec `json:"points,omitempty"`

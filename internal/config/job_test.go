@@ -219,6 +219,18 @@ func TestJobTotalPoints(t *testing.T) {
 	if all <= n {
 		t.Fatalf("TotalPoints(all) = %d, want > %d", all, n)
 	}
+	ext, err := UnmarshalJob([]byte(`{"kind": "figure", "figure": "ext", "profile": {"Replications": 2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext.Figure != "ext" {
+		t.Fatalf("ext normalized to %q", ext.Figure)
+	}
+	// E1: two policies x five failure rates; E2: four policies x two
+	// arrival processes; E3: three priority mixes; two replications each.
+	if got, err := ext.TotalPoints(); err != nil || got != (10+8+3)*2 {
+		t.Fatalf("TotalPoints(ext) = %d, %v; want 42", got, err)
+	}
 }
 
 func TestJobMarshalIsHumanReadable(t *testing.T) {

@@ -47,7 +47,8 @@ const (
 	QPlus      PolicyName = "q+-learning"
 	Predictive PolicyName = "prediction-based"
 	// Greedy is the non-learning reference policy (not part of the
-	// paper's comparison; used by ablation benches).
+	// paper's comparison; Figure E1's reference and the no-learning arm
+	// of the cmd/experiments -ablations table).
 	Greedy PolicyName = "greedy"
 	// RoundRobin and Random are naive lower-bound references.
 	RoundRobin PolicyName = "round-robin"
@@ -262,7 +263,8 @@ func Build(p Profile, spec RunSpec) (*platform.Platform, []*workload.Task, error
 }
 
 // workloadGen produces the task list for one scenario; it exists so the
-// bursty extension can reuse buildScenario with a different generator.
+// bursty extension (Figure E2) can run its points with a different
+// generator.
 type workloadGen func(workload.GenConfig, *rng.Stream) ([]*workload.Task, error)
 
 // buildScenario constructs the platform and workload for one simulation
@@ -352,11 +354,16 @@ func runScenario(p Profile, spec RunSpec, policy sched.Policy, gen workloadGen) 
 
 // Run executes one simulation point under the profile.
 func Run(p Profile, spec RunSpec) (sched.Result, error) {
+	return runGen(p, spec, workload.Generate)
+}
+
+// runGen is Run with the workload generator gen.
+func runGen(p Profile, spec RunSpec, gen workloadGen) (sched.Result, error) {
 	policy, err := NewPolicy(spec.Policy)
 	if err != nil {
 		return sched.Result{}, err
 	}
-	return RunWith(p, spec, policy)
+	return runScenario(p, spec, policy, gen)
 }
 
 // MustRun is Run that panics on error.
@@ -375,21 +382,12 @@ type PointStat struct {
 }
 
 // runReplications executes the spec across seeds (in parallel, per the
-// profile's worker count) and reduces each result through extract.
-func runReplications(ctx context.Context, p Profile, spec RunSpec, extract func(sched.Result) float64) (PointStat, error) {
-	results, err := RunManyCtx(ctx, p, replicate(p, []RunSpec{spec}))
+// profile's worker count) with the workload generator gen (nil is
+// workload.Generate) and reduces each result through extract.
+func runReplications(ctx context.Context, p Profile, spec RunSpec, gen workloadGen, extract func(sched.Result) float64) (PointStat, error) {
+	results, err := runMany(ctx, p, replicate(p, []RunSpec{spec}), gen)
 	if err != nil {
 		return PointStat{}, err
 	}
 	return pointStats(p, results, extract)[0], nil
-}
-
-// seriesReplications averages a per-run series (e.g. utilisation by cycle
-// decile) element-wise over replications.
-func seriesReplications(ctx context.Context, p Profile, spec RunSpec, extract func(sched.Result) []float64) ([]float64, error) {
-	results, err := RunManyCtx(ctx, p, replicate(p, []RunSpec{spec}))
-	if err != nil {
-		return nil, err
-	}
-	return pointSeries(p, results, extract)[0], nil
 }

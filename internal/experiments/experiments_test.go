@@ -134,7 +134,7 @@ func TestFigure12Shape(t *testing.T) {
 	// Figure 12 is the cheapest full figure (Adaptive-RL only); verify
 	// structure and that all points are positive.
 	p := fastProfile()
-	fig, err := Figure12(p)
+	fig, err := figure12(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestFigure12Shape(t *testing.T) {
 func TestFigureByIDDispatch(t *testing.T) {
 	p := fastProfile()
 	for _, alias := range []string{"12", "figure12"} {
-		fig, err := FigureByID(p, alias)
+		fig, err := FigureByID(context.Background(), p, alias)
 		if err != nil {
 			t.Fatalf("FigureByID(%s): %v", alias, err)
 		}
@@ -171,15 +171,17 @@ func TestFigureByIDDispatch(t *testing.T) {
 			t.Fatalf("FigureByID(%s) = %s", alias, fig.ID)
 		}
 	}
-	if _, err := FigureByID(p, "13"); err == nil {
-		t.Fatal("expected error for unknown figure")
+	for _, bad := range []string{"13", "all", "ext"} {
+		if _, err := FigureByID(context.Background(), p, bad); err == nil {
+			t.Fatalf("FigureByID(%q): expected error", bad)
+		}
 	}
 }
 
 func TestUtilizationFigureStructure(t *testing.T) {
 	p := fastProfile()
 	p.LightTasks = 200
-	fig, err := Figure10(p)
+	fig, err := figure10(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +203,7 @@ func TestUtilizationFigureStructure(t *testing.T) {
 func TestPointStatAggregation(t *testing.T) {
 	p := fastProfile()
 	p.Replications = 3
-	pt, err := runReplications(context.Background(), p, RunSpec{Policy: Greedy, NumTasks: 100},
+	pt, err := runReplications(context.Background(), p, RunSpec{Policy: Greedy, NumTasks: 100}, nil,
 		func(r sched.Result) float64 { return r.AveRT })
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +259,7 @@ func TestExtensionFigureDispatch(t *testing.T) {
 	p := fastProfile()
 	p.LightTasks, p.HeavyTasks = 100, 300
 	for _, id := range []string{"E1", "E2", "E3"} {
-		fig, err := ExtensionFigureByID(p, id)
+		fig, err := FigureByID(context.Background(), p, id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -270,7 +272,7 @@ func TestExtensionFigureDispatch(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ExtensionFigureByID(p, "E9"); err == nil {
+	if _, err := FigureByID(context.Background(), p, "E9"); err == nil {
 		t.Fatal("expected error for unknown extension figure")
 	}
 }

@@ -18,12 +18,10 @@ import (
 // time units (0 = no failures).
 var FailureMTBFLevels = []float64{0, 800, 400, 200, 100}
 
-// FigureE1 sweeps processor failure rates at the heavy load point for
+// figureE1 sweeps processor failure rates at the heavy load point for
 // Adaptive-RL and the greedy reference: deadline success degrades with the
 // failure rate while every task still completes (aborted executions
 // re-run).
-func FigureE1(p Profile) (Figure, error) { return figureE1(context.Background(), p) }
-
 func figureE1(ctx context.Context, p Profile) (Figure, error) {
 	fig := Figure{
 		ID:     "figureE1",
@@ -42,7 +40,7 @@ func figureE1(ctx context.Context, p Profile) (Figure, error) {
 			if mtbf > 0 {
 				prof.Engine.RepairTime = 25
 			}
-			pt, err := runReplications(ctx, prof, RunSpec{Policy: name, NumTasks: p.HeavyTasks},
+			pt, err := runReplications(ctx, prof, RunSpec{Policy: name, NumTasks: p.HeavyTasks}, nil,
 				func(r sched.Result) float64 { return r.SuccessRate })
 			if err != nil {
 				return Figure{}, fmt.Errorf("%s/%s/mtbf=%g: %w", fig.ID, name, mtbf, err)
@@ -60,11 +58,9 @@ func figureE1(ctx context.Context, p Profile) (Figure, error) {
 	return fig, nil
 }
 
-// FigureE2 compares the four learning approaches on a bursty arrival
+// figureE2 compares the four learning approaches on a bursty arrival
 // process (same long-run rate as the heavy Poisson point, 4x bursts):
 // burstiness amplifies the gap between adaptive and static grouping.
-func FigureE2(p Profile) (Figure, error) { return figureE2(context.Background(), p) }
-
 func figureE2(ctx context.Context, p Profile) (Figure, error) {
 	fig := Figure{
 		ID:     "figureE2",
@@ -74,10 +70,21 @@ func figureE2(ctx context.Context, p Profile) (Figure, error) {
 		Expected: "Every policy degrades under bursts; Adaptive-RL degrades least at the " +
 			"heavy point.",
 	}
+	bursty := func(cfg workload.GenConfig, r *rng.Stream) ([]*workload.Task, error) {
+		return workload.GenerateBursty(workload.BurstyConfig{
+			GenConfig:    cfg,
+			BurstFactor:  4,
+			MeanBurstLen: 50,
+			MeanGapLen:   200,
+		}, r)
+	}
 	for _, name := range AllPolicies {
 		s := Series{Label: string(name)}
-		for i, bursty := range []bool{false, true} {
-			pt, err := runBurstyReplications(ctx, p, name, bursty)
+		// nil is the default Poisson generator: only that point may come
+		// from the daemon's result cache or a cluster worker.
+		for i, gen := range []workloadGen{nil, bursty} {
+			pt, err := runReplications(ctx, p, RunSpec{Policy: name, NumTasks: p.HeavyTasks}, gen,
+				func(r sched.Result) float64 { return r.AveRT })
 			if err != nil {
 				return Figure{}, fmt.Errorf("%s/%s: %w", fig.ID, name, err)
 			}
@@ -88,45 +95,6 @@ func figureE2(ctx context.Context, p Profile) (Figure, error) {
 		fig.Series = append(fig.Series, s)
 	}
 	return fig, nil
-}
-
-// runBurstyReplications mirrors runReplications but generates the workload
-// with the modulated-Poisson generator when bursty is set: the same
-// scenario pipeline (and worker pool) with only the generator swapped.
-func runBurstyReplications(ctx context.Context, p Profile, name PolicyName, bursty bool) (PointStat, error) {
-	extract := func(r sched.Result) float64 { return r.AveRT }
-	if !bursty {
-		return runReplications(ctx, p, RunSpec{Policy: name, NumTasks: p.HeavyTasks}, extract)
-	}
-	gen := func(cfg workload.GenConfig, r *rng.Stream) ([]*workload.Task, error) {
-		return workload.GenerateBursty(workload.BurstyConfig{
-			GenConfig:    cfg,
-			BurstFactor:  4,
-			MeanBurstLen: 50,
-			MeanGapLen:   200,
-		}, r)
-	}
-	specs := replicate(p, []RunSpec{{Policy: name, NumTasks: p.HeavyTasks}})
-	results := make([]sched.Result, len(specs))
-	err := forEachPoint(ctx, p.workerCount(), len(specs), func(i int) error {
-		policy, err := NewPolicy(name)
-		if err != nil {
-			return err
-		}
-		res, err := runScenario(p, specs[i], policy, gen)
-		if err != nil {
-			return fmt.Errorf("bursty seed=%d: %w", specs[i].Seed, err)
-		}
-		results[i] = res
-		if p.Progress != nil {
-			p.Progress()
-		}
-		return nil
-	})
-	if err != nil {
-		return PointStat{}, err
-	}
-	return pointStats(p, results, extract)[0], nil
 }
 
 // PriorityMixes is the Figure E3 sweep: the §V.A note "the probabilities
@@ -141,11 +109,9 @@ var PriorityMixes = []struct {
 	{"high-heavy (10/30/60)", workload.PriorityMix{Low: 0.1, Medium: 0.3, High: 0.6}},
 }
 
-// FigureE3 sweeps the priority mix at the heavy point for Adaptive-RL,
+// figureE3 sweeps the priority mix at the heavy point for Adaptive-RL,
 // reporting the overall successful rate: urgent-dominated populations are
 // harder because high-priority deadlines leave almost no waiting budget.
-func FigureE3(p Profile) (Figure, error) { return figureE3(context.Background(), p) }
-
 func figureE3(ctx context.Context, p Profile) (Figure, error) {
 	fig := Figure{
 		ID:     "figureE3",
@@ -159,7 +125,7 @@ func figureE3(ctx context.Context, p Profile) (Figure, error) {
 	for i, m := range PriorityMixes {
 		prof := p
 		prof.Mix = m.Mix
-		pt, err := runReplications(ctx, prof, RunSpec{Policy: AdaptiveRL, NumTasks: p.HeavyTasks},
+		pt, err := runReplications(ctx, prof, RunSpec{Policy: AdaptiveRL, NumTasks: p.HeavyTasks}, nil,
 			func(r sched.Result) float64 { return r.SuccessRate })
 		if err != nil {
 			return Figure{}, fmt.Errorf("%s/%s: %w", fig.ID, m.Label, err)
@@ -170,27 +136,4 @@ func figureE3(ctx context.Context, p Profile) (Figure, error) {
 	}
 	fig.Series = append(fig.Series, s)
 	return fig, nil
-}
-
-// ExtensionFigureIDs lists the extension figures.
-var ExtensionFigureIDs = []string{"figureE1", "figureE2", "figureE3"}
-
-// ExtensionFigureByID dispatches an extension figure constructor.
-func ExtensionFigureByID(p Profile, id string) (Figure, error) {
-	return ExtensionFigureByIDCtx(context.Background(), p, id)
-}
-
-// ExtensionFigureByIDCtx is ExtensionFigureByID under a context:
-// cancelling ctx abandons the sweep and returns the context's error.
-func ExtensionFigureByIDCtx(ctx context.Context, p Profile, id string) (Figure, error) {
-	switch id {
-	case "E1", "figureE1":
-		return figureE1(ctx, p)
-	case "E2", "figureE2":
-		return figureE2(ctx, p)
-	case "E3", "figureE3":
-		return figureE3(ctx, p)
-	default:
-		return Figure{}, fmt.Errorf("experiments: unknown extension figure %q", id)
-	}
 }

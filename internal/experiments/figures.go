@@ -38,11 +38,9 @@ var HeterogeneityLevels = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 // CycleFractions is the Figure 9/10 x-axis (% learning cycles).
 var CycleFractions = []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 
-// Figure7 reproduces "Average response time with different learning
+// figure7 reproduces "Average response time with different learning
 // approaches": AveRT (t units) versus the number of tasks for all four
 // policies.
-func Figure7(p Profile) (Figure, error) { return figure7(context.Background(), p) }
-
 func figure7(ctx context.Context, p Profile) (Figure, error) {
 	return sweepByPolicy(ctx, p, Figure{
 		ID:     "figure7",
@@ -54,11 +52,9 @@ func figure7(ctx context.Context, p Profile) (Figure, error) {
 	}, func(r sched.Result) float64 { return r.AveRT })
 }
 
-// Figure8 reproduces "Average energy consumption with different learning
+// figure8 reproduces "Average energy consumption with different learning
 // approaches": ECS (millions of watt·time-units) versus the number of
 // tasks for all four policies.
-func Figure8(p Profile) (Figure, error) { return figure8(context.Background(), p) }
-
 func figure8(ctx context.Context, p Profile) (Figure, error) {
 	return sweepByPolicy(ctx, p, Figure{
 		ID:     "figure8",
@@ -99,11 +95,9 @@ func sweepByPolicy(ctx context.Context, p Profile, fig Figure, extract func(sche
 	return fig, nil
 }
 
-// Figure9 reproduces "Utilisation rate between Adaptive-RL and Online RL
+// figure9 reproduces "Utilisation rate between Adaptive-RL and Online RL
 // in heavily loaded state": windowed utilisation versus % learning cycles
 // at the heavy task count.
-func Figure9(p Profile) (Figure, error) { return figure9(context.Background(), p) }
-
 func figure9(ctx context.Context, p Profile) (Figure, error) {
 	return utilizationFigure(ctx, p, Figure{
 		ID:     "figure9",
@@ -115,9 +109,7 @@ func figure9(ctx context.Context, p Profile) (Figure, error) {
 	}, p.HeavyTasks, "heavily-loaded")
 }
 
-// Figure10 reproduces the same comparison in the lightly loaded state.
-func Figure10(p Profile) (Figure, error) { return figure10(context.Background(), p) }
-
+// figure10 reproduces the same comparison in the lightly loaded state.
 func figure10(ctx context.Context, p Profile) (Figure, error) {
 	return utilizationFigure(ctx, p, Figure{
 		ID:     "figure10",
@@ -153,10 +145,8 @@ func utilizationFigure(ctx context.Context, p Profile, fig Figure, numTasks int,
 	return fig, nil
 }
 
-// Figure11 reproduces "Successful rate of Adaptive-RL in lightly- and
+// figure11 reproduces "Successful rate of Adaptive-RL in lightly- and
 // heavily-loaded states" across resource heterogeneity.
-func Figure11(p Profile) (Figure, error) { return figure11(context.Background(), p) }
-
 func figure11(ctx context.Context, p Profile) (Figure, error) {
 	return heterogeneityFigure(ctx, p, Figure{
 		ID:     "figure11",
@@ -168,10 +158,8 @@ func figure11(ctx context.Context, p Profile) (Figure, error) {
 	}, func(r sched.Result) float64 { return r.SuccessRate })
 }
 
-// Figure12 reproduces "Average energy consumption of Adaptive-RL in
+// figure12 reproduces "Average energy consumption of Adaptive-RL in
 // lightly- and heavily-loaded states" across resource heterogeneity.
-func Figure12(p Profile) (Figure, error) { return figure12(context.Background(), p) }
-
 func figure12(ctx context.Context, p Profile) (Figure, error) {
 	return heterogeneityFigure(ctx, p, Figure{
 		ID:     "figure12",
@@ -215,120 +203,129 @@ func heterogeneityFigure(ctx context.Context, p Profile, fig Figure, extract fun
 	return fig, nil
 }
 
-// FigureByID dispatches a figure constructor by its identifier (7-12).
-func FigureByID(p Profile, id string) (Figure, error) {
-	return FigureByIDCtx(context.Background(), p, id)
-}
-
-// FigureByIDCtx is FigureByID under a context: cancelling ctx abandons
-// the sweep and returns the context's error.
-func FigureByIDCtx(ctx context.Context, p Profile, id string) (Figure, error) {
-	switch id {
-	case "7", "figure7":
-		return figure7(ctx, p)
-	case "8", "figure8":
-		return figure8(ctx, p)
-	case "9", "figure9":
-		return figure9(ctx, p)
-	case "10", "figure10":
-		return figure10(ctx, p)
-	case "11", "figure11":
-		return figure11(ctx, p)
-	case "12", "figure12":
-		return figure12(ctx, p)
-	default:
-		return Figure{}, fmt.Errorf("experiments: unknown figure %q", id)
-	}
-}
-
-// AllFigureIDs lists the reproducible figures in paper order.
-var AllFigureIDs = []string{"figure7", "figure8", "figure9", "figure10", "figure11", "figure12"}
-
-// FigureIDAll is the CanonicalFigureID alias for the whole paper campaign
-// (AllCtx): every figure in AllFigureIDs.
+// FigureIDAll is the CanonicalFigureID group of the six paper figures
+// (All).
 const FigureIDAll = "all"
 
+// figureTable is the one list of figures: resolving an ID, counting its
+// points, dispatching it and running a group all read it. A row's ID
+// without its "figure" prefix ("7", "E1") is an alias; group names a set
+// of rows run together ("all", "ext").
+var figureTable = []struct {
+	id, group string
+	run       func(context.Context, Profile) (Figure, error)
+	// points is the number of base points the constructor runs, each
+	// replicated Profile.Replications times.
+	points func() int
+}{
+	{"figure7", FigureIDAll, figure7, func() int { return len(AllPolicies) * len(TaskCounts) }},
+	{"figure8", FigureIDAll, figure8, func() int { return len(AllPolicies) * len(TaskCounts) }},
+	{"figure9", FigureIDAll, figure9, func() int { return 2 }}, // AdaptiveRL and OnlineRL
+	{"figure10", FigureIDAll, figure10, func() int { return 2 }},
+	{"figure11", FigureIDAll, figure11, func() int { return 2 * len(HeterogeneityLevels) }}, // heavy and light
+	{"figure12", FigureIDAll, figure12, func() int { return 2 * len(HeterogeneityLevels) }},
+	{"figureE1", "ext", figureE1, func() int { return 2 * len(FailureMTBFLevels) }}, // AdaptiveRL and Greedy
+	{"figureE2", "ext", figureE2, func() int { return len(AllPolicies) * 2 }},       // Poisson and bursty
+	{"figureE3", "ext", figureE3, func() int { return len(PriorityMixes) }},
+}
+
+// resolveFigure returns the canonical form of id and the table rows it
+// names: one row for a figure alias, every member in table order for a
+// group.
+func resolveFigure(id string) (string, []int, error) {
+	var rows []int
+	for i, f := range figureTable {
+		if id == f.id || "figure"+id == f.id {
+			return f.id, []int{i}, nil
+		}
+		if id == f.group {
+			rows = append(rows, i)
+		}
+	}
+	if len(rows) == 0 {
+		return "", nil, fmt.Errorf("experiments: unknown figure %q", id)
+	}
+	return id, rows, nil
+}
+
 // CanonicalFigureID resolves the accepted figure aliases — "7".."12",
-// "E1".."E3", their "figureN" forms and "all" — to the canonical
-// identifier used by FigureByIDCtx / ExtensionFigureByIDCtx / AllCtx.
+// "E1".."E3", their "figureN" forms and the groups "all" and "ext" — to
+// the canonical identifier job specs store.
 func CanonicalFigureID(id string) (string, error) {
-	if id == FigureIDAll {
-		return FigureIDAll, nil
+	canon, _, err := resolveFigure(id)
+	return canon, err
+}
+
+// FigureIDs lists the canonical IDs of the figures id names, in paper
+// order: the figure itself, or every member of a group.
+func FigureIDs(id string) ([]string, error) {
+	_, rows, err := resolveFigure(id)
+	if err != nil {
+		return nil, err
 	}
-	for _, canon := range AllFigureIDs {
-		if id == canon || "figure"+id == canon {
-			return canon, nil
-		}
+	ids := make([]string, len(rows))
+	for i, r := range rows {
+		ids[i] = figureTable[r].id
 	}
-	for _, canon := range ExtensionFigureIDs {
-		if id == canon || "figure"+id == canon {
-			return canon, nil
-		}
-	}
-	return "", fmt.Errorf("experiments: unknown figure %q", id)
+	return ids, nil
 }
 
 // PointCount reports how many simulation points — replications included —
-// regenerating the figure with the given id (any CanonicalFigureID alias,
-// including "all") runs under the profile. It equals the number of
-// Progress callbacks the regeneration makes, which is what lets a caller
-// turn the per-point hook into a completion fraction.
+// regenerating the figure or group with the given id (any
+// CanonicalFigureID alias) runs under the profile. It equals the number
+// of Progress callbacks the regeneration makes, which is what lets a
+// caller turn the per-point hook into a completion fraction.
 func PointCount(p Profile, id string) (int, error) {
-	canon, err := CanonicalFigureID(id)
+	_, rows, err := resolveFigure(id)
 	if err != nil {
 		return 0, err
 	}
-	r := p.Replications
-	switch canon {
-	case FigureIDAll:
-		total := 0
-		for _, fid := range AllFigureIDs {
-			n, err := PointCount(p, fid)
-			if err != nil {
-				return 0, err
-			}
-			total += n
-		}
-		return total, nil
-	case "figure7", "figure8":
-		return len(AllPolicies) * len(TaskCounts) * r, nil
-	case "figure9", "figure10":
-		return 2 * r, nil // AdaptiveRL and OnlineRL at one task count
-	case "figure11", "figure12":
-		return 2 * len(HeterogeneityLevels) * r, nil // light and heavy
-	case "figureE1":
-		return 2 * len(FailureMTBFLevels) * r, nil // AdaptiveRL and Greedy
-	case "figureE2":
-		return len(AllPolicies) * 2 * r, nil // Poisson and bursty
-	case "figureE3":
-		return len(PriorityMixes) * r, nil
+	n := 0
+	for _, r := range rows {
+		n += figureTable[r].points()
 	}
-	return 0, fmt.Errorf("experiments: unknown figure %q", id)
+	return n * p.Replications, nil
 }
 
-// All regenerates every figure, running the figures themselves
+// FigureByID regenerates one figure by any alias of its ID; a group name
+// is an error. Cancelling ctx abandons the sweep and returns the
+// context's error.
+func FigureByID(ctx context.Context, p Profile, id string) (Figure, error) {
+	canon, rows, err := resolveFigure(id)
+	if err != nil {
+		return Figure{}, err
+	}
+	if f := figureTable[rows[0]]; f.id == canon {
+		return f.run(ctx, p)
+	}
+	return Figure{}, fmt.Errorf("experiments: %q is a group of figures", id)
+}
+
+// Figures regenerates every figure id names — one figure, or each member
+// of a group in paper order — running the figures themselves
 // concurrently on the profile's worker pool. Each figure additionally
 // fans its own points out, so small figures (9/10 have four points) do
 // not serialise the campaign behind the big sweeps; the Go scheduler
-// bounds actual parallelism at GOMAXPROCS regardless.
-func All(p Profile) ([]Figure, error) {
-	return AllCtx(context.Background(), p)
-}
-
-// AllCtx is All under a context: cancelling ctx abandons the campaign
-// and returns the context's error.
-func AllCtx(ctx context.Context, p Profile) ([]Figure, error) {
-	out := make([]Figure, len(AllFigureIDs))
-	err := forEachPoint(ctx, p.workerCount(), len(AllFigureIDs), func(i int) error {
-		fig, err := FigureByIDCtx(ctx, p, AllFigureIDs[i])
-		if err != nil {
-			return err
-		}
+// bounds actual parallelism at GOMAXPROCS regardless. Cancelling ctx
+// abandons the campaign and returns the context's error.
+func Figures(ctx context.Context, p Profile, id string) ([]Figure, error) {
+	_, rows, err := resolveFigure(id)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Figure, len(rows))
+	err = forEachPoint(ctx, p.workerCount(), len(rows), func(i int) error {
+		fig, err := figureTable[rows[i]].run(ctx, p)
 		out[i] = fig
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// All regenerates the six paper figures (Figures under FigureIDAll).
+func All(p Profile) ([]Figure, error) {
+	return Figures(context.Background(), p, FigureIDAll)
 }

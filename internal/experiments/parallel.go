@@ -13,6 +13,7 @@ import (
 	"rlsched/internal/obs"
 	"rlsched/internal/sched"
 	"rlsched/internal/stats"
+	"rlsched/internal/workload"
 )
 
 // PointError reports a panic captured while running one simulation point.
@@ -153,15 +154,25 @@ func RunMany(p Profile, specs []RunSpec) ([]sched.Result, error) {
 // profile's Metrics registry (if set) records the point's wall-clock
 // duration, and points slower than SlowPointSec are logged as warnings.
 func RunManyCtx(ctx context.Context, p Profile, specs []RunSpec) ([]sched.Result, error) {
+	return runMany(ctx, p, specs, nil)
+}
+
+// runMany is RunManyCtx with the workload generator gen; nil means
+// workload.Generate.
+func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen) ([]sched.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	// A pluggable executor (cache lookup, cluster fan-out) takes the
 	// whole campaign — unless the profile carries in-process
 	// instrumentation (probes, audit recorders, tracers) that only a
-	// local run can feed.
-	if p.RunPoints != nil && !p.InProcess() {
-		return p.RunPoints(ctx, p, specs)
+	// local run can feed, or the points use a non-default generator,
+	// which a cache entry or a cluster worker cannot know.
+	if gen == nil {
+		if p.RunPoints != nil && !p.InProcess() {
+			return p.RunPoints(ctx, p, specs)
+		}
+		gen = workload.Generate
 	}
 	// Resolve instrumentation once, outside the hot loop: points pay a
 	// clock read only when someone is listening.
@@ -190,7 +201,7 @@ func RunManyCtx(ctx context.Context, p Profile, specs []RunSpec) ([]sched.Result
 		if p.PointSpan != nil {
 			endSpan = p.PointSpan(i, specs[i])
 		}
-		res, err := Run(pp, specs[i])
+		res, err := runGen(pp, specs[i], gen)
 		if endSpan != nil {
 			endSpan(err)
 		}

@@ -160,12 +160,12 @@ func TestFigure7ParallelDeterministic(t *testing.T) {
 	p := fastProfile()
 	p.LightTasks, p.HeavyTasks = 100, 300
 	p.Workers = 1
-	serial, err := Figure7(p)
+	serial, err := figure7(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Workers = 8
-	par, err := Figure7(p)
+	par, err := figure7(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +183,12 @@ func TestFigure11ParallelDeterministic(t *testing.T) {
 	p := fastProfile()
 	p.LightTasks, p.HeavyTasks = 60, 200
 	p.Workers = 1
-	serial, err := Figure11(p)
+	serial, err := figure11(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Workers = 8
-	par, err := Figure11(p)
+	par, err := figure11(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestRunManyProgressCount(t *testing.T) {
 func TestCanonicalFigureID(t *testing.T) {
 	for alias, want := range map[string]string{
 		"7": "figure7", "figure7": "figure7", "12": "figure12",
-		"E1": "figureE1", "figureE3": "figureE3", "all": "all",
+		"E1": "figureE1", "figureE3": "figureE3", "all": "all", "ext": "ext",
 	} {
 		got, err := CanonicalFigureID(alias)
 		if err != nil {
@@ -305,31 +305,38 @@ func TestCanonicalFigureID(t *testing.T) {
 			t.Fatalf("CanonicalFigureID(%q) = %q, want %q", alias, got, want)
 		}
 	}
-	for _, bad := range []string{"", "13", "figure13", "E4", "ALL"} {
+	for _, bad := range []string{"", "13", "figure13", "E4", "ALL", "EXT", "ext1"} {
 		if _, err := CanonicalFigureID(bad); err == nil {
 			t.Fatalf("CanonicalFigureID(%q): expected error", bad)
 		}
 	}
 }
 
-// TestPointCountMatchesProgress regenerates the cheapest figure and
-// checks PointCount against the observed number of Progress callbacks —
-// the invariant the daemon's completion fraction depends on.
+// TestPointCountMatchesProgress regenerates every figure row and both
+// groups and checks PointCount against the observed number of Progress
+// callbacks — the invariant the daemon's completion fraction depends on.
 func TestPointCountMatchesProgress(t *testing.T) {
 	p := fastProfile()
 	p.Replications = 2
 	p.LightTasks, p.HeavyTasks = 20, 30
 	var ticks atomic.Int32
 	p.Progress = func() { ticks.Add(1) }
-	want, err := PointCount(p, "figure10")
-	if err != nil {
-		t.Fatal(err)
+	ids := []string{FigureIDAll, "ext"}
+	for _, f := range figureTable {
+		ids = append(ids, f.id)
 	}
-	if _, err := Figure10(p); err != nil {
-		t.Fatal(err)
-	}
-	if got := ticks.Load(); got != int32(want) {
-		t.Fatalf("figure10 made %d progress ticks, PointCount says %d", got, want)
+	for _, id := range ids {
+		ticks.Store(0)
+		want, err := PointCount(p, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Figures(context.Background(), p, id); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got := ticks.Load(); got != int32(want) {
+			t.Fatalf("%s made %d progress ticks, PointCount says %d", id, got, want)
+		}
 	}
 }
 

@@ -127,7 +127,7 @@ func TestRunPointsFigureEquivalence(t *testing.T) {
 	p.LightTasks, p.HeavyTasks = 10, 15
 	p.Workers = 2
 
-	want, err := Figure10(p)
+	want, err := figure10(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,52 @@ func TestRunPointsFigureEquivalence(t *testing.T) {
 		local.RunPoints = nil
 		return RunManyCtx(ctx, local, specs)
 	}
-	got, err := Figure10(pd)
+	got, err := figure10(context.Background(), pd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() == 0 {
 		t.Fatal("executor never engaged")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("figure through executor differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestBurstyPointsRunLocally pins Figure E2's split: its Poisson points
+// may go to a RunPoints executor, but its bursty points always run on
+// the local per-point path (PointSpan fires for each), because a cache
+// entry or a cluster worker cannot know the bursty generator.
+func TestBurstyPointsRunLocally(t *testing.T) {
+	p := DefaultProfile()
+	p.Replications = 2
+	p.ObservationPeriod = 300
+	p.LightTasks, p.HeavyTasks = 10, 15
+	p.Workers = 2
+
+	want, err := figureE2(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var remote, local atomic.Int64
+	pd := p
+	pd.PointSpan = func(int, RunSpec) func(error) {
+		local.Add(1)
+		return func(error) {}
+	}
+	pd.RunPoints = func(ctx context.Context, pp Profile, specs []RunSpec) ([]sched.Result, error) {
+		remote.Add(int64(len(specs)))
+		pp.RunPoints, pp.PointSpan = nil, nil
+		return RunManyCtx(ctx, pp, specs)
+	}
+	got, err := figureE2(context.Background(), pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perGen := int64(len(AllPolicies) * p.Replications)
+	if remote.Load() != perGen || local.Load() != perGen {
+		t.Fatalf("%d points through the executor, %d local; want %d each", remote.Load(), local.Load(), perGen)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("figure through executor differs:\n got %+v\nwant %+v", got, want)

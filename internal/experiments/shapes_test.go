@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
@@ -32,7 +33,7 @@ func TestShapeExperiment1(t *testing.T) {
 		t.Skip("shape sweep")
 	}
 	p := shapeProfile()
-	fig7, err := Figure7(p)
+	fig7, err := figure7(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestShapeExperiment1(t *testing.T) {
 		}
 	}
 
-	fig8, err := Figure8(p)
+	fig8, err := figure8(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestShapeExperiment2Heavy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape sweep")
 	}
-	fig9, err := Figure9(shapeProfile())
+	fig9, err := figure9(context.Background(), shapeProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestShapeExperiment3(t *testing.T) {
 		t.Skip("shape sweep")
 	}
 	p := shapeProfile()
-	fig11, err := Figure11(p)
+	fig11, err := figure11(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestShapeExperiment3(t *testing.T) {
 		t.Fatalf("light success did not decrease with heterogeneity: %v", light.Y)
 	}
 
-	fig12, err := Figure12(p)
+	fig12, err := figure12(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ import (
 )
 
 // Config holds the engine parameters that the paper leaves unspecified;
-// DESIGN.md §2 documents them as chosen-once defaults swept by ablation
-// benches.
+// DESIGN.md §2 documents them as chosen-once defaults, and the
+// cmd/experiments -ablations table measures the switchable ones.
 type Config struct {
 	// GroupCloseTimeout is the base deadline for closing a partial merge
 	// buffer, so tail tasks are never stranded. Per-class timeouts are
@@ -41,7 +41,8 @@ type Config struct {
 	// paper's model dispatches without speed matching (§IV.D.2 observes
 	// that execution times "still vary according to the processor" a task
 	// happens to run on), so the default is off; enabling it is an
-	// engine-level optimisation measured by an ablation bench.
+	// engine-level optimisation measured by the cmd/experiments
+	// -ablations table.
 	SpeedAwareDispatch bool
 	// MaxEvents guards against scheduling loops (0 = default guard).
 	MaxEvents uint64

@@ -9,7 +9,8 @@ import (
 // Greedy is a non-learning reference policy: fixed group size, mixed-mode
 // merging, and best-fit placement that minimises err_tg (Eq. 9) against
 // the live node capacities. It serves as the deterministic baseline for
-// engine tests and as the no-learning arm in ablation benches.
+// engine tests and as the no-learning arm of the cmd/experiments
+// -ablations table.
 type Greedy struct {
 	// Opnum is the fixed group size (clamped by the engine).
 	Opnum int

@@ -1404,7 +1404,9 @@ func (s *Server) execute(ctx context.Context, j *job, prof experiments.Profile, 
 	}
 	switch j.spec.Kind {
 	case config.JobFigure:
-		figures, err := runFigureJob(ctx, prof, j.spec.Figure)
+		// The exact code path the CLIs use, so the daemon's results are
+		// bit-identical to theirs.
+		figures, err := experiments.Figures(ctx, prof, j.spec.Figure)
 		return figures, nil, nil, err
 	case config.JobPoints:
 		results, err := experiments.RunManyCtx(ctx, prof, j.spec.Points)
@@ -1460,34 +1462,4 @@ func (s *Server) execute(ctx context.Context, j *job, prof experiments.Profile, 
 	default:
 		return nil, nil, nil, fmt.Errorf("unknown job kind %q", j.spec.Kind)
 	}
-}
-
-// runFigureJob regenerates one figure (or the whole paper set) under the
-// job's profile — the exact code path the CLIs use, so the daemon's
-// results are bit-identical to theirs.
-func runFigureJob(ctx context.Context, p experiments.Profile, id string) ([]experiments.Figure, error) {
-	if id == experiments.FigureIDAll {
-		return experiments.AllCtx(ctx, p)
-	}
-	if isExtensionFigure(id) {
-		fig, err := experiments.ExtensionFigureByIDCtx(ctx, p, id)
-		if err != nil {
-			return nil, err
-		}
-		return []experiments.Figure{fig}, nil
-	}
-	fig, err := experiments.FigureByIDCtx(ctx, p, id)
-	if err != nil {
-		return nil, err
-	}
-	return []experiments.Figure{fig}, nil
-}
-
-func isExtensionFigure(id string) bool {
-	for _, e := range experiments.ExtensionFigureIDs {
-		if id == e {
-			return true
-		}
-	}
-	return false
 }

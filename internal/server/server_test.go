@@ -132,7 +132,7 @@ func TestSubmitStatusResultDeterministic(t *testing.T) {
 
 	// The same figure computed directly, marshalled the same way, must
 	// match byte for byte.
-	fig, err := experiments.Figure10(tinyProfileValue())
+	fig, err := experiments.FigureByID(context.Background(), tinyProfileValue(), "10")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,6 @@ import (
 // across processors only makes sense when each engine run feeds its own
 // timeline or runs are serialised.
 type Timeline struct {
-	// WarnSink, when non-nil, receives a warn-level "timeline-drop"
-	// event every time an event cannot be paired (malformed fields or an
-	// unpaired finish), so corrupted pairings surface in the run's trace
-	// instead of vanishing into a counter. Set it before the first Emit;
-	// it is read without synchronisation.
-	WarnSink Tracer
-
 	mu        sync.Mutex
 	open      map[int]openExec // by processor ID
 	intervals []Interval
@@ -68,29 +61,7 @@ func fieldInt(e Event, key string) (int, bool) {
 // Emit implements Tracer.
 func (t *Timeline) Emit(e Event) {
 	t.mu.Lock()
-	before := t.dropped
-	t.emitLocked(e)
-	droppedNow := t.dropped > before
-	total := t.dropped
-	t.mu.Unlock()
-	// The warn event is emitted after unlocking: a WarnSink that is
-	// itself a Timeline (or anything re-entering this one) must not
-	// deadlock.
-	if droppedNow && t.WarnSink != nil && t.WarnSink.Enabled(LevelWarn) {
-		t.WarnSink.Emit(Event{
-			At:    e.At,
-			Level: LevelWarn,
-			Kind:  "timeline-drop",
-			Fields: []Field{
-				F("event", e.Kind),
-				F("dropped_total", total),
-			},
-		})
-	}
-}
-
-// emitLocked processes one event under t.mu.
-func (t *Timeline) emitLocked(e Event) {
+	defer t.mu.Unlock()
 	switch e.Kind {
 	case "dispatch":
 		proc, ok1 := fieldInt(e, "proc")

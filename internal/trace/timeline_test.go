@@ -93,34 +93,3 @@ func TestTimelineValidateDetectsOverlap(t *testing.T) {
 		t.Fatal("expected overlap error")
 	}
 }
-
-// TestTimelineWarnSink checks every unpaired drop surfaces as a
-// warn-level "timeline-drop" event on the configured sink.
-func TestTimelineWarnSink(t *testing.T) {
-	sink := NewRing(16, LevelWarn)
-	tl := NewTimeline()
-	tl.WarnSink = sink
-	tl.Emit(dispatchEvent(1, 0, 10, 5))
-	tl.Emit(finishEvent(4, 0, 10)) // pairs fine: no warn
-	tl.Emit(finishEvent(5, 0, 99)) // unpaired: warn
-	tl.Emit(finishEvent(6, 1, 10)) // unpaired: warn
-
-	events := sink.Events()
-	if len(events) != 2 {
-		t.Fatalf("sink saw %d events, want 2: %+v", len(events), events)
-	}
-	for i, e := range events {
-		if e.Kind != "timeline-drop" || e.Level != LevelWarn {
-			t.Fatalf("event %d = %+v, want warn timeline-drop", i, e)
-		}
-	}
-	if got, ok := fieldInt(events[1], "dropped_total"); !ok || got != 2 {
-		t.Fatalf("dropped_total = %d (ok=%v), want 2", got, ok)
-	}
-	// A drop with no sink must stay silent and not panic.
-	bare := NewTimeline()
-	bare.Emit(finishEvent(5, 0, 10))
-	if bare.Dropped() != 1 {
-		t.Fatalf("Dropped = %d", bare.Dropped())
-	}
-}
