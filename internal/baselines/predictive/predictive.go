@@ -78,6 +78,8 @@ type Policy struct {
 	pending map[int][]float64
 	samples int
 	feat    []float64
+	// order is PlaceGroup's scratch copy of the candidates.
+	order []sched.NodeInfo
 }
 
 // New creates the baseline with the given configuration.
@@ -153,8 +155,8 @@ func (p *Policy) PlaceGroup(ctx *sched.Context, _ *sched.Agent, g *grouping.Grou
 		slack = math.Min(slack, t.AbsoluteDeadline()-now)
 	}
 	// Most-loaded first: consolidate onto already-busy resources.
-	order := make([]sched.NodeInfo, len(candidates))
-	copy(order, candidates)
+	p.order = append(p.order[:0], candidates...)
+	order := p.order
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0 && order[j].QueuedWeight > order[j-1].QueuedWeight; j-- {
 			order[j], order[j-1] = order[j-1], order[j]

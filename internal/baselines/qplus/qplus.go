@@ -90,8 +90,11 @@ type decision struct {
 // procState is the per-processor Q-learner: one table per learning rate
 // (the [12] multi-rate update), acted on via their mean.
 type procState struct {
-	q       [][numStates][numActions]float64 // indexed by learning-rate
+	q [][numStates][numActions]float64 // indexed by learning-rate
+	// pending is nil or &slot: arming a decision reuses the slot rather
+	// than allocating one.
 	pending *decision
+	slot    decision
 	updates int
 }
 
@@ -208,10 +211,11 @@ func (p *Policy) OnProcessorIdle(ctx *sched.Context, proc *platform.Processor) {
 	} else {
 		action = actionActive
 	}
-	ps.pending = &decision{
+	ps.slot = decision{
 		state: state, action: action, at: now,
 		tasksRun: proc.TasksRun(),
 	}
+	ps.pending = &ps.slot
 	if action == actionSleep {
 		ctx.Sleep(proc)
 	}
@@ -229,10 +233,11 @@ func (p *Policy) OnTick(ctx *sched.Context) {
 			d := *ps.pending
 			p.settle(proc, ps, now)
 			if proc.State() == platform.StateSleep {
-				ps.pending = &decision{
+				ps.slot = decision{
 					state: d.state, action: d.action, at: now,
 					tasksRun: proc.TasksRun(),
 				}
+				ps.pending = &ps.slot
 			}
 		}
 	}

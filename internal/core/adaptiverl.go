@@ -249,19 +249,30 @@ func siteState(ctx *sched.Context, ag *sched.Agent) memory.State {
 	}
 }
 
+// stateFeatures is how many leading network inputs encode the state; the
+// action features follow them.
+const stateFeatures = 4
+
 // features encodes (state, action) for the network, roughly normalised.
 func (p *AdaptiveRL) features(s memory.State, a memory.Action, maxOpnum int) []float64 {
-	modeFlag := 0.0
-	if a.Mode == grouping.ModeIdentical {
-		modeFlag = 1
-	}
 	p.feat[0] = s.Load / 50
 	p.feat[1] = s.FreeSlots / 8
 	p.feat[2] = s.MeanPower / 95
 	p.feat[3] = s.SiteLoad / 200
-	p.feat[4] = float64(a.Opnum) / float64(maxOpnum)
-	p.feat[5] = modeFlag
+	p.actionFeatures(a, maxOpnum)
 	return p.feat
+}
+
+// actionFeatures encodes the action into the feature buffer after the
+// state features and returns that tail.
+func (p *AdaptiveRL) actionFeatures(a memory.Action, maxOpnum int) []float64 {
+	modeFlag := 0.0
+	if a.Mode == grouping.ModeIdentical {
+		modeFlag = 1
+	}
+	p.feat[stateFeatures] = float64(a.Opnum) / float64(maxOpnum)
+	p.feat[stateFeatures+1] = modeFlag
+	return p.feat[stateFeatures:]
 }
 
 // lvalTarget squashes an l_val into (0, 1) for stable regression.
@@ -363,10 +374,13 @@ func (p *AdaptiveRL) exploit(ctx *sched.Context, st *agentState, state memory.St
 	if p.cfg.UseNeuralNet && st.net != nil && st.net.Trained() >= uint64(p.cfg.MinTrainSamples) {
 		best := def
 		bestV, minV := math.Inf(-1), math.Inf(1)
+		// Every candidate shares the state features: the network sums them
+		// once and each candidate adds only its action terms.
+		st.net.SetPrefix(p.features(state, def, maxOp)[:stateFeatures])
 		for op := 1; op <= maxOp; op++ {
-			for _, mode := range []grouping.Mode{grouping.ModeMixed, grouping.ModeIdentical} {
+			for _, mode := range [...]grouping.Mode{grouping.ModeMixed, grouping.ModeIdentical} {
 				a := memory.Action{Opnum: op, Mode: mode}
-				v := st.net.Predict1(p.features(state, a, maxOp))
+				v := st.net.PredictRest1(p.actionFeatures(a, maxOp))
 				if v > bestV {
 					best, bestV = a, v
 				}

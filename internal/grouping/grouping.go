@@ -1,8 +1,9 @@
 // Package grouping implements the paper's adaptive task-grouping (TG)
 // technique (§IV.D): the merge process that folds newly arrived tasks into
 // EDF-ordered groups ahead of assignment, the processing-weight indicator
-// pw (Eq. 10), the error feedback err_tg (Eq. 9), and the split helper
-// that lets idle processors pull tasks out of a waiting group (§IV.D.2).
+// pw (Eq. 10) and the error feedback err_tg (Eq. 9). The split process
+// of §IV.D.2 lives in the scheduler, which feeds idle processors from the
+// next waiting group without changing its membership.
 //
 // A task group is the unit of scheduling: it occupies exactly one slot in
 // a node's queue and its member tasks fan out over the node's processors.
@@ -43,7 +44,8 @@ func (m Mode) String() string {
 type Group struct {
 	// ID is unique per simulation run.
 	ID int
-	// Tasks are the members, maintained in EDF order.
+	// Tasks are the members in EDF order. They are fixed once the group
+	// is closed: the cached processing weight depends on them.
 	Tasks []*workload.Task
 	// Mode records which merge policy built the group.
 	Mode Mode
@@ -63,6 +65,10 @@ type Group struct {
 	dispatched int
 	finished   int
 	deadlineOK int
+	// pw caches PW(Tasks) for groups closed by a Merger, which never
+	// change afterwards; pwCached marks it set.
+	pw       float64
+	pwCached bool
 }
 
 // Len returns the number of member tasks.
@@ -70,8 +76,12 @@ func (g *Group) Len() int { return len(g.Tasks) }
 
 // PW implements Eq. 10: pw = Σ s_i / Σ d_i over the group, the processing
 // weight used to match groups to node capacities. An empty group has zero
-// weight.
+// weight. A group closed by a Merger returns the value computed when it
+// closed, bit-identical to summing its tasks again.
 func (g *Group) PW() float64 {
+	if g.pwCached {
+		return g.pw
+	}
 	return PW(g.Tasks)
 }
 
@@ -154,25 +164,6 @@ func (g *Group) NextUndispatched() *workload.Task {
 	return nil
 }
 
-// SplitOff removes up to k undispatched tasks from the group in EDF order
-// and returns them — the split process of §IV.D.2, triggered when
-// processors sit at p_min while later groups wait. The removed tasks keep
-// their identity; the group shrinks.
-func (g *Group) SplitOff(k int) []*workload.Task {
-	avail := len(g.Tasks) - g.dispatched
-	if k > avail {
-		k = avail
-	}
-	if k <= 0 {
-		return nil
-	}
-	start := g.dispatched
-	out := make([]*workload.Task, k)
-	copy(out, g.Tasks[start:start+k])
-	g.Tasks = append(g.Tasks[:start], g.Tasks[start+k:]...)
-	return out
-}
-
 // Validate checks group invariants.
 func (g *Group) Validate() error {
 	if g.finished > g.dispatched {
@@ -235,6 +226,7 @@ func (m *Merger) Add(t *workload.Task, opnum int, now float64) *Group {
 	if m.mode == ModeMixed {
 		if len(m.mixed) == 0 {
 			m.openSince[3] = now
+			m.mixed = make([]*workload.Task, 0, opnum)
 		}
 		m.mixed = append(m.mixed, t)
 		if len(m.mixed) >= opnum {
@@ -245,6 +237,7 @@ func (m *Merger) Add(t *workload.Task, opnum int, now float64) *Group {
 	p := t.Priority
 	if len(m.byPrio[p]) == 0 {
 		m.openSince[p] = now
+		m.byPrio[p] = make([]*workload.Task, 0, opnum)
 	}
 	m.byPrio[p] = append(m.byPrio[p], t)
 	if len(m.byPrio[p]) >= opnum {
@@ -316,23 +309,23 @@ const (
 )
 
 // FlushExpired closes every buffer whose oldest task has waited longer
-// than its class timeout and returns the closed groups. timeouts is
+// than its class timeout and appends the closed groups to dst, returning
+// the extended slice (so a caller can reuse one buffer). timeouts is
 // indexed by buffer class (priority value, or BufferMixed); urgent classes
 // get short timeouts so tight-deadline tasks are not held back to fill a
 // group, while patient classes may wait and fill (§IV.D.1: "a task group
 // with a small pw is required to be executed as early as possible;
 // otherwise, the task group allows some delays").
-func (m *Merger) FlushExpired(now float64, timeouts [4]float64) []*Group {
-	var out []*Group
+func (m *Merger) FlushExpired(dst []*Group, now float64, timeouts [4]float64) []*Group {
 	for p := range m.byPrio {
 		if len(m.byPrio[p]) > 0 && now-m.openSince[p] >= timeouts[p] {
-			out = append(out, m.closePrio(workload.Priority(p), now))
+			dst = append(dst, m.closePrio(workload.Priority(p), now))
 		}
 	}
 	if len(m.mixed) > 0 && now-m.openSince[BufferMixed] >= timeouts[BufferMixed] {
-		out = append(out, m.closeMixed(now))
+		dst = append(dst, m.closeMixed(now))
 	}
-	return out
+	return dst
 }
 
 // FlushAll closes every non-empty buffer and returns the groups.
@@ -364,6 +357,8 @@ func (m *Merger) finish(tasks []*workload.Task, mode Mode, now float64) *Group {
 		Mode:      mode,
 		CreatedAt: now,
 		NodeID:    -1,
+		pw:        PW(tasks),
+		pwCached:  true,
 	}
 	g.Priority = workload.PriorityLow
 	for _, t := range tasks {

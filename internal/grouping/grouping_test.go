@@ -249,39 +249,6 @@ func TestOverFinishPanics(t *testing.T) {
 	g.NoteFinished(true)
 }
 
-func TestSplitOff(t *testing.T) {
-	g := &Group{Tasks: []*workload.Task{
-		task(0, workload.PriorityMedium, 1000, 3, 0),
-		task(1, workload.PriorityMedium, 1000, 5, 0),
-		task(2, workload.PriorityMedium, 1000, 7, 0),
-	}}
-	split := g.SplitOff(2)
-	if len(split) != 2 {
-		t.Fatalf("split %d tasks, want 2", len(split))
-	}
-	if split[0].ID != 0 || split[1].ID != 1 {
-		t.Fatal("split must take EDF-first tasks")
-	}
-	if g.Len() != 1 || g.Tasks[0].ID != 2 {
-		t.Fatal("group should retain the last task")
-	}
-}
-
-func TestSplitOffRespectsDispatched(t *testing.T) {
-	g := &Group{Tasks: []*workload.Task{
-		task(0, workload.PriorityMedium, 1000, 3, 0),
-		task(1, workload.PriorityMedium, 1000, 5, 0),
-	}}
-	g.NoteDispatched()
-	split := g.SplitOff(5)
-	if len(split) != 1 || split[0].ID != 1 {
-		t.Fatal("split must only take undispatched tasks")
-	}
-	if g.SplitOff(1) != nil {
-		t.Fatal("nothing left to split")
-	}
-}
-
 func TestValidateDetectsDisorder(t *testing.T) {
 	g := &Group{Tasks: []*workload.Task{
 		task(0, workload.PriorityMedium, 1000, 50, 0),
@@ -374,26 +341,6 @@ func TestQuickErrTGProperties(t *testing.T) {
 	}
 }
 
-// Property: SplitOff(k) followed by the remainder preserves the task
-// multiset and EDF order of the undispatched tail.
-func TestQuickSplitConservation(t *testing.T) {
-	r := rng.NewStream(22, "q")
-	f := func(n, k uint8) bool {
-		total := int(n)%20 + 1
-		tasks := make([]*workload.Task, total)
-		for i := range tasks {
-			tasks[i] = task(i, workload.PriorityMedium, 1000, r.Uniform(1, 100), 0)
-		}
-		workload.SortEDF(tasks)
-		g := &Group{Tasks: append([]*workload.Task(nil), tasks...)}
-		split := g.SplitOff(int(k) % (total + 2))
-		return len(split)+g.Len() == total && g.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkMerge(b *testing.B) {
 	r := rng.NewStream(1, "bench")
 	m := NewMerger(ModeIdentical, counter())
@@ -410,16 +357,16 @@ func TestFlushExpiredPerClassTimeouts(t *testing.T) {
 	m.Add(task(1, workload.PriorityLow, 1000, 50, 2), 10, 2)
 	timeouts := [4]float64{40, 20, 5, 10} // low, medium, high, mixed
 	// At t=6 only the high buffer (age 6 >= 5) expires.
-	groups := m.FlushExpired(6, timeouts)
+	groups := m.FlushExpired(nil, 6, timeouts)
 	if len(groups) != 1 || groups[0].Priority != workload.PriorityHigh {
 		t.Fatalf("expected only the high buffer to expire, got %d groups", len(groups))
 	}
 	// At t=41 the low buffer (age 39 < 40) still holds...
-	if got := m.FlushExpired(41, timeouts); len(got) != 0 {
+	if got := m.FlushExpired(nil, 41, timeouts); len(got) != 0 {
 		t.Fatalf("low buffer expired early: %d groups", len(got))
 	}
 	// ...and at t=42 it expires.
-	groups = m.FlushExpired(42.1, timeouts)
+	groups = m.FlushExpired(nil, 42.1, timeouts)
 	if len(groups) != 1 || groups[0].Priority != workload.PriorityLow {
 		t.Fatalf("low buffer did not expire, got %d groups", len(groups))
 	}
@@ -432,10 +379,10 @@ func TestFlushExpiredMixedBuffer(t *testing.T) {
 	m := NewMerger(ModeMixed, counter())
 	m.Add(task(0, workload.PriorityMedium, 1000, 5, 1), 10, 1)
 	timeouts := [4]float64{40, 20, 5, 10}
-	if got := m.FlushExpired(10, timeouts); len(got) != 0 {
+	if got := m.FlushExpired(nil, 10, timeouts); len(got) != 0 {
 		t.Fatal("mixed buffer expired before its timeout")
 	}
-	got := m.FlushExpired(11, timeouts)
+	got := m.FlushExpired(nil, 11, timeouts)
 	if len(got) != 1 || got[0].Mode != ModeMixed {
 		t.Fatalf("mixed buffer flush: %v", got)
 	}
@@ -443,7 +390,48 @@ func TestFlushExpiredMixedBuffer(t *testing.T) {
 
 func TestFlushExpiredEmpty(t *testing.T) {
 	m := NewMerger(ModeMixed, counter())
-	if got := m.FlushExpired(100, [4]float64{1, 1, 1, 1}); got != nil {
+	if got := m.FlushExpired(nil, 100, [4]float64{1, 1, 1, 1}); got != nil {
 		t.Fatalf("empty merger flushed %d groups", len(got))
+	}
+}
+
+func TestFlushExpiredAppendsToDst(t *testing.T) {
+	m := NewMerger(ModeMixed, counter())
+	m.Add(task(0, workload.PriorityMedium, 1000, 5, 1), 10, 1)
+	prior := &Group{ID: -7}
+	got := m.FlushExpired([]*Group{prior}, 20, [4]float64{1, 1, 1, 1})
+	if len(got) != 2 || got[0] != prior || got[1].Mode != ModeMixed {
+		t.Fatalf("FlushExpired must append after the existing entries, got %v", got)
+	}
+}
+
+// Property: a closed group's cached PW is bit-identical to summing its
+// tasks again, for groups closed by size, by flush and in either mode.
+func TestClosedGroupPWMatchesRecomputed(t *testing.T) {
+	r := rng.NewStream(23, "q")
+	f := func(n, op uint8, identical bool) bool {
+		mode := ModeMixed
+		if identical {
+			mode = ModeIdentical
+		}
+		m := NewMerger(mode, counter())
+		var groups []*Group
+		opnum := int(op)%6 + 1
+		for i := 0; i < int(n)%40+1; i++ {
+			tk := task(i, workload.Priorities[r.Intn(3)], r.Uniform(600, 7200), r.Uniform(1, 100), float64(i))
+			if g := m.Add(tk, opnum, float64(i)); g != nil {
+				groups = append(groups, g)
+			}
+		}
+		groups = append(groups, m.FlushAll(1e9)...)
+		for _, g := range groups {
+			if math.Float64bits(g.PW()) != math.Float64bits(PW(g.Tasks)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rlsched/internal/stats"
 	"rlsched/internal/workload"
@@ -90,6 +91,15 @@ func NewCollector(numProcessors int) *Collector {
 		panic(fmt.Sprintf("metrics: processor count must be positive, got %d", numProcessors))
 	}
 	return &Collector{cycleStride: 1}
+}
+
+// ReserveTasks makes room in the task-record log for n more completions,
+// so a run whose task count is known up front never regrows it. A
+// streaming collector retains no task records and ignores it.
+func (c *Collector) ReserveTasks(n int) {
+	if c.rtHist == nil {
+		c.tasks = slices.Grow(c.tasks, n)
+	}
 }
 
 // RecordTask logs one task completion.

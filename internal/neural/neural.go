@@ -90,6 +90,12 @@ type Network struct {
 	// scratch input copy so Train can reuse forward activations safely.
 	input   []float64
 	trained uint64
+	// prefix holds the first layer's partial sums over the leading
+	// prefixLen inputs, set by SetPrefix and read by PredictRest1;
+	// prefixOK is cleared whenever the weights change.
+	prefix    []float64
+	prefixLen int
+	prefixOK  bool
 }
 
 // New builds a network with weights initialised uniformly in
@@ -143,24 +149,80 @@ func (n *Network) forward(x []float64) []float64 {
 		panic(fmt.Sprintf("neural: input dimension %d, want %d", len(x), n.cfg.Inputs))
 	}
 	copy(n.input, x)
-	cur := n.input
-	for _, l := range n.layers {
+	return n.forwardFrom(0, n.input)
+}
+
+// forwardFrom runs layers[start:] on cur, the input of layers[start].
+func (n *Network) forwardFrom(start int, cur []float64) []float64 {
+	for _, l := range n.layers[start:] {
 		for o := 0; o < l.out; o++ {
 			sum := l.b[o]
 			row := l.w[o*l.in : (o+1)*l.in]
 			for i, v := range cur {
 				sum += row[i] * v
 			}
-			l.preact[o] = sum
-			if l.hidden {
-				l.activity[o] = math.Tanh(sum)
-			} else {
-				l.activity[o] = sum
-			}
+			l.activate(o, sum)
 		}
 		cur = l.activity
 	}
 	return cur
+}
+
+// activate records unit o's pre-activation and its activation.
+func (l *layer) activate(o int, sum float64) {
+	l.preact[o] = sum
+	if l.hidden {
+		l.activity[o] = math.Tanh(sum)
+	} else {
+		l.activity[o] = sum
+	}
+}
+
+// SetPrefix fixes the leading len(x) inputs for the following PredictRest1
+// calls: it stores the first layer's bias plus the products of those
+// inputs, accumulated in index order exactly as a full forward pass does.
+// Callers that score many inputs sharing a prefix (the agent's candidate
+// actions under one state) then pay only for the remaining inputs.
+func (n *Network) SetPrefix(x []float64) {
+	if len(x) > n.cfg.Inputs {
+		panic(fmt.Sprintf("neural: prefix dimension %d exceeds %d inputs", len(x), n.cfg.Inputs))
+	}
+	l := n.layers[0]
+	if n.prefix == nil {
+		n.prefix = make([]float64, l.out)
+	}
+	for o := 0; o < l.out; o++ {
+		sum := l.b[o]
+		row := l.w[o*l.in : o*l.in+len(x)]
+		for i, v := range x {
+			sum += row[i] * v
+		}
+		n.prefix[o] = sum
+	}
+	n.prefixLen, n.prefixOK = len(x), true
+}
+
+// PredictRest1 is Predict1 on the input whose leading features were given
+// to SetPrefix and whose remaining features are rest. The first-layer sums
+// continue from the stored prefix in the same index order, so the result
+// is bit-for-bit Predict1 of the whole input. Like Predict1 it leaves the
+// activations in each layer, but it does not record the input. The prefix
+// lapses when the weights change (Train, SetWeights): call SetPrefix again.
+func (n *Network) PredictRest1(rest []float64) float64 {
+	if !n.prefixOK || n.prefixLen+len(rest) != n.cfg.Inputs {
+		panic(fmt.Sprintf("neural: no current prefix for %d more inputs of %d (SetPrefix first)",
+			len(rest), n.cfg.Inputs))
+	}
+	l := n.layers[0]
+	for o := 0; o < l.out; o++ {
+		sum := n.prefix[o]
+		row := l.w[o*l.in+n.prefixLen : (o+1)*l.in]
+		for i, v := range rest {
+			sum += row[i] * v
+		}
+		l.activate(o, sum)
+	}
+	return n.forwardFrom(1, l.activity)[0]
 }
 
 // Predict returns the network output for x. The returned slice is owned by
@@ -219,6 +281,7 @@ func (n *Network) Train(x, target []float64) float64 {
 		prev = l.activity
 	}
 	n.trained++
+	n.prefixOK = false
 	return loss
 }
 
@@ -285,5 +348,6 @@ func (n *Network) SetWeights(ws []float64) error {
 			l.vb[j] = 0
 		}
 	}
+	n.prefixOK = false
 	return nil
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rlsched/internal/audit"
@@ -203,6 +204,15 @@ type Engine struct {
 	procPower [][]float64
 	candMark  []uint64
 	candGen   uint64
+	// siteBuf backs Context.SiteNodeInfos and flushBuf the groups closed
+	// by one housekeeping pass.
+	siteBuf  []NodeInfo
+	flushBuf []*grouping.Group
+
+	// pending is the task of the one arrival in flight, and procEvents
+	// (by processor ID) back each processor's events (see arrivalEvent).
+	pending    *workload.Task
+	procEvents []procEvent
 
 	rngRoute    *rng.Stream
 	rngFail     *rng.Stream
@@ -260,10 +270,12 @@ func New(cfg Config, pl *platform.Platform, tasks []*workload.Task, policy Polic
 		return nil, err
 	}
 	// The task count is known here, so the event-loop guard can start at
-	// its final value (NewFromSource grows it as tasks stream in).
+	// its final value (NewFromSource grows it as tasks stream in), and
+	// the collector can size its task log once.
 	if cfg.MaxEvents == 0 {
 		e.sim.MaxEvents = uint64(len(tasks))*1000 + 1_000_000
 	}
+	e.col.ReserveTasks(len(tasks))
 	return e, nil
 }
 
@@ -305,6 +317,10 @@ func NewFromSource(cfg Config, pl *platform.Platform, src workload.Source, polic
 		}
 	}
 	e.running = make([]runningTask, maxProcID+1)
+	e.procEvents = make([]procEvent, maxProcID+1)
+	for _, p := range pl.Processors() {
+		e.procEvents[p.ID] = procEvent{e: e, proc: p}
+	}
 	e.queues = make([][]*grouping.Group, pl.NumNodes())
 	e.accts = make([]nodeAcct, pl.NumNodes())
 	e.retries = make([][]retryEntry, pl.NumNodes())
@@ -407,12 +423,12 @@ func (e *Engine) Run() (res Result, err error) {
 	if e.srcDone && e.submitted == 0 {
 		return Result{}, fmt.Errorf("sched: empty workload")
 	}
-	e.sim.AfterFunc(e.cfg.GroupCloseTimeout/2, e.houseKeep)
-	e.sim.AfterFunc(e.cfg.TickInterval, e.tick)
+	e.sim.After(e.cfg.GroupCloseTimeout/2, (*houseKeepEvent)(e))
+	e.sim.After(e.cfg.TickInterval, (*tickEvent)(e))
 	if e.cfg.FailureMTBF > 0 {
 		for _, n := range e.pl.Nodes() {
 			for _, p := range n.Processors {
-				e.scheduleFailure(n, p)
+				e.scheduleFailure(p)
 			}
 		}
 	}
@@ -447,11 +463,61 @@ func (e *Engine) scheduleNextArrival() {
 	if b := uint64(e.submitted)*1000 + 1_000_000; e.cfg.MaxEvents == 0 && b > e.sim.MaxEvents {
 		e.sim.MaxEvents = b
 	}
-	e.sim.AtFunc(t.ArrivalTime, func(*des.Simulator) {
-		e.scheduleNextArrival()
-		e.onArrival(t)
-	})
+	e.pending = t
+	e.sim.At(t.ArrivalTime, (*arrivalEvent)(e))
 }
+
+// The engine's events are pointer conversions of state it already owns,
+// so arming one allocates nothing: the arrival, housekeeping and tick
+// events view the Engine itself (exactly one arrival is in flight, its
+// task in pending), and a processor's finish, wake, fail and repair
+// events view its procEvent. A processor event carries no more than its
+// processor, so the same value may be re-armed indefinitely, and even be
+// queued twice (a wake that outlives a fail-repair-sleep cycle).
+type (
+	arrivalEvent   Engine
+	houseKeepEvent Engine
+	tickEvent      Engine
+	finishEvent    procEvent
+	wakeEvent      procEvent
+	failEvent      procEvent
+	repairEvent    procEvent
+)
+
+// procEvent is what a processor's events need: the engine and the
+// processor, whose node is proc.Node (the validated platform guarantees
+// the back-pointer).
+type procEvent struct {
+	e    *Engine
+	proc *platform.Processor
+}
+
+// Fire implements des.Event: the pending task arrives. Re-arming
+// overwrites pending, so the task is taken first.
+func (ev *arrivalEvent) Fire(*des.Simulator) {
+	e := (*Engine)(ev)
+	t := e.pending
+	e.scheduleNextArrival()
+	e.onArrival(t)
+}
+
+// Fire implements des.Event: stale merge buffers close.
+func (ev *houseKeepEvent) Fire(*des.Simulator) { (*Engine)(ev).houseKeep() }
+
+// Fire implements des.Event: the decision interval elapses.
+func (ev *tickEvent) Fire(*des.Simulator) { (*Engine)(ev).tick() }
+
+// Fire implements des.Event: the processor's running task completes.
+func (ev *finishEvent) Fire(*des.Simulator) { ev.e.finishTask(ev.proc.Node, ev.proc) }
+
+// Fire implements des.Event: the processor's wake latency elapses.
+func (ev *wakeEvent) Fire(*des.Simulator) { ev.e.wakeDone(ev.proc.Node, ev.proc) }
+
+// Fire implements des.Event: the processor fails.
+func (ev *failEvent) Fire(*des.Simulator) { ev.e.failProcessor(ev.proc.Node, ev.proc) }
+
+// Fire implements des.Event: the processor's repair completes.
+func (ev *repairEvent) Fire(*des.Simulator) { ev.e.repairDone(ev.proc.Node, ev.proc) }
 
 // MustRun is Run that panics on an invariant error, for callers (tests,
 // examples) where a violated invariant is fatal anyway.
@@ -647,30 +713,32 @@ func (e *Engine) onArrival(t *workload.Task) {
 
 // houseKeep flushes stale merge buffers and reschedules itself while the
 // run is live.
-func (e *Engine) houseKeep(*des.Simulator) {
+func (e *Engine) houseKeep() {
 	now := e.sim.Now()
 	var timeouts [4]float64
 	for i, s := range e.cfg.TimeoutScale {
 		timeouts[i] = e.cfg.GroupCloseTimeout * s
 	}
 	for _, ag := range e.agents {
-		for _, g := range ag.Merger.FlushExpired(now, timeouts) {
+		e.flushBuf = ag.Merger.FlushExpired(e.flushBuf[:0], now, timeouts)
+		for _, g := range e.flushBuf {
 			e.place(ag, g)
 		}
 	}
+	clear(e.flushBuf[:cap(e.flushBuf)])
 	if !e.done() {
-		e.sim.AfterFunc(e.cfg.GroupCloseTimeout/4, e.houseKeep)
+		e.sim.After(e.cfg.GroupCloseTimeout/4, (*houseKeepEvent)(e))
 	}
 }
 
 // tick folds energy up to now and runs the policy's decision interval.
 // The AdvanceAll splits the energy integrals at every tick, which fixes
 // the float rounding of ECS.
-func (e *Engine) tick(*des.Simulator) {
+func (e *Engine) tick() {
 	e.pl.AdvanceAll(e.sim.Now())
 	e.policy.OnTick(e.ctx)
 	if !e.done() {
-		e.sim.AfterFunc(e.cfg.TickInterval, e.tick)
+		e.sim.After(e.cfg.TickInterval, (*tickEvent)(e))
 	}
 }
 
@@ -925,8 +993,10 @@ func (e *Engine) tryDispatch(node *platform.Node) {
 		// Aborted executions restart first: their groups hold queue slots
 		// and their deadlines have been running the longest.
 		if rl := e.retries[node.ID]; len(rl) > 0 {
+			r := rl[0]
+			rl[0] = retryEntry{} // the popped slot must not pin the task
 			e.retries[node.ID] = rl[1:]
-			e.startTask(node, proc, rl[0].group, rl[0].task, true)
+			e.startTask(node, proc, r.group, r.task, true)
 			continue
 		}
 		task, g := e.nextDispatchable(node)
@@ -1032,7 +1102,7 @@ func (e *Engine) startTask(node *platform.Node, proc *platform.Processor, g *gro
 	speed := proc.EffectiveSpeed()
 	task.ProcessorSpeed = speed
 	et := task.SizeMI / speed
-	handle := e.sim.AfterFunc(et, func(*des.Simulator) { e.finishTask(node, proc, g, task) })
+	handle := e.sim.After(et, (*finishEvent)(&e.procEvents[proc.ID]))
 	e.running[proc.ID] = runningTask{finishAt: now + et, speed: speed, handle: handle, task: task, group: g}
 }
 
@@ -1051,9 +1121,10 @@ func (e *Engine) lazyThrottle(proc *platform.Processor, task *workload.Task, now
 	return needed // SetThrottle clamps to MinThrottle
 }
 
-// finishTask completes a task execution.
-func (e *Engine) finishTask(node *platform.Node, proc *platform.Processor, g *grouping.Group, task *workload.Task) {
+// finishTask completes the execution running on proc.
+func (e *Engine) finishTask(node *platform.Node, proc *platform.Processor) {
 	now := e.sim.Now()
+	task, g := e.running[proc.ID].task, e.running[proc.ID].group
 	e.running[proc.ID] = runningTask{}
 	e.acctDelta(node, -1, 0)
 	task.FinishTime = now
@@ -1101,7 +1172,7 @@ func (e *Engine) completeGroup(g *grouping.Group, node *platform.Node) {
 	removed := false
 	for i, qg := range q {
 		if qg == g {
-			e.queues[node.ID] = append(q[:i], q[i+1:]...)
+			e.queues[node.ID] = slices.Delete(q, i, i+1) // nils the vacated slot
 			removed = true
 			break
 		}
@@ -1166,6 +1237,7 @@ func (e *Engine) placeBacklog(ag *Agent) {
 			return
 		}
 		g := ag.backlog[0]
+		ag.backlog[0] = nil
 		ag.backlog = ag.backlog[1:]
 		node := e.policy.PlaceGroup(e.ctx, ag, g, candidates)
 		if !e.isCandidate(node) {
@@ -1194,18 +1266,22 @@ func (e *Engine) wake(node *platform.Node, p *platform.Processor) {
 		e.emit(trace.LevelDebug, "wake", trace.F("proc", p.ID), trace.F("node", node.ID))
 	}
 	p.SetState(platform.StateWaking, e.sim.Now())
-	e.sim.AfterFunc(p.WakeLatency, func(*des.Simulator) {
-		if p.State() == platform.StateWaking {
-			p.SetState(platform.StateIdle, e.sim.Now())
-		}
-		e.tryDispatch(node)
-	})
+	e.sim.After(p.WakeLatency, (*wakeEvent)(&e.procEvents[p.ID]))
+}
+
+// wakeDone ends a wake latency: the processor becomes idle unless it left
+// the waking state meanwhile, and dispatch resumes.
+func (e *Engine) wakeDone(node *platform.Node, p *platform.Processor) {
+	if p.State() == platform.StateWaking {
+		p.SetState(platform.StateIdle, e.sim.Now())
+	}
+	e.tryDispatch(node)
 }
 
 // scheduleFailure arms the next failure of a processor.
-func (e *Engine) scheduleFailure(node *platform.Node, proc *platform.Processor) {
+func (e *Engine) scheduleFailure(proc *platform.Processor) {
 	uptime := e.rngFail.Exp(e.cfg.FailureMTBF)
-	e.sim.AfterFunc(uptime, func(*des.Simulator) { e.failProcessor(node, proc) })
+	e.sim.After(uptime, (*failEvent)(&e.procEvents[proc.ID]))
 }
 
 // failProcessor takes a processor down: an in-flight execution is aborted
@@ -1234,18 +1310,22 @@ func (e *Engine) failProcessor(node *platform.Node, proc *platform.Processor) {
 		}
 	}
 	proc.SetState(platform.StateFailed, now)
-	e.sim.AfterFunc(e.cfg.RepairTime, func(*des.Simulator) {
-		if proc.State() == platform.StateFailed {
-			proc.SetState(platform.StateIdle, e.sim.Now())
-		}
-		if e.tracing(trace.LevelInfo) {
-			e.emit(trace.LevelInfo, "repair", trace.F("proc", proc.ID))
-		}
-		e.tryDispatch(node)
-		if !e.done() {
-			e.scheduleFailure(node, proc)
-		}
-	})
+	e.sim.After(e.cfg.RepairTime, (*repairEvent)(&e.procEvents[proc.ID]))
+}
+
+// repairDone returns a repaired processor to service and arms its next
+// failure.
+func (e *Engine) repairDone(node *platform.Node, proc *platform.Processor) {
+	if proc.State() == platform.StateFailed {
+		proc.SetState(platform.StateIdle, e.sim.Now())
+	}
+	if e.tracing(trace.LevelInfo) {
+		e.emit(trace.LevelInfo, "repair", trace.F("proc", proc.ID))
+	}
+	e.tryDispatch(node)
+	if !e.done() {
+		e.scheduleFailure(proc)
+	}
 }
 
 // finalFlush asserts run-end invariants once the last task completed. A

@@ -196,12 +196,18 @@ func (c *Context) MaxOpnum() int { return c.engine.maxOpnum }
 // NodeInfo builds the engine's current view of a node.
 func (c *Context) NodeInfo(n *platform.Node) NodeInfo { return c.engine.nodeInfo(n) }
 
-// SiteNodeInfos returns views of every node in a site.
+// SiteNodeInfos returns views of every node in a site. Like the
+// candidates handed to PlaceGroup, the slice is engine-owned scratch: the
+// next SiteNodeInfos call overwrites it, and each view's ProcPower is
+// refreshed by the next view of the same node (see NodeInfo). Copy what
+// must outlive the current policy call.
 func (c *Context) SiteNodeInfos(s *platform.Site) []NodeInfo {
-	out := make([]NodeInfo, len(s.Nodes))
-	for i, n := range s.Nodes {
-		out[i] = c.engine.nodeInfo(n)
+	e := c.engine
+	out := e.siteBuf[:0]
+	for _, n := range s.Nodes {
+		out = append(out, e.nodeInfo(n))
 	}
+	e.siteBuf = out
 	return out
 }
 

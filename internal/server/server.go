@@ -1367,13 +1367,16 @@ func (s *Server) runJob(j *job) {
 	snap := engStats.Snapshot()
 	j.engine = &snap
 	state, errMsg, attempts := j.state, j.err, j.attempts
-	close(j.doneCh)
-	j.mu.Unlock()
-	s.noteSettled(j)
+	// The root span ends before the state is published: a client that
+	// fetches /spans the instant the job reads as settled must find it.
+	// (Span.End takes only the span's own locks.)
 	if jobSpan != nil {
 		jobSpan.SetStr("state", string(state))
 		jobSpan.End()
 	}
+	close(j.doneCh)
+	j.mu.Unlock()
+	s.noteSettled(j)
 	s.m.running.Add(-1)
 	s.m.settled[state].Inc()
 	s.m.runSeconds[state].Observe(elapsed)

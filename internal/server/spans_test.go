@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rlsched/internal/config"
 	"rlsched/internal/obs"
@@ -464,4 +466,46 @@ func names(byName map[string][]span.Record) []string {
 		out = append(out, n)
 	}
 	return out
+}
+
+// TestSpansRootEndedWhenDone pins the settle order: the job.run root span
+// ends, with its state attribute, before the job reads as settled. The
+// test waits on the settle signal itself and reads the trace at that
+// instant while it holds the server registry lock, which keeps the run
+// goroutine from getting past its post-settle bookkeeping. A root that
+// ended only after the state was published would be missing here, which
+// is how a client fetching /spans right after "done" saw orphan spans.
+// Each round gets a fresh server, so no earlier job's bookkeeping waits
+// on the held lock ahead of the job under test.
+func TestSpansRootEndedWhenDone(t *testing.T) {
+	for i := 1; i <= 5; i++ {
+		s, ts := newTestServer(t, Options{})
+		code, m := postJob(t, ts, fmt.Sprintf(`{"kind": "points", "spans": true, "points": [
+			{"Policy": "adaptive-rl", "NumTasks": 600, "Seed": %d}], "profile": %s}`, i, tinyProfile))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d: %v", code, m)
+		}
+		s.mu.Lock()
+		j := s.jobs[m["id"].(string)]
+		select {
+		case <-j.doneCh:
+		case <-time.After(30 * time.Second):
+			s.mu.Unlock()
+			t.Fatalf("job %s never settled", j.id)
+		}
+		recs := j.spans.Snapshot()
+		s.mu.Unlock()
+		var root *span.Record
+		for k := range recs {
+			if recs[k].Name == "job.run" {
+				root = &recs[k]
+			}
+		}
+		if root == nil {
+			t.Fatalf("round %d: job %s settled before its job.run span ended (%d spans)", i, j.id, len(recs))
+		}
+		if root.Attrs["state"] != string(StateDone) {
+			t.Fatalf("round %d: job %s root span state %v, want %s", i, j.id, root.Attrs["state"], StateDone)
+		}
+	}
 }

@@ -73,5 +73,5 @@ func GenerateBursty(cfg BurstyConfig, r *rng.Stream) ([]*Task, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Collect(src), nil
+	return collect(make([]*Task, 0, cfg.NumTasks), src), nil
 }

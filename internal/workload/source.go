@@ -17,8 +17,9 @@ import (
 // per run.
 type Source interface {
 	// Next returns the next task in arrival order, or (nil, false) once
-	// the source is exhausted. Tasks are freshly allocated (or otherwise
-	// owned by the caller once returned).
+	// the source is exhausted. Tasks are owned by the caller once
+	// returned; the source never touches a task again after handing it
+	// out.
 	Next() (*Task, bool)
 }
 
@@ -44,10 +45,12 @@ func (s *sliceSource) Next() (*Task, bool) {
 }
 
 // Collect drains a source into a slice — the bridge back from streaming
-// to the slice-based entry points (and the implementation behind
-// Generate/GenerateBursty).
-func Collect(src Source) []*Task {
-	var tasks []*Task
+// to the slice-based entry points.
+func Collect(src Source) []*Task { return collect(nil, src) }
+
+// collect appends everything src yields to tasks; Generate and
+// GenerateBursty pass a slice sized to the task count.
+func collect(tasks []*Task, src Source) []*Task {
 	for {
 		t, ok := src.Next()
 		if !ok {
@@ -55,6 +58,17 @@ func Collect(src Source) []*Task {
 		}
 		tasks = append(tasks, t)
 	}
+}
+
+// slabSize is how many tasks a generating source allocates at once. Tasks
+// are handed out from the chunk in place, so a source pays one allocation
+// per slabSize tasks instead of one per task; a chunk stays reachable
+// while any of its tasks is, so it is kept small for streaming runs.
+const slabSize = 256
+
+// slab hands out the tasks of a generating source from fixed-size chunks.
+type slab struct {
+	free []Task
 }
 
 // generator streams the §III.A synthetic workload. Its per-task draw
@@ -67,10 +81,11 @@ type generator struct {
 	r       *rng.Stream
 	clock   float64
 	i       int
+	slab    slab
 }
 
 // NewGenerator returns a streaming source of cfg.NumTasks tasks drawn
-// from r. Generate is Collect(NewGenerator(...)).
+// from r. Generate collects one.
 func NewGenerator(cfg GenConfig, r *rng.Stream) (Source, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -88,19 +103,26 @@ func (g *generator) Next() (*Task, bool) {
 		return nil, false
 	}
 	g.clock += g.r.Exp(g.cfg.MeanInterArrival)
-	t := makeTask(g.i, g.cfg, g.weights, g.clock, g.r)
+	t := g.slab.makeTask(g.i, g.cfg, g.weights, g.clock, g.r)
 	g.i++
 	return t, true
 }
 
-// makeTask draws the non-arrival attributes of task i, in the fixed
-// order (size, priority, slack) every generator shares.
-func makeTask(id int, cfg GenConfig, weights []float64, clock float64, r *rng.Stream) *Task {
+// makeTask draws the non-arrival attributes of task id (of
+// cfg.NumTasks), in the fixed order (size, priority, slack) every
+// generator shares, into the next task of the slab. The last chunk holds
+// only the tasks still to come.
+func (s *slab) makeTask(id int, cfg GenConfig, weights []float64, clock float64, r *rng.Stream) *Task {
 	size := r.Uniform(cfg.MinSizeMI, cfg.MaxSizeMI)
 	prio := Priorities[r.WeightedChoice(weights)]
 	act := size / cfg.SlowestSpeedMIPS
 	slack := slackFor(prio, r)
-	return &Task{
+	if len(s.free) == 0 {
+		s.free = make([]Task, min(slabSize, cfg.NumTasks-id))
+	}
+	t := &s.free[0]
+	s.free = s.free[1:]
+	*t = Task{
 		ID:          id,
 		SizeMI:      size,
 		ACT:         act,
@@ -110,6 +132,7 @@ func makeTask(id int, cfg GenConfig, weights []float64, clock float64, r *rng.St
 		StartTime:   -1,
 		FinishTime:  -1,
 	}
+	return t
 }
 
 // burstySource streams the two-phase modulated Poisson workload of
@@ -123,10 +146,11 @@ type burstySource struct {
 	phaseEnd float64
 	gapScale float64
 	i        int
+	slab     slab
 }
 
 // NewBurstySource returns a streaming source for the bursty arrival
-// process. GenerateBursty is Collect(NewBurstySource(...)).
+// process. GenerateBursty collects one.
 func NewBurstySource(cfg BurstyConfig, r *rng.Stream) (Source, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -166,7 +190,7 @@ func (b *burstySource) Next() (*Task, bool) {
 			b.phaseEnd = b.clock + b.r.Exp(b.cfg.MeanGapLen)
 		}
 	}
-	t := makeTask(b.i, b.cfg.GenConfig, b.weights, b.clock, b.r)
+	t := b.slab.makeTask(b.i, b.cfg.GenConfig, b.weights, b.clock, b.r)
 	b.i++
 	return t, true
 }
@@ -218,6 +242,7 @@ type diurnalSource struct {
 	r       *rng.Stream
 	clock   float64
 	i       int
+	slab    slab
 }
 
 // NewDiurnalSource returns a streaming source for the diurnal arrival
@@ -247,7 +272,7 @@ func (d *diurnalSource) Next() (*Task, bool) {
 			break
 		}
 	}
-	t := makeTask(d.i, d.cfg.GenConfig, d.weights, d.clock, d.r)
+	t := d.slab.makeTask(d.i, d.cfg.GenConfig, d.weights, d.clock, d.r)
 	d.i++
 	return t, true
 }

@@ -15,8 +15,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rlsched/internal/rng"
 )
@@ -251,7 +252,7 @@ func Generate(cfg GenConfig, r *rng.Stream) ([]*Task, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Collect(src), nil
+	return collect(make([]*Task, 0, cfg.NumTasks), src), nil
 }
 
 // MustGenerate is Generate but panics on configuration errors; intended
@@ -298,14 +299,19 @@ func Summarize(tasks []*Task) Stats {
 
 // SortEDF sorts tasks in place by absolute deadline, earliest first
 // (the TG technique orders group members by EDF, §IV.D). Ties break by ID
-// for determinism.
+// for determinism. The sort is typed and stable, so it neither allocates
+// nor reflects, and it yields the permutation of sort.SliceStable under
+// the same order.
 func SortEDF(tasks []*Task) {
-	sort.SliceStable(tasks, func(i, j int) bool {
-		di, dj := tasks[i].AbsoluteDeadline(), tasks[j].AbsoluteDeadline()
-		if di != dj {
-			return di < dj
+	slices.SortStableFunc(tasks, func(a, b *Task) int {
+		da, db := a.AbsoluteDeadline(), b.AbsoluteDeadline()
+		switch {
+		case da < db:
+			return -1
+		case da > db:
+			return 1
 		}
-		return tasks[i].ID < tasks[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -279,6 +280,41 @@ func TestQuickSortEDFOrdered(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: SortEDF yields exactly sort.SliceStable's permutation under
+// the historical (deadline, ID) comparison, on inputs dense with ties:
+// deadlines and IDs come from tiny ranges, so equal deadlines are the
+// rule and fully equal keys (same deadline and ID) occur too, where only
+// stability fixes the order. Lengths run past the sort's insertion-sort
+// blocks.
+func TestQuickSortEDFMatchesSliceStable(t *testing.T) {
+	r := rng.NewStream(31, "edf")
+	f := func(nRaw uint8) bool {
+		n := int(nRaw) % 70
+		tasks := make([]*Task, n)
+		for i := range tasks {
+			tasks[i] = &Task{ID: r.Intn(8), ArrivalTime: float64(r.Intn(3)), Deadline: float64(r.Intn(3))}
+		}
+		want := append([]*Task(nil), tasks...)
+		sort.SliceStable(want, func(i, j int) bool {
+			di, dj := want[i].AbsoluteDeadline(), want[j].AbsoluteDeadline()
+			if di != dj {
+				return di < dj
+			}
+			return want[i].ID < want[j].ID
+		})
+		SortEDF(tasks)
+		for i := range tasks {
+			if tasks[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
