@@ -60,3 +60,27 @@ func BenchmarkPointKey(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCacheGetDisk measures a disk-tier hit, what a coordinator
+// whose memory tier is too small for the campaign pays per cached point:
+// read, decode, checksum and canonical-form check. Two keys alternate
+// through a one-entry memory tier, so every lookup goes to disk.
+func BenchmarkCacheGetDisk(b *testing.B) {
+	s, err := Open(b.TempDir(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := [2]string{SpecHash("bench-a"), SpecHash("bench-b")}
+	for _, k := range keys {
+		if err := s.Put(k, benchValue); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, tier := s.GetTier(keys[i%2]); tier != TierDisk {
+			b.Fatalf("lookup %d: tier %v, want disk", i, tier)
+		}
+	}
+}

@@ -209,3 +209,56 @@ func TestStoreDiskFaultBudgetResetsOnSuccess(t *testing.T) {
 		t.Fatalf("store degraded on non-consecutive faults: %+v", st)
 	}
 }
+
+// TestStoreCaseFlippedFieldNameIsAMiss flips the case bit of the first
+// letter of each envelope field name. encoding/json matches field names
+// case-insensitively, so the flipped entry still decodes to a valid key,
+// checksum and value; the store must nonetheless reject it as corrupt,
+// drop the file and miss.
+func TestStoreCaseFlippedFieldNameIsAMiss(t *testing.T) {
+	for _, field := range []string{"key", "sum", "value"} {
+		t.Run(field, func(t *testing.T) {
+			dir := t.TempDir()
+			sum := sha256.Sum256([]byte("case-flip"))
+			key := KeyPrefix + hex.EncodeToString(sum[:])
+			val := []byte(`{"figure":"10","series":[1.5,2.25]}`) // compact: stored as given
+			s, err := Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(key, val); err != nil {
+				t.Fatal(err)
+			}
+			hexPart := key[len(KeyPrefix):]
+			path := filepath.Join(dir, hexPart[:2], hexPart[2:]+".json")
+			if got, ok := freshGet(t, dir, key); !ok || !bytes.Equal(got, val) {
+				t.Fatalf("intact entry: got %q, %v; want a hit", got, ok)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := bytes.Index(raw, []byte(`"`+field+`"`))
+			if at < 0 {
+				t.Fatalf("field %q not in entry %s", field, raw)
+			}
+			raw[at+1] ^= 0x20 // 'k' -> 'K'
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cold, err := Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, tier := cold.GetTier(key); tier != TierMiss {
+				t.Fatalf("case-flipped %q served from %v: %q", field, tier, got)
+			}
+			if st := cold.Stats(); st.BadEntries != 1 {
+				t.Fatalf("BadEntries = %d, want 1", st.BadEntries)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("corrupt entry not removed: stat err %v", err)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -263,7 +264,7 @@ func (s *Store) GetTier(key string) ([]byte, Tier) {
 		return nil, TierMiss
 	}
 	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil || env.Key != key || env.Sum != valueSum(env.Value) {
+	if err := json.Unmarshal(data, &env); err != nil || env.Key != key || env.Sum != valueSum(env.Value) || !canonicalEntry(data, env) {
 		// Corrupted or cross-wired entry: drop it so it cannot shadow a
 		// future Put, and miss.
 		_ = s.fsys.Remove(path)
@@ -325,17 +326,47 @@ func (s *Store) Put(key string, val []byte) error {
 	return err
 }
 
+// encodeEntry is the on-disk form of an entry: its envelope's JSON and a
+// trailing newline.
+func encodeEntry(env envelope) ([]byte, error) {
+	data, err := json.Marshal(env)
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
+// canonicalEntry reports whether data is byte for byte the encoding of
+// its decoded envelope. encoding/json matches field names without regard
+// to case, so a flipped bit that only changes a letter's case in "key",
+// "sum" or "value" still decodes to a valid envelope; only this check
+// tells such an entry from what spool wrote. The value is compared as
+// the raw bytes it decoded from, not re-encoded: spool wrote it compact
+// and the checksum already covers it, and re-encoding would scan every
+// value a second time on each disk hit.
+func canonicalEntry(data []byte, env envelope) bool {
+	head, err := encodeEntry(envelope{Key: env.Key, Sum: env.Sum})
+	if err != nil {
+		return false
+	}
+	head = head[:len(head)-len("null}\n")] // {"key":…,"sum":…,"value":
+	tail := "}\n"
+	return len(data) == len(head)+len(env.Value)+len(tail) &&
+		bytes.HasPrefix(data, head) &&
+		bytes.Equal(data[len(head):len(data)-len(tail)], env.Value) &&
+		bytes.HasSuffix(data, []byte(tail))
+}
+
 // spool performs the on-disk half of Put.
 func (s *Store) spool(key string, val []byte) error {
 	path, ok := s.path(key)
 	if !ok {
 		return fmt.Errorf("cache: malformed key %q", key)
 	}
-	data, err := json.Marshal(envelope{Key: key, Sum: valueSum(val), Value: val})
+	data, err := encodeEntry(envelope{Key: key, Sum: valueSum(val), Value: val})
 	if err != nil {
 		return fmt.Errorf("cache: encoding entry: %w", err)
 	}
-	data = append(data, '\n')
 	shard := filepath.Dir(path)
 	if err := s.fsys.MkdirAll(shard, 0o755); err != nil {
 		return fmt.Errorf("cache: creating shard: %w", err)

@@ -141,6 +141,11 @@ type AdaptiveRL struct {
 	// feature scratch buffer to avoid per-decision allocations.
 	feat  []float64
 	stats DebugStats
+	// epsAt and eps memoise epsilon for one experience count: the count
+	// moves once per learning cycle, epsilon is read on every decision.
+	epsAt  float64
+	eps    float64
+	epsSet bool
 }
 
 // New creates an Adaptive-RL policy with the given configuration.
@@ -209,8 +214,11 @@ func (p *AdaptiveRL) epsilon(ctx *sched.Context, st *agentState) float64 {
 	default:
 		experience = float64(st.ownExperience)
 	}
-	eps := p.cfg.Epsilon0 * math.Exp(-experience/p.cfg.ExplorationScale)
-	return math.Max(p.cfg.EpsilonFloor, eps)
+	if !p.epsSet || experience != p.epsAt {
+		eps := p.cfg.Epsilon0 * math.Exp(-experience/p.cfg.ExplorationScale)
+		p.epsAt, p.eps, p.epsSet = experience, math.Max(p.cfg.EpsilonFloor, eps), true
+	}
+	return p.eps
 }
 
 // mem returns the memory the agent learns from: the policy-owned store

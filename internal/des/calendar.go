@@ -23,7 +23,10 @@ import "math"
 type calendar struct {
 	buckets [][]*item
 	mask    int64
-	width   float64
+	// perWidth is the reciprocal of the bucket width: vbOf multiplies by
+	// it instead of dividing by the width. Both maps are monotone in the
+	// timestamp, which is all the scan needs, so the pop order is the same.
+	perWidth float64
 	// vbCur is the virtual bucket of the calendar's current position: the
 	// canonical scan start. The owner advances it (advanceTo) as the
 	// simulation clock moves; because every schedulable timestamp is >= the
@@ -65,12 +68,12 @@ func less(a, b *item) bool {
 func (c *calendar) init() {
 	c.buckets = make([][]*item, minBuckets)
 	c.mask = minBuckets - 1
-	c.width = 1
+	c.perWidth = 1
 }
 
 // vbOf maps a timestamp to its virtual bucket under the current width.
 func (c *calendar) vbOf(at Time) int64 {
-	q := at / c.width
+	q := at * c.perWidth
 	if q >= float64(maxVB) || math.IsInf(q, 1) {
 		return maxVB
 	}
@@ -253,7 +256,7 @@ func (c *calendar) sampleWidth() float64 {
 	if hi > lo && c.total > 1 {
 		w = (hi - lo) / float64(c.total)
 	}
-	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
+	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) || math.IsInf(1/w, 0) {
 		w = 1
 	}
 	return w
@@ -273,7 +276,7 @@ func (c *calendar) redistribute(nb int, width float64) {
 	old := c.buckets
 	c.buckets = make([][]*item, nb)
 	c.mask = int64(nb) - 1
-	c.width = width
+	c.perWidth = 1 / width
 	c.vbCur = c.vbOf(c.startAt)
 	total, live, cancelled := c.total, c.live, c.cancelled
 	c.total, c.live, c.cancelled = 0, 0, 0

@@ -94,11 +94,16 @@ func NewCollector(numProcessors int) *Collector {
 }
 
 // ReserveTasks makes room in the task-record log for n more completions,
-// so a run whose task count is known up front never regrows it. A
-// streaming collector retains no task records and ignores it.
+// and in the group and cycle logs for n/2 more records each (the figure
+// workloads form one group, and so one learning cycle, per ~2.4 tasks),
+// so a run whose task count is known up front never regrows the task
+// log and seldom the other two. A streaming collector retains no task or
+// group records and bounds its cycle series, and ignores it.
 func (c *Collector) ReserveTasks(n int) {
 	if c.rtHist == nil {
 		c.tasks = slices.Grow(c.tasks, n)
+		c.groups = slices.Grow(c.groups, n/2)
+		c.cycles = slices.Grow(c.cycles, n/2)
 	}
 }
 

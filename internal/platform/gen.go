@@ -173,6 +173,7 @@ func Generate(cfg GenConfig, r *rng.Stream) (*Platform, error) {
 					WakeLatency:   cfg.WakeLatency,
 					Throttle:      1,
 					PowerExponent: cfg.PowerExponent,
+					pl:            pl,
 				}
 				procID++
 				node.Processors = append(node.Processors, proc)

@@ -102,12 +102,37 @@ type Processor struct {
 
 	state      PowerState
 	lastChange float64
+	// power caches InstantPower for the current state and throttle. It is
+	// valid once powerSet is true: SetState and SetThrottle recompute it,
+	// and a hand-built literal computes it on first use, so the power
+	// fields must not be edited after that.
+	power    float64
+	powerSet bool
 
-	// Cumulative per-state dwell time and integrated energy (W·time unit).
-	busyTime, idleTime, sleepTime, wakeTime, failedTime float64
-	energy                                              float64
+	// pl is the owning platform, whose breakpoint log this processor
+	// replays (nil for a processor built outside Generate), and seen
+	// counts the log's breakpoints already folded in.
+	pl   *Platform
+	seen int
+
+	// Cumulative dwell time per power state (indexed by PowerState) and
+	// integrated energy (W·time unit).
+	dwell  [numStates]float64
+	energy float64
 	// tasksRun counts completed task executions, for utilisation reports.
 	tasksRun int
+}
+
+// numStates sizes the per-state dwell buckets.
+const numStates = int(StateFailed) + 1
+
+// bucket maps a state to its dwell bucket; a state outside the enumeration
+// is accounted (and powered) as idle.
+func bucket(s PowerState) int {
+	if s < 0 || int(s) >= numStates {
+		return int(StateIdle)
+	}
+	return int(s)
 }
 
 // EffectiveSpeed returns the throttled execution speed in MIPS.
@@ -115,6 +140,14 @@ func (p *Processor) EffectiveSpeed() float64 { return p.SpeedMIPS * p.Throttle }
 
 // InstantPower returns the draw of the current state in watts.
 func (p *Processor) InstantPower() float64 {
+	if !p.powerSet {
+		p.power, p.powerSet = p.powerOf(), true
+	}
+	return p.power
+}
+
+// powerOf computes the draw of the current state from the power fields.
+func (p *Processor) powerOf() float64 {
 	switch p.state {
 	case StateBusy:
 		exp := p.PowerExponent
@@ -139,28 +172,53 @@ func (p *Processor) State() PowerState { return p.state }
 // Advance integrates time and energy up to now without changing state.
 // Calling it with a timestamp earlier than the last update panics.
 func (p *Processor) Advance(now float64) {
-	dt := now - p.lastChange
-	if dt < 0 {
-		if dt > -1e-9 { // tolerate float jitter
-			dt = 0
-		} else {
-			panic(fmt.Sprintf("platform: processor %d time moved backwards: %g -> %g", p.ID, p.lastChange, now))
+	p.catchUp()
+	one := [1]float64{now}
+	p.fold(one[:], 0)
+	if pl := p.pl; pl != nil {
+		if now != pl.last {
+			pl.clean = false
+		}
+		if now > pl.hi {
+			pl.hi = now
 		}
 	}
-	switch p.state {
-	case StateBusy:
-		p.busyTime += dt
-	case StateSleep:
-		p.sleepTime += dt
-	case StateWaking:
-		p.wakeTime += dt
-	case StateFailed:
-		p.failedTime += dt
-	default:
-		p.idleTime += dt
+}
+
+// catchUp folds the platform breakpoints this processor has not seen yet.
+// Every read of the accounting calls it first.
+func (p *Processor) catchUp() {
+	if pl := p.pl; pl != nil && p.seen != len(pl.log) {
+		p.fold(pl.log, p.seen) // the log and an index, not a subslice: keeps catchUp inlinable
 	}
-	p.energy += p.InstantPower() * dt
-	p.lastChange = now
+}
+
+// fold integrates the current state's draw over the intervals ending at
+// each of times[from:] in turn: per interval the same jitter clamp, dwell
+// add and power·dt add as one Advance, so a folded run of breakpoints
+// rounds exactly like advancing the processor at each of them. Callers
+// fold the unseen breakpoints first, so afterwards the whole log is seen.
+func (p *Processor) fold(times []float64, from int) {
+	pw := p.InstantPower()
+	slot := &p.dwell[bucket(p.state)]
+	last, dwell, energy := p.lastChange, *slot, p.energy
+	for _, now := range times[from:] {
+		dt := now - last
+		if dt < 0 {
+			if dt > -1e-9 { // tolerate float jitter
+				dt = 0
+			} else {
+				panic(fmt.Sprintf("platform: processor %d time moved backwards: %g -> %g", p.ID, last, now))
+			}
+		}
+		dwell += dt
+		energy += pw * dt
+		last = now
+	}
+	p.lastChange, *slot, p.energy = last, dwell, energy
+	if p.pl != nil {
+		p.seen = len(p.pl.log)
+	}
 }
 
 // SetState transitions the processor at time now, folding the elapsed
@@ -168,6 +226,7 @@ func (p *Processor) Advance(now float64) {
 func (p *Processor) SetState(s PowerState, now float64) {
 	p.Advance(now)
 	p.state = s
+	p.power, p.powerSet = p.powerOf(), true
 }
 
 // SetThrottle clamps and applies a new throttle level at time now. The
@@ -177,6 +236,7 @@ func (p *Processor) SetState(s PowerState, now float64) {
 func (p *Processor) SetThrottle(level float64, now float64) {
 	p.Advance(now)
 	p.Throttle = math.Min(1, math.Max(MinThrottle, level))
+	p.power, p.powerSet = p.powerOf(), true
 }
 
 // NoteTaskRun increments the completed-execution counter.
@@ -186,19 +246,28 @@ func (p *Processor) NoteTaskRun() { p.tasksRun++ }
 func (p *Processor) TasksRun() int { return p.tasksRun }
 
 // BusyTime, IdleTime, SleepTime and WakeTime return cumulative dwell
-// times as of the last Advance.
-func (p *Processor) BusyTime() float64  { return p.busyTime }
-func (p *Processor) IdleTime() float64  { return p.idleTime }
-func (p *Processor) SleepTime() float64 { return p.sleepTime }
-func (p *Processor) WakeTime() float64  { return p.wakeTime }
+// times as of the last Advance (or platform breakpoint).
+func (p *Processor) BusyTime() float64  { return p.dwellIn(StateBusy) }
+func (p *Processor) IdleTime() float64  { return p.dwellIn(StateIdle) }
+func (p *Processor) SleepTime() float64 { return p.dwellIn(StateSleep) }
+func (p *Processor) WakeTime() float64  { return p.dwellIn(StateWaking) }
 
 // FailedTime returns cumulative downtime as of the last Advance.
-func (p *Processor) FailedTime() float64 { return p.failedTime }
+func (p *Processor) FailedTime() float64 { return p.dwellIn(StateFailed) }
+
+// dwellIn returns the cumulative time spent in state s.
+func (p *Processor) dwellIn(s PowerState) float64 {
+	p.catchUp()
+	return p.dwell[s]
+}
 
 // Energy returns the integrated consumption in watt·time-units as of the
 // last Advance — Eq. 5 generalised with the sleep state:
 // PP_j = p_max·Σ ET_i + p_min·t_idle (+ p_sleep·t_sleep).
-func (p *Processor) Energy() float64 { return p.energy }
+func (p *Processor) Energy() float64 {
+	p.catchUp()
+	return p.energy
+}
 
 // EnergyAt projects the cumulative energy to time now without folding
 // the interval into the accounting: the integration breakpoints — and
@@ -206,6 +275,7 @@ func (p *Processor) Energy() float64 { return p.energy }
 // Observers (probes) use this so that reading energy mid-run cannot
 // perturb the final ECS by even an ulp.
 func (p *Processor) EnergyAt(now float64) float64 {
+	p.catchUp()
 	dt := now - p.lastChange
 	if dt <= 0 {
 		return p.energy
@@ -216,11 +286,13 @@ func (p *Processor) EnergyAt(now float64) float64 {
 // Utilization returns busy time as a fraction of total elapsed time as of
 // the last Advance (zero before any time passes).
 func (p *Processor) Utilization() float64 {
-	total := p.busyTime + p.idleTime + p.sleepTime + p.wakeTime + p.failedTime
+	p.catchUp()
+	d := &p.dwell
+	total := d[StateBusy] + d[StateIdle] + d[StateSleep] + d[StateWaking] + d[StateFailed]
 	if total <= 0 {
 		return 0
 	}
-	return p.busyTime / total
+	return d[StateBusy] / total
 }
 
 // Node is a compute node: a fully connected set of processors sharing a
@@ -316,7 +388,22 @@ type Platform struct {
 
 	processors []*Processor
 	nodes      []*Node
+
+	// log holds the AdvanceAll breakpoints since it last restarted,
+	// oldest first; a processor's unseen tail is log[seen:].
+	log []float64
+	// last is the newest breakpoint. clean reports that no processor has
+	// advanced itself to another time since then, so every processor's
+	// integration point is last. hi bounds every processor's integration
+	// point from above, which is all the backwards-time check needs.
+	last, hi float64
+	clean    bool
 }
+
+// logCap bounds the breakpoint log: when it fills, every processor folds
+// the pending breakpoints and the log restarts, so memory stays flat in
+// arbitrarily long runs.
+const logCap = 256
 
 // Nodes returns all nodes across sites in a stable order.
 func (pl *Platform) Nodes() []*Node { return pl.nodes }
@@ -341,11 +428,35 @@ func (pl *Platform) SlowestSpeed() float64 {
 	return s
 }
 
-// AdvanceAll folds elapsed time into every processor's accounting so that
-// energy and utilisation reads are consistent at time now.
+// AdvanceAll makes time now an integration breakpoint of every processor,
+// so that energy and utilisation reads are consistent at time now. It is
+// O(1): the breakpoint goes into the platform's log, and each processor
+// folds the breakpoints it has not seen before it next advances itself or
+// is read, which rounds exactly like advancing every processor here. A
+// repeat of the newest breakpoint with no processor advanced since folds
+// nothing and is dropped. A time further back than one processor's
+// last update panics at once, as Processor.Advance does.
 func (pl *Platform) AdvanceAll(now float64) {
-	for _, p := range pl.processors {
-		p.Advance(now)
+	if pl.clean && now == pl.last {
+		return
+	}
+	if !(now-pl.hi > -1e-9) {
+		// Possibly backwards (or NaN): advance every processor now, which
+		// panics naming the first one that cannot move.
+		for _, p := range pl.processors {
+			p.Advance(now)
+		}
+		pl.last, pl.hi, pl.clean = now, now, true
+		return
+	}
+	pl.log = append(pl.log, now)
+	pl.last, pl.hi, pl.clean = now, now, true
+	if len(pl.log) == logCap {
+		for _, p := range pl.processors {
+			p.catchUp()
+			p.seen = 0
+		}
+		pl.log = pl.log[:0]
 	}
 }
 

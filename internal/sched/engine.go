@@ -875,18 +875,12 @@ func (e *Engine) nodeInfo(n *platform.Node) NodeInfo {
 		if rt := &e.running[p.ID]; rt.task != nil && rt.finishAt > now {
 			ni.InflightWork += (rt.finishAt - now) * rt.speed
 		}
+		ni.ProcPower[i] = p.InstantPower()
 		switch p.State() {
-		case platform.StateBusy:
-			ni.ProcPower[i] = p.InstantPower()
+		case platform.StateBusy, platform.StateWaking, platform.StateFailed:
 		case platform.StateSleep:
-			ni.ProcPower[i] = p.PSleepW
 			ni.SleepProcs++
-		case platform.StateWaking:
-			ni.ProcPower[i] = p.PMaxW
-		case platform.StateFailed:
-			ni.ProcPower[i] = 0
 		default:
-			ni.ProcPower[i] = p.PMinW
 			ni.IdleProcs++
 		}
 	}
