@@ -183,9 +183,6 @@ func NewRecorder(cfg Config) *Recorder {
 	}
 }
 
-// TopK returns the configured per-decision candidate capture bound.
-func (r *Recorder) TopK() int { return r.cfg.TopK }
-
 // CandidateBudget returns how many shared-memory candidates the policy
 // should capture for the decision it is about to record: TopK when that
 // decision lands on the reservoir's keep stride, 0 otherwise. Retained
@@ -366,31 +363,11 @@ func (r *Recorder) curveAdd(name, family, unit string, t, v float64) {
 	}
 }
 
-// Epoch returns the history-rewrite counter; any drop of retained
-// decisions or curve points bumps it, telling streaming consumers to
-// refetch rather than diff.
-func (r *Recorder) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
-}
-
 // TotalDecisions returns the lifetime decision count, retained or not.
 func (r *Recorder) TotalDecisions() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
-}
-
-// ExplorationRatio returns the fraction of re-decisions that explored
-// (0 before the first re-decision).
-func (r *Recorder) ExplorationRatio() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.decided == 0 {
-		return 0
-	}
-	return float64(r.explored) / float64(r.decided)
 }
 
 // KindCounts returns a copy of the per-kind decision counters.

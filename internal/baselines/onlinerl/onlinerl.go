@@ -106,7 +106,6 @@ type nodeState struct {
 	powercap float64
 	// Interval baselines for the reward computation.
 	lastEnergy  float64
-	lastBusy    float64
 	lastElapsed float64
 }
 

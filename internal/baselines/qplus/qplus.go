@@ -80,11 +80,10 @@ func (c Config) Validate() error {
 
 // decision is a pending sleep/active choice awaiting its observed cost.
 type decision struct {
-	state      int
-	action     int
-	at         float64
-	tasksRun   int
-	energyThen float64
+	state    int
+	action   int
+	at       float64
+	tasksRun int
 }
 
 // procState is the per-processor Q-learner: one table per learning rate

@@ -222,6 +222,33 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestStorePutKeepsCompactJSON pins what Put stores: the compact form of
+// a JSON value in the memory tier too, and nothing at all for a value
+// that is not JSON, which must not count as a disk fault either.
+func TestStorePutKeepsCompactJSON(t *testing.T) {
+	s, err := Open(t.TempDir(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := SpecHash("compact")
+	if err := s.Put(key, []byte(`{"a": [1, 2]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got, tier := s.GetTier(key); tier != TierMemory || string(got) != `{"a":[1,2]}` {
+		t.Fatalf("GetTier = %q from %v, want the compact value from memory", got, tier)
+	}
+	bad := SpecHash("bad")
+	if err := s.Put(bad, []byte(`{"a": `)); err == nil {
+		t.Fatal("Put accepted a value that is not JSON")
+	}
+	if _, ok := s.Get(bad); ok {
+		t.Fatal("a rejected value was stored")
+	}
+	if st := s.Stats(); st.Puts != 1 || st.DiskEntries != 1 || st.DiskFaults != 0 {
+		t.Fatalf("stats after a rejected Put = %+v, want 1 put, 1 disk entry, no disk fault", st)
+	}
+}
+
 func TestStoreMemoryOnlyNeverTouchesDisk(t *testing.T) {
 	s, err := Open("", 0)
 	if err != nil {

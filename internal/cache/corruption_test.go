@@ -14,8 +14,9 @@ import (
 	"rlsched/internal/chaos"
 )
 
-// corruptionFixture spools one entry and returns its key, value and raw
-// on-disk bytes plus the spool path.
+// corruptionFixture spools one entry and returns its key, the value as
+// the store holds it (compacted: the fixture's value has insignificant
+// spaces), the raw on-disk bytes and the spool path.
 func corruptionFixture(t testing.TB, dir string) (key string, val, raw []byte, path string) {
 	t.Helper()
 	sum := sha256.Sum256([]byte("corruption-fixture"))
@@ -28,13 +29,32 @@ func corruptionFixture(t testing.TB, dir string) (key string, val, raw []byte, p
 	if err := s.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, val); err != nil {
+		t.Fatal(err)
+	}
 	hexPart := key[len(KeyPrefix):]
 	path = filepath.Join(dir, hexPart[:2], hexPart[2:]+".json")
 	raw, err = os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading spooled entry: %v", err)
 	}
-	return key, val, raw, path
+	return key, compact.Bytes(), raw, path
+}
+
+// TestStoreFixtureReadsBackFromDisk reads the untouched fixture entry
+// through a cold store: a value Put with insignificant whitespace must
+// come back from disk, as the compact bytes the memory tier serves.
+func TestStoreFixtureReadsBackFromDisk(t *testing.T) {
+	dir := t.TempDir()
+	key, val, _, _ := corruptionFixture(t, dir)
+	cold, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, tier := cold.GetTier(key); tier != TierDisk || !bytes.Equal(got, val) {
+		t.Fatalf("GetTier = %q from %v, want %q from disk (stats %+v)", got, tier, val, cold.Stats())
+	}
 }
 
 // freshGet opens a cold store (empty LRU, so the disk entry is the only
@@ -160,7 +180,7 @@ func TestStoreDegradesToMemoryOnly(t *testing.T) {
 	if err := s.Put(key, []byte(`{"i": 2}`)); err != nil {
 		t.Fatalf("degraded put returned %v, want nil", err)
 	}
-	if got, ok := s.Get(key); !ok || string(got) != `{"i": 2}` {
+	if got, ok := s.Get(key); !ok || string(got) != `{"i":2}` {
 		t.Fatalf("degraded get = %q, %v", got, ok)
 	}
 	if st := s.Stats(); st.DiskFaults != 3 {

@@ -306,7 +306,18 @@ func (s *Store) insertLocked(key string, val []byte) {
 // degraded store (see Options.DegradeAfter) keeps the memory copy and
 // skips the disk without error: losing persistence costs recomputation
 // after a restart, never the current campaign.
+//
+// val must be JSON; Put rejects anything else and stores nothing. Both
+// tiers keep its compact form, which is what the envelope encoding
+// writes and the checksum covers, so a value reads back from disk with
+// the same bytes as from memory.
 func (s *Store) Put(key string, val []byte) error {
+	var compact bytes.Buffer
+	compact.Grow(len(val))
+	if err := json.Compact(&compact, val); err != nil {
+		return fmt.Errorf("cache: value for %s is not JSON: %w", key, err)
+	}
+	val = compact.Bytes()
 	s.mu.Lock()
 	s.puts++
 	s.insertLocked(key, val)

@@ -15,7 +15,6 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -101,11 +100,10 @@ type Schedule struct {
 	seed  uint64
 	rules []Rule
 
-	mu     sync.Mutex
-	seen   map[countKey]int // operations observed per (rule, key)
-	fired  map[countKey]int // faults fired per (rule, key)
-	trace  []Decision
-	halted bool
+	mu       sync.Mutex
+	seen     map[countKey]int // operations observed per (rule, key)
+	fired    map[countKey]int // faults fired per (rule, key)
+	injected int              // faults fired in total
 }
 
 // NewSchedule builds a schedule from a seed and an ordered rule list.
@@ -119,25 +117,14 @@ func NewSchedule(seed uint64, rules ...Rule) *Schedule {
 	}
 }
 
-// Halt stops all further injection; pending operations proceed clean.
-// Useful for schedules that should only disturb a window of a test.
-func (s *Schedule) Halt() {
-	s.mu.Lock()
-	s.halted = true
-	s.mu.Unlock()
-}
-
 // Decide classifies one operation. It returns the fault to inject (the
-// zero Decision means none) and records fired faults in the trace.
+// zero Decision means none) and counts fired faults.
 func (s *Schedule) Decide(op, key string) Decision {
 	if s == nil {
 		return Decision{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.halted {
-		return Decision{}
-	}
 	for ri, r := range s.rules {
 		if r.Op != op {
 			continue
@@ -158,9 +145,8 @@ func (s *Schedule) Decide(op, key string) Decision {
 			continue
 		}
 		s.fired[ck]++
-		d := Decision{Rule: ri, Op: op, Key: key, N: n, Fault: r.Fault, Delay: r.Delay}
-		s.trace = append(s.trace, d)
-		return d
+		s.injected++
+		return Decision{Rule: ri, Op: op, Key: key, N: n, Fault: r.Fault, Delay: r.Delay}
 	}
 	return Decision{}
 }
@@ -185,25 +171,6 @@ func (s *Schedule) hash(rule int, key string, n int) uint64 {
 	return h.Sum64()
 }
 
-// Trace returns a copy of every fired decision so far, sorted by
-// (rule, key, n) so two runs of the same schedule compare equal even
-// when concurrent operations interleaved differently.
-func (s *Schedule) Trace() []Decision {
-	s.mu.Lock()
-	out := append([]Decision(nil), s.trace...)
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rule != out[j].Rule {
-			return out[i].Rule < out[j].Rule
-		}
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		return out[i].N < out[j].N
-	})
-	return out
-}
-
 // Fired reports how many faults the schedule has injected.
 func (s *Schedule) Fired() int {
 	if s == nil {
@@ -211,7 +178,7 @@ func (s *Schedule) Fired() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.trace)
+	return s.injected
 }
 
 func put64(buf *[8]byte, v uint64) {

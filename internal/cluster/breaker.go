@@ -85,16 +85,6 @@ func (b *breaker) failure(now time.Time) {
 	}
 }
 
-// force trips the breaker immediately, regardless of the streak. Used
-// by MarkDead, where the caller already knows the worker is gone.
-func (b *breaker) force(now time.Time) {
-	if b.fails < b.threshold {
-		b.fails = b.threshold
-	}
-	b.state = BreakerOpen
-	b.openedAt = now
-}
-
 // backoffDelay is the capped exponential backoff a worker sits out
 // before its attempt-th retry (1-based), with deterministic jitter: the
 // delay lands in [base<<(attempt-1) / 2, base<<(attempt-1)), the exact

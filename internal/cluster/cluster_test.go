@@ -235,12 +235,14 @@ func TestPoolLifecycle(t *testing.T) {
 	if got := p.Alive(); len(got) != 1 || got[0] != w.srv.URL {
 		t.Fatalf("Alive() = %v, want [%s]", got, w.srv.URL)
 	}
-	p.MarkDead(w.srv.URL)
+	for i := 0; i < DefaultBreakerThreshold; i++ {
+		p.ReportFailure(w.srv.URL)
+	}
 	if p.AliveCount() != 0 {
-		t.Fatal("worker still alive after MarkDead")
+		t.Fatal("worker still alive after its breaker tripped")
 	}
 	snap := p.Snapshot()
-	if len(snap) != 1 || snap[0].Alive || snap[0].Failures != 1 {
+	if len(snap) != 1 || snap[0].Alive || snap[0].Failures != DefaultBreakerThreshold {
 		t.Fatalf("Snapshot() = %+v", snap)
 	}
 	// The heartbeat loop revives it.

@@ -32,9 +32,6 @@ import (
 const (
 	// DefaultHeartbeat is the health-probe interval.
 	DefaultHeartbeat = 5 * time.Second
-	// DefaultDeadAfter is how long a worker may go without a successful
-	// probe before Alive stops offering it leases.
-	DefaultDeadAfter = 3 * DefaultHeartbeat
 	// DefaultProbeTimeout bounds a single health probe.
 	DefaultProbeTimeout = 2 * time.Second
 )
@@ -222,26 +219,10 @@ func (p *Pool) probe(ctx context.Context, w *worker) error {
 	return nil
 }
 
-// MarkDead records that a worker is gone — its process died mid-lease —
-// tripping its breaker immediately so the dispatcher stops offering it
-// work until a half-open heartbeat probe succeeds again.
-func (p *Pool) MarkDead(u string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if w, ok := p.workers[u]; ok {
-		if w.alive {
-			p.log.Warn("cluster worker marked dead", "worker", u)
-		}
-		w.alive = false
-		w.failures++
-		w.brk.force(time.Now())
-	}
-}
-
-// ReportFailure records one failed lease against a worker. Unlike
-// MarkDead it does not retire the worker outright: the breaker trips
-// only after BreakerThreshold consecutive failures, so one flaky
-// response costs a retry, not the worker.
+// ReportFailure records one failed lease against a worker. It does not
+// retire the worker outright: the breaker trips only after
+// BreakerThreshold consecutive failures, so one flaky response costs a
+// retry, not the worker.
 func (p *Pool) ReportFailure(u string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -65,9 +65,6 @@ type ClusterSpec struct {
 	HedgeAfterSec float64 `json:"hedge_after_sec,omitempty"`
 }
 
-// Coordinator reports whether the spec configures fan-out to peers.
-func (c ClusterSpec) Coordinator() bool { return len(c.Peers) > 0 }
-
 // Validate rejects malformed cluster blocks: conflicting roles,
 // unparsable peer URLs, negative intervals.
 func (c ClusterSpec) Validate() error {

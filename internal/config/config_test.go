@@ -158,10 +158,4 @@ func TestClusterSpecValidate(t *testing.T) {
 			}
 		})
 	}
-	if !(ClusterSpec{Peers: []string{"http://w:7077"}}).Coordinator() {
-		t.Error("spec with peers not reported as coordinator")
-	}
-	if (ClusterSpec{Worker: true}).Coordinator() {
-		t.Error("worker reported as coordinator")
-	}
 }

@@ -139,8 +139,7 @@ type AdaptiveRL struct {
 	// set, surviving across engine runs.
 	ownShared *memory.Shared
 	// feature scratch buffer to avoid per-decision allocations.
-	feat  []float64
-	stats DebugStats
+	feat []float64
 	// epsAt and eps memoise epsilon for one experience count: the count
 	// moves once per learning cycle, epsilon is read on every decision.
 	epsAt  float64
@@ -318,7 +317,6 @@ func (p *AdaptiveRL) ChooseAction(ctx *sched.Context, ag *sched.Agent, _ *worklo
 		if e, ok := p.mem(ctx, st).BestFor(state); ok && e.LVal() > 0 {
 			action = e.Action
 		}
-		p.stats.MemoryFallback++
 		kind = audit.KindFallback
 	case ctx.Rand.Bool(eps):
 		// Explore. Half the trials perturb the current action locally
@@ -344,11 +342,9 @@ func (p *AdaptiveRL) ChooseAction(ctx *sched.Context, ag *sched.Agent, _ *worklo
 				action.Mode = grouping.ModeIdentical
 			}
 		}
-		p.stats.Explore++
 		kind = audit.KindExplore
 	default:
 		action = p.exploit(ctx, st, state, maxOp)
-		p.stats.Exploit++
 	}
 	if ctx.Audit != nil {
 		note := audit.Note{Kind: kind, State: state, Epsilon: eps}
@@ -359,12 +355,6 @@ func (p *AdaptiveRL) ChooseAction(ctx *sched.Context, ag *sched.Agent, _ *worklo
 			note.Candidates = p.mem(ctx, st).TopFor(state, k, nil)
 		}
 		ctx.SetAuditNote(note)
-	}
-	if action.Opnum < len(p.stats.OpnumChosen) {
-		p.stats.OpnumChosen[action.Opnum]++
-	}
-	if action.Mode == grouping.ModeIdentical {
-		p.stats.IdenticalChosen++
 	}
 	st.lastAction = action
 	return sched.Action{Opnum: action.Opnum, Mode: action.Mode}
@@ -495,13 +485,3 @@ func (p *AdaptiveRL) OnProcessorIdle(ctx *sched.Context, proc *platform.Processo
 
 // OnTick implements sched.Policy.
 func (p *AdaptiveRL) OnTick(*sched.Context) {}
-
-// DebugStats reports action-selection counters for diagnostics and tests.
-type DebugStats struct {
-	Explore, Exploit, MemoryFallback int
-	OpnumChosen                      [16]int
-	IdenticalChosen                  int
-}
-
-// Stats returns a copy of the policy's selection counters.
-func (p *AdaptiveRL) Stats() DebugStats { return p.stats }

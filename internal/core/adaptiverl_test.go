@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rlsched/internal/audit"
 	"rlsched/internal/grouping"
 	"rlsched/internal/memory"
 	"rlsched/internal/platform"
@@ -182,7 +183,9 @@ func TestPreserveLearningAcrossRuns(t *testing.T) {
 	cfg.PreserveLearning = true
 	policy := MustNew(cfg)
 
-	run := func(seed uint64) sched.Result {
+	// run counts the policy's exploring decisions through an audit
+	// recorder.
+	run := func(policy *AdaptiveRL, seed uint64) (sched.Result, uint64) {
 		r := rng.NewStream(seed, "transfer")
 		pcfg := platform.DefaultGenConfig()
 		pcfg.Sites = 3
@@ -193,35 +196,23 @@ func TestPreserveLearningAcrossRuns(t *testing.T) {
 		wcfg.MeanInterArrival = 1
 		wcfg.SlowestSpeedMIPS = pl.SlowestSpeed()
 		tasks := workload.MustGenerate(wcfg, r.Split("workload"))
-		return sched.MustNew(sched.DefaultConfig(), pl, tasks, policy, r.Split("engine")).MustRun()
+		ecfg := sched.DefaultConfig()
+		ecfg.Audit = audit.NewRecorder(audit.Config{})
+		res := sched.MustNew(ecfg, pl, tasks, policy, r.Split("engine")).MustRun()
+		return res, ecfg.Audit.KindCounts()[audit.KindExplore]
 	}
-	first := run(1)
-	second := run(2)
+	first, explore1 := run(policy, 1)
+	second, explore2 := run(policy, 2)
 	if first.Completed != 400 || second.Completed != 400 {
 		t.Fatalf("completions %d/%d", first.Completed, second.Completed)
 	}
 
 	// A fresh policy on the identical second scenario starts untrained;
-	// the transferred policy must explore less and do at least as well on
-	// average learning value early in the run.
-	freshPolicy := MustNew(DefaultConfig())
-	r := rng.NewStream(2, "transfer")
-	pcfg := platform.DefaultGenConfig()
-	pcfg.Sites = 3
-	pcfg.MinNodesPerSite, pcfg.MaxNodesPerSite = 2, 2
-	pl := platform.MustGenerate(pcfg, r.Split("platform"))
-	wcfg := workload.DefaultGenConfig()
-	wcfg.NumTasks = 400
-	wcfg.MeanInterArrival = 1
-	wcfg.SlowestSpeedMIPS = pl.SlowestSpeed()
-	tasks := workload.MustGenerate(wcfg, r.Split("workload"))
-	fresh := sched.MustNew(sched.DefaultConfig(), pl, tasks, freshPolicy, r.Split("engine")).MustRun()
-
-	transferredExplore := policy.Stats().Explore
-	freshExplore := freshPolicy.Stats().Explore
+	// the transferred policy must explore less.
+	_, freshExplore := run(MustNew(DefaultConfig()), 2)
+	transferredExplore := explore1 + explore2
 	// The transferred policy accumulated its exploration mostly in run 1;
 	// its run-2 exploration share must be below the fresh policy's.
-	_ = fresh
 	if transferredExplore == 0 || freshExplore == 0 {
 		t.Skip("exploration counters empty — nothing to compare")
 	}

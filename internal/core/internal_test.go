@@ -171,22 +171,6 @@ func TestSiteStateAggregation(t *testing.T) {
 	}
 }
 
-func TestStatsCountersPopulated(t *testing.T) {
-	h := newHarness(t, DefaultConfig())
-	s := h.pol.Stats()
-	total := s.Explore + s.Exploit + s.MemoryFallback
-	if total == 0 {
-		t.Fatal("no action selections recorded")
-	}
-	chosen := 0
-	for _, c := range s.OpnumChosen {
-		chosen += c
-	}
-	if chosen != total {
-		t.Fatalf("opnum histogram %d != selections %d", chosen, total)
-	}
-}
-
 func TestManageIdleSleepRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ManageIdleSleep = true

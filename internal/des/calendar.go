@@ -206,9 +206,8 @@ func (c *calendar) noteCancelled() {
 // them linger until popped (which inflates memory in cancel-heavy runs).
 // A reap costs O(total) and removes more than total/2 items, so reaping
 // at this threshold is amortised O(1) per cancellation. Queues of a
-// handful of entries stay lazy: reaping recycles the entries (stale
-// handles stop reporting Cancelled), and at that size there is no memory
-// to reclaim.
+// handful of entries stay lazy: reaping recycles the entries, and at
+// that size there is no memory to reclaim.
 func (c *calendar) needsReap() bool {
 	return c.cancelled >= 8 && c.cancelled > c.live
 }

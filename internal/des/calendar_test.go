@@ -53,7 +53,7 @@ func TestCalendarVsHeapDifferential(t *testing.T) {
 
 		schedule := func(at Time) {
 			ri := &refItem{at: at, seq: s.seq}
-			h := s.AtFunc(at, func(sim *Simulator) {
+			h := atFunc(s, at, func(sim *Simulator) {
 				got = append(got, sim.Now())
 				gotSeq = append(gotSeq, ri.seq)
 			})
@@ -163,7 +163,7 @@ func TestCalendarSparseAndDense(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			at := now + r.Float64()*scale
 			want = append(want, at)
-			s.AtFunc(at, func(sim *Simulator) { got = append(got, sim.Now()) })
+			atFunc(s, at, func(sim *Simulator) { got = append(got, sim.Now()) })
 			if i%3 == 0 {
 				s.Step()
 				now = s.Now()
@@ -189,10 +189,10 @@ func TestCalendarFarFutureEvent(t *testing.T) {
 	s := New()
 	var got []Time
 	rec := func(sim *Simulator) { got = append(got, sim.Now()) }
-	s.AtFunc(1e300, rec)
-	s.AtFunc(5, rec)
-	s.AtFunc(math.Inf(1), rec)
-	s.AtFunc(10, rec)
+	atFunc(s, 1e300, rec)
+	atFunc(s, 5, rec)
+	atFunc(s, math.Inf(1), rec)
+	atFunc(s, 10, rec)
 	for s.Step() {
 	}
 	wantOrder := []Time{5, 10, 1e300, math.Inf(1)}
@@ -215,7 +215,7 @@ func TestCancelledReaping(t *testing.T) {
 	var got []Time
 	for i := 0; i < 1000; i++ {
 		at := float64(i)
-		handles = append(handles, s.AtFunc(at, func(sim *Simulator) { got = append(got, sim.Now()) }))
+		handles = append(handles, atFunc(s, at, func(sim *Simulator) { got = append(got, sim.Now()) }))
 	}
 	// Cancel all but every 100th event.
 	for i, h := range handles {
@@ -228,7 +228,7 @@ func TestCancelledReaping(t *testing.T) {
 	if s.cal.cancelled > s.cal.live {
 		t.Fatalf("reap did not run: %d cancelled vs %d live still stored", s.cal.cancelled, s.cal.live)
 	}
-	if got := s.Pending(); got != 10 {
+	if got := s.cal.live; got != 10 {
 		t.Fatalf("Pending() = %d, want 10", got)
 	}
 	for s.Step() {

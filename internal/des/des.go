@@ -45,14 +45,6 @@ type Handle struct {
 	gen  uint64
 }
 
-// Cancelled reports whether the event was cancelled before firing.
-func (h Handle) Cancelled() bool {
-	return h.item != nil && h.gen == h.item.gen && h.item.cancelled
-}
-
-// Valid reports whether the handle refers to a scheduled event.
-func (h Handle) Valid() bool { return h.item != nil }
-
 // item is a calendar-queue entry.
 type item struct {
 	at        Time
@@ -89,9 +81,6 @@ func New() *Simulator {
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
-
-// Pending returns the number of scheduled, uncancelled events.
-func (s *Simulator) Pending() int { return s.cal.live }
 
 // Fired returns the number of events executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
@@ -141,11 +130,6 @@ func (s *Simulator) After(delay Time, ev Event) Handle {
 		panic(fmt.Sprintf("des: negative delay %g", delay))
 	}
 	return s.At(s.now+delay, ev)
-}
-
-// AtFunc is shorthand for At with an EventFunc.
-func (s *Simulator) AtFunc(at Time, f func(sim *Simulator)) Handle {
-	return s.At(at, EventFunc(f))
 }
 
 // AfterFunc is shorthand for After with an EventFunc.
@@ -212,51 +196,6 @@ func (s *Simulator) Run() Time {
 	}
 	return s.now
 }
-
-// RunUntil executes events with timestamps <= deadline, leaving later
-// events queued, and advances the clock to exactly deadline (even if the
-// queue drains earlier). It returns the number of events fired.
-func (s *Simulator) RunUntil(deadline Time) uint64 {
-	if deadline < s.now {
-		panic(fmt.Sprintf("des: RunUntil deadline %g before now %g", deadline, s.now))
-	}
-	start := s.fired
-	for !s.stopped {
-		next, ok := s.peekTime()
-		if !ok || next > deadline {
-			break
-		}
-		if s.MaxEvents > 0 && s.fired >= s.MaxEvents {
-			panic(fmt.Sprintf("des: MaxEvents (%d) exceeded at t=%g", s.MaxEvents, s.now))
-		}
-		s.Step()
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-	s.cal.advanceTo(s.now)
-	return s.fired - start
-}
-
-// peekTime returns the timestamp of the next uncancelled event, dropping
-// cancelled entries it encounters at the front.
-func (s *Simulator) peekTime() (Time, bool) {
-	for {
-		it, idx := s.cal.findMin()
-		if it == nil {
-			return 0, false
-		}
-		if it.cancelled {
-			s.cal.removeMin(it, idx)
-			s.release(it)
-			continue
-		}
-		return it.at, true
-	}
-}
-
-// NextEventTime exposes peekTime for callers that pace external work.
-func (s *Simulator) NextEventTime() (Time, bool) { return s.peekTime() }
 
 // Every schedules fn to run every interval time units, starting one
 // interval from now, until the returned stop function is called or the

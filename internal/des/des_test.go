@@ -11,7 +11,7 @@ func TestRunExecutesInTimeOrder(t *testing.T) {
 	var order []float64
 	for _, at := range []float64{5, 1, 3, 2, 4} {
 		at := at
-		sim.AtFunc(at, func(s *Simulator) {
+		atFunc(sim, at, func(s *Simulator) {
 			order = append(order, at)
 			if s.Now() != at {
 				t.Errorf("clock %g, want %g", s.Now(), at)
@@ -35,7 +35,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		sim.AtFunc(7, func(*Simulator) { order = append(order, i) })
+		atFunc(sim, 7, func(*Simulator) { order = append(order, i) })
 	}
 	sim.Run()
 	for i, v := range order {
@@ -59,13 +59,13 @@ func TestAfterSchedulesRelative(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	sim := New()
-	sim.AtFunc(5, func(s *Simulator) {
+	atFunc(sim, 5, func(s *Simulator) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic when scheduling in the past")
 			}
 		}()
-		s.AtFunc(1, func(*Simulator) {})
+		atFunc(s, 1, func(*Simulator) {})
 	})
 	sim.Run()
 }
@@ -82,7 +82,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 func TestCancelPreventsFiring(t *testing.T) {
 	sim := New()
 	fired := false
-	h := sim.AtFunc(2, func(*Simulator) { fired = true })
+	h := atFunc(sim, 2, func(*Simulator) { fired = true })
 	if !sim.Cancel(h) {
 		t.Fatal("Cancel returned false for a pending event")
 	}
@@ -98,7 +98,7 @@ func TestCancelPreventsFiring(t *testing.T) {
 func TestCancelAfterFireIsNoop(t *testing.T) {
 	sim := New()
 	var h Handle
-	h = sim.AtFunc(1, func(*Simulator) {})
+	h = atFunc(sim, 1, func(*Simulator) {})
 	sim.Run()
 	if sim.Cancel(h) {
 		t.Fatal("Cancel after fire should return false")
@@ -109,7 +109,7 @@ func TestStopHaltsRun(t *testing.T) {
 	sim := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		sim.AtFunc(float64(i), func(s *Simulator) {
+		atFunc(sim, float64(i), func(s *Simulator) {
 			count++
 			if count == 3 {
 				s.Stop()
@@ -123,48 +123,6 @@ func TestStopHaltsRun(t *testing.T) {
 	if !sim.Stopped() {
 		t.Fatal("Stopped() false after Stop")
 	}
-}
-
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	sim := New()
-	var fired []float64
-	for _, at := range []float64{1, 2, 3, 10, 20} {
-		at := at
-		sim.AtFunc(at, func(*Simulator) { fired = append(fired, at) })
-	}
-	n := sim.RunUntil(5)
-	if n != 3 {
-		t.Fatalf("RunUntil fired %d, want 3", n)
-	}
-	if sim.Now() != 5 {
-		t.Fatalf("clock %g after RunUntil(5)", sim.Now())
-	}
-	if sim.Pending() != 2 {
-		t.Fatalf("%d events pending, want 2", sim.Pending())
-	}
-	sim.Run()
-	if len(fired) != 5 {
-		t.Fatalf("total fired %d, want 5", len(fired))
-	}
-}
-
-func TestRunUntilAdvancesClockWhenEmpty(t *testing.T) {
-	sim := New()
-	sim.RunUntil(42)
-	if sim.Now() != 42 {
-		t.Fatalf("clock %g, want 42", sim.Now())
-	}
-}
-
-func TestRunUntilBackwardPanics(t *testing.T) {
-	sim := New()
-	sim.RunUntil(10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for backward RunUntil")
-		}
-	}()
-	sim.RunUntil(5)
 }
 
 func TestMaxEventsGuard(t *testing.T) {
@@ -183,34 +141,18 @@ func TestMaxEventsGuard(t *testing.T) {
 
 func TestPendingSkipsCancelled(t *testing.T) {
 	sim := New()
-	h1 := sim.AtFunc(1, func(*Simulator) {})
-	sim.AtFunc(2, func(*Simulator) {})
+	h1 := atFunc(sim, 1, func(*Simulator) {})
+	atFunc(sim, 2, func(*Simulator) {})
 	sim.Cancel(h1)
-	if sim.Pending() != 1 {
-		t.Fatalf("Pending %d, want 1", sim.Pending())
-	}
-}
-
-func TestNextEventTime(t *testing.T) {
-	sim := New()
-	if _, ok := sim.NextEventTime(); ok {
-		t.Fatal("NextEventTime should report empty queue")
-	}
-	h := sim.AtFunc(3, func(*Simulator) {})
-	sim.AtFunc(5, func(*Simulator) {})
-	if at, ok := sim.NextEventTime(); !ok || at != 3 {
-		t.Fatalf("NextEventTime = %g,%v want 3,true", at, ok)
-	}
-	sim.Cancel(h)
-	if at, ok := sim.NextEventTime(); !ok || at != 5 {
-		t.Fatalf("after cancel NextEventTime = %g,%v want 5,true", at, ok)
+	if sim.cal.live != 1 {
+		t.Fatalf("Pending %d, want 1", sim.cal.live)
 	}
 }
 
 func TestFiredCounter(t *testing.T) {
 	sim := New()
 	for i := 0; i < 7; i++ {
-		sim.AtFunc(float64(i), func(*Simulator) {})
+		atFunc(sim, float64(i), func(*Simulator) {})
 	}
 	sim.Run()
 	if sim.Fired() != 7 {
@@ -220,20 +162,17 @@ func TestFiredCounter(t *testing.T) {
 
 func TestHandleValidity(t *testing.T) {
 	var zero Handle
-	if zero.Valid() {
-		t.Fatal("zero Handle should be invalid")
-	}
-	if zero.Cancelled() {
-		t.Fatal("zero Handle should not report cancelled")
+	if zero.item != nil {
+		t.Fatal("zero Handle should refer to no event")
 	}
 	sim := New()
-	h := sim.AtFunc(1, func(*Simulator) {})
-	if !h.Valid() {
-		t.Fatal("real handle invalid")
+	h := atFunc(sim, 1, func(*Simulator) {})
+	if h.item == nil || h.gen != h.item.gen {
+		t.Fatal("real handle does not refer to its event")
 	}
 	sim.Cancel(h)
-	if !h.Cancelled() {
-		t.Fatal("cancelled handle not reporting cancelled")
+	if !h.item.cancelled {
+		t.Fatal("cancelled handle's event not marked cancelled")
 	}
 }
 
@@ -253,7 +192,7 @@ func TestQuickOrdering(t *testing.T) {
 				maxT = at
 			}
 			at2 := at
-			sim.AtFunc(at, func(*Simulator) { fired = append(fired, at2) })
+			atFunc(sim, at, func(*Simulator) { fired = append(fired, at2) })
 		}
 		sim.Run()
 		if len(fired) != len(raw) {
@@ -276,7 +215,7 @@ func TestQuickCancelSubset(t *testing.T) {
 		fired := 0
 		handles := make([]Handle, len(times))
 		for i, tm := range times {
-			handles[i] = sim.AtFunc(float64(tm), func(*Simulator) { fired++ })
+			handles[i] = atFunc(sim, float64(tm), func(*Simulator) { fired++ })
 		}
 		cancelled := 0
 		for i := range handles {
@@ -298,7 +237,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim := New()
 		for j := 0; j < 1000; j++ {
-			sim.AtFunc(float64(j%97), func(*Simulator) {})
+			atFunc(sim, float64(j%97), func(*Simulator) {})
 		}
 		sim.Run()
 	}
@@ -314,7 +253,7 @@ func TestEveryFiresPeriodically(t *testing.T) {
 			stop()
 		}
 	})
-	sim.AtFunc(100, func(*Simulator) {}) // keep the queue alive past the ticks
+	atFunc(sim, 100, func(*Simulator) {}) // keep the queue alive past the ticks
 	sim.Run()
 	want := []float64{5, 10, 15, 20}
 	if len(times) != 4 {
@@ -349,4 +288,9 @@ func TestEveryInvalidInterval(t *testing.T) {
 		}
 	}()
 	New().Every(0, func(*Simulator) {})
+}
+
+// atFunc schedules f at an absolute time.
+func atFunc(s *Simulator, at Time, f func(*Simulator)) Handle {
+	return s.At(at, EventFunc(f))
 }

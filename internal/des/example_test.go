@@ -11,15 +11,15 @@ import (
 func Example() {
 	sim := des.New()
 
-	sim.AtFunc(10, func(s *des.Simulator) {
+	sim.At(10, des.EventFunc(func(s *des.Simulator) {
 		fmt.Printf("event at t=%g\n", s.Now())
-	})
+	}))
 	sim.AfterFunc(2, func(s *des.Simulator) {
 		fmt.Printf("relative event at t=%g\n", s.Now())
 	})
-	cancelled := sim.AtFunc(5, func(*des.Simulator) {
+	cancelled := sim.At(5, des.EventFunc(func(*des.Simulator) {
 		fmt.Println("never printed")
-	})
+	}))
 	sim.Cancel(cancelled)
 
 	ticks := 0

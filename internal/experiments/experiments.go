@@ -366,15 +366,6 @@ func runGen(p Profile, spec RunSpec, gen workloadGen) (sched.Result, error) {
 	return runScenario(p, spec, policy, gen)
 }
 
-// MustRun is Run that panics on error.
-func MustRun(p Profile, spec RunSpec) sched.Result {
-	res, err := Run(p, spec)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // PointStat aggregates one metric over the profile's replications.
 type PointStat struct {
 	Mean, CI95 float64

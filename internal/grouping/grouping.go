@@ -145,12 +145,6 @@ func (g *Group) NoteFinished(metDeadline bool) bool {
 // Dispatched returns how many member tasks have started.
 func (g *Group) Dispatched() int { return g.dispatched }
 
-// FullyDispatched reports whether every member has started executing.
-func (g *Group) FullyDispatched() bool { return g.dispatched == len(g.Tasks) }
-
-// Complete reports whether every member finished.
-func (g *Group) Complete() bool { return g.finished == len(g.Tasks) }
-
 // Reward implements Eq. 8: the number of member tasks that met their
 // deadline (only meaningful once Complete).
 func (g *Group) Reward() int { return g.deadlineOK }
@@ -160,29 +154,6 @@ func (g *Group) Reward() int { return g.deadlineOK }
 func (g *Group) NextUndispatched() *workload.Task {
 	if g.dispatched < len(g.Tasks) {
 		return g.Tasks[g.dispatched]
-	}
-	return nil
-}
-
-// Validate checks group invariants.
-func (g *Group) Validate() error {
-	if g.finished > g.dispatched {
-		return fmt.Errorf("grouping: group %d finished %d > dispatched %d", g.ID, g.finished, g.dispatched)
-	}
-	if g.deadlineOK > g.finished {
-		return fmt.Errorf("grouping: group %d deadlineOK %d > finished %d", g.ID, g.deadlineOK, g.finished)
-	}
-	for i := g.dispatched + 1; i < len(g.Tasks); i++ {
-		if g.Tasks[i-1].AbsoluteDeadline() > g.Tasks[i].AbsoluteDeadline() {
-			return fmt.Errorf("grouping: group %d undispatched tail not EDF-ordered at %d", g.ID, i)
-		}
-	}
-	if g.Mode == ModeIdentical {
-		for _, t := range g.Tasks {
-			if t.Priority != g.Priority {
-				return fmt.Errorf("grouping: identical-priority group %d holds %v task %d", g.ID, t.Priority, t.ID)
-			}
-		}
 	}
 	return nil
 }
@@ -206,9 +177,6 @@ type Merger struct {
 func NewMerger(mode Mode, nextID func() int) *Merger {
 	return &Merger{mode: mode, nextID: nextID}
 }
-
-// Mode returns the merge mode.
-func (m *Merger) Mode() Mode { return m.mode }
 
 // SetMode switches the merge policy. Open buffers are retained; tasks
 // already buffered close under the new policy's rules (mixed mode drains
@@ -255,58 +223,9 @@ func (m *Merger) Pending() int {
 	return n
 }
 
-// OldestOpen returns the arrival time of the oldest buffered task and
-// whether any task is buffered — used to close stale groups on a timer so
-// tail tasks are not stranded.
-func (m *Merger) OldestOpen() (float64, bool) {
-	oldest := math.Inf(1)
-	found := false
-	if len(m.mixed) > 0 {
-		oldest = m.openSince[3]
-		found = true
-	}
-	for p, b := range m.byPrio {
-		if len(b) > 0 && m.openSince[p] < oldest {
-			oldest = m.openSince[p]
-			found = true
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	return oldest, true
-}
-
-// FlushOldest closes and returns the group containing the oldest buffered
-// task regardless of size, or nil if nothing is buffered. The scheduler
-// calls this when a group has waited past the close timeout or at the end
-// of the arrival stream.
-func (m *Merger) FlushOldest(now float64) *Group {
-	oldestP, oldestT := -1, math.Inf(1)
-	if len(m.mixed) > 0 {
-		oldestP, oldestT = 3, m.openSince[3]
-	}
-	for p, b := range m.byPrio {
-		if len(b) > 0 && m.openSince[p] < oldestT {
-			oldestP, oldestT = p, m.openSince[p]
-		}
-	}
-	switch {
-	case oldestP < 0:
-		return nil
-	case oldestP == 3:
-		return m.closeMixed(now)
-	default:
-		return m.closePrio(workload.Priority(oldestP), now)
-	}
-}
-
 // BufferClass indexes the merge buffers for timeout policies: 0..2 are
 // the identical-priority buffers (low/medium/high), 3 is the mixed buffer.
-const (
-	BufferMixed = 3
-	numBuffers  = 4
-)
+const BufferMixed = 3
 
 // FlushExpired closes every buffer whose oldest task has waited longer
 // than its class timeout and appends the closed groups to dst, returning
@@ -326,15 +245,6 @@ func (m *Merger) FlushExpired(dst []*Group, now float64, timeouts [4]float64) []
 		dst = append(dst, m.closeMixed(now))
 	}
 	return dst
-}
-
-// FlushAll closes every non-empty buffer and returns the groups.
-func (m *Merger) FlushAll(now float64) []*Group {
-	var out []*Group
-	for g := m.FlushOldest(now); g != nil; g = m.FlushOldest(now) {
-		out = append(out, g)
-	}
-	return out
 }
 
 func (m *Merger) closeMixed(now float64) *Group {

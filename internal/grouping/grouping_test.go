@@ -1,6 +1,7 @@
 package grouping
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -82,7 +83,7 @@ func TestMixedMergeClosesAtOpnum(t *testing.T) {
 	if m.Pending() != 0 {
 		t.Fatalf("%d tasks still pending", m.Pending())
 	}
-	if err := g.Validate(); err != nil {
+	if err := validateGroup(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,7 +123,7 @@ func TestIdenticalMergeSeparatesPriorities(t *testing.T) {
 	if m.Pending() != 1 {
 		t.Fatalf("pending %d, want 1 (the low task)", m.Pending())
 	}
-	if err := g.Validate(); err != nil {
+	if err := validateGroup(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -153,45 +154,17 @@ func TestOpnumBelowOneClamped(t *testing.T) {
 	}
 }
 
-func TestFlushOldest(t *testing.T) {
-	m := NewMerger(ModeIdentical, counter())
-	m.Add(task(0, workload.PriorityLow, 1000, 20, 5), 10, 5)
-	m.Add(task(1, workload.PriorityHigh, 1000, 2, 1), 10, 1)
-	at, ok := m.OldestOpen()
-	if !ok || at != 1 {
-		t.Fatalf("OldestOpen = %g,%v want 1,true", at, ok)
-	}
-	g := m.FlushOldest(10)
-	if g == nil || g.Priority != workload.PriorityHigh {
-		t.Fatal("FlushOldest should close the high-priority buffer first")
-	}
-	g2 := m.FlushOldest(10)
-	if g2 == nil || g2.Priority != workload.PriorityLow {
-		t.Fatal("second flush should close the low buffer")
-	}
-	if m.FlushOldest(10) != nil {
-		t.Fatal("empty merger must flush nil")
-	}
-}
-
 func TestFlushAll(t *testing.T) {
 	m := NewMerger(ModeIdentical, counter())
 	m.Add(task(0, workload.PriorityLow, 1000, 20, 0), 10, 0)
 	m.Add(task(1, workload.PriorityMedium, 1000, 10, 1), 10, 1)
 	m.Add(task(2, workload.PriorityHigh, 1000, 2, 2), 10, 2)
-	groups := m.FlushAll(5)
+	groups := m.FlushExpired(nil, 5, [4]float64{})
 	if len(groups) != 3 {
-		t.Fatalf("FlushAll returned %d groups, want 3", len(groups))
+		t.Fatalf("zero timeouts closed %d groups, want 3", len(groups))
 	}
 	if m.Pending() != 0 {
-		t.Fatal("pending tasks after FlushAll")
-	}
-}
-
-func TestOldestOpenEmpty(t *testing.T) {
-	m := NewMerger(ModeMixed, counter())
-	if _, ok := m.OldestOpen(); ok {
-		t.Fatal("empty merger reports an open buffer")
+		t.Fatal("pending tasks after a zero-timeout flush")
 	}
 }
 
@@ -200,8 +173,8 @@ func TestGroupLifecycle(t *testing.T) {
 		task(0, workload.PriorityMedium, 1000, 5, 0),
 		task(1, workload.PriorityMedium, 1000, 6, 0),
 	}}
-	if g.FullyDispatched() || g.Complete() {
-		t.Fatal("fresh group must not be dispatched/complete")
+	if g.Dispatched() != 0 {
+		t.Fatal("fresh group must not be dispatched")
 	}
 	first := g.NextUndispatched()
 	if first == nil || first.ID != 0 {
@@ -209,7 +182,7 @@ func TestGroupLifecycle(t *testing.T) {
 	}
 	g.NoteDispatched()
 	g.NoteDispatched()
-	if !g.FullyDispatched() {
+	if g.Dispatched() != len(g.Tasks) {
 		t.Fatal("group should be fully dispatched")
 	}
 	if g.NextUndispatched() != nil {
@@ -254,7 +227,7 @@ func TestValidateDetectsDisorder(t *testing.T) {
 		task(0, workload.PriorityMedium, 1000, 50, 0),
 		task(1, workload.PriorityMedium, 1000, 5, 0),
 	}}
-	if err := g.Validate(); err == nil {
+	if err := validateGroup(g); err == nil {
 		t.Fatal("expected EDF-order validation error")
 	}
 }
@@ -262,7 +235,7 @@ func TestValidateDetectsDisorder(t *testing.T) {
 func TestValidateIdenticalPriorityMembership(t *testing.T) {
 	g := &Group{Mode: ModeIdentical, Priority: workload.PriorityHigh,
 		Tasks: []*workload.Task{task(0, workload.PriorityLow, 1000, 1000, 0)}}
-	if err := g.Validate(); err == nil {
+	if err := validateGroup(g); err == nil {
 		t.Fatal("expected identical-priority membership error")
 	}
 }
@@ -270,7 +243,7 @@ func TestValidateIdenticalPriorityMembership(t *testing.T) {
 func TestSetMode(t *testing.T) {
 	m := NewMerger(ModeMixed, counter())
 	m.SetMode(ModeIdentical)
-	if m.Mode() != ModeIdentical {
+	if m.mode != ModeIdentical {
 		t.Fatal("SetMode did not switch")
 	}
 }
@@ -293,7 +266,7 @@ func TestQuickMergeConservation(t *testing.T) {
 			prio := workload.Priorities[r.Intn(3)]
 			g := m.Add(task(i, prio, 1000, r.Uniform(1, 50), float64(i)), opnum, float64(i))
 			if g != nil {
-				if g.Validate() != nil {
+				if validateGroup(g) != nil {
 					return false
 				}
 				for _, tk := range g.Tasks {
@@ -302,7 +275,7 @@ func TestQuickMergeConservation(t *testing.T) {
 				closed += g.Len()
 			}
 		}
-		for _, g := range m.FlushAll(float64(total)) {
+		for _, g := range m.FlushExpired(nil, float64(total), [4]float64{}) {
 			for _, tk := range g.Tasks {
 				seen[tk.ID]++
 			}
@@ -423,7 +396,7 @@ func TestClosedGroupPWMatchesRecomputed(t *testing.T) {
 				groups = append(groups, g)
 			}
 		}
-		groups = append(groups, m.FlushAll(1e9)...)
+		groups = append(groups, m.FlushExpired(nil, 1e9, [4]float64{})...)
 		for _, g := range groups {
 			if math.Float64bits(g.PW()) != math.Float64bits(PW(g.Tasks)) {
 				return false
@@ -434,4 +407,29 @@ func TestClosedGroupPWMatchesRecomputed(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// validateGroup checks the group invariants: finishes never exceed
+// dispatches, deadline hits never exceed finishes, the undispatched tail
+// stays EDF-ordered, and an identical-priority group holds one class.
+func validateGroup(g *Group) error {
+	if g.finished > g.dispatched {
+		return fmt.Errorf("grouping: group %d finished %d > dispatched %d", g.ID, g.finished, g.dispatched)
+	}
+	if g.deadlineOK > g.finished {
+		return fmt.Errorf("grouping: group %d deadlineOK %d > finished %d", g.ID, g.deadlineOK, g.finished)
+	}
+	for i := g.dispatched + 1; i < len(g.Tasks); i++ {
+		if g.Tasks[i-1].AbsoluteDeadline() > g.Tasks[i].AbsoluteDeadline() {
+			return fmt.Errorf("grouping: group %d undispatched tail not EDF-ordered at %d", g.ID, i)
+		}
+	}
+	if g.Mode == ModeIdentical {
+		for _, t := range g.Tasks {
+			if t.Priority != g.Priority {
+				return fmt.Errorf("grouping: identical-priority group %d holds %v task %d", g.ID, t.Priority, t.ID)
+			}
+		}
+	}
+	return nil
 }

@@ -25,8 +25,6 @@ func Example() {
 
 	best, ok := shared.Best()
 	fmt.Printf("best action from any agent: opnum=%d (found=%v)\n", best.Action.Opnum, ok)
-	fmt.Printf("capacity per agent: %d cycles\n", shared.Capacity())
 	// Output:
 	// best action from any agent: opnum=5 (found=true)
-	// capacity per agent: 15 cycles
 }

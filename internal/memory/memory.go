@@ -148,9 +148,6 @@ func NewSharedWithCapacity(capacity int) *Shared {
 	return &Shared{capacity: capacity, byID: make(map[int]*ring)}
 }
 
-// Capacity returns the per-agent bound.
-func (m *Shared) Capacity() int { return m.capacity }
-
 // Record stores an experience, evicting the agent's oldest entry when the
 // per-agent bound is reached. An agent's ring is allocated at full
 // capacity on its first record, so later records allocate nothing.

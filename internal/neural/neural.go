@@ -6,7 +6,7 @@
 // expected learning value, refined online from the dual feedback signals.
 //
 // The implementation is deliberately small and allocation-free on the hot
-// Predict/Train path: fixed topology, tanh hidden activations, a linear
+// predict/train path: fixed topology, tanh hidden activations, a linear
 // output layer, squared-error loss, SGD with momentum, and deterministic
 // weight initialisation from an rng.Stream.
 package neural
@@ -225,11 +225,7 @@ func (n *Network) PredictRest1(rest []float64) float64 {
 	return n.forwardFrom(1, l.activity)[0]
 }
 
-// Predict returns the network output for x. The returned slice is owned by
-// the network and overwritten by the next call; copy it to retain.
-func (n *Network) Predict(x []float64) []float64 { return n.forward(x) }
-
-// Predict1 is Predict for single-output networks.
+// Predict1 returns the output of a single-output network for x.
 func (n *Network) Predict1(x []float64) float64 {
 	out := n.forward(x)
 	return out[0]
@@ -297,26 +293,6 @@ func (n *Network) NumParams() int {
 		total += len(l.w) + len(l.b)
 	}
 	return total
-}
-
-// Clone returns a deep copy sharing no state, useful for snapshotting a
-// policy mid-run.
-func (n *Network) Clone() *Network {
-	c := &Network{cfg: n.cfg, input: make([]float64, n.cfg.Inputs), trained: n.trained}
-	for _, l := range n.layers {
-		nl := &layer{
-			in: l.in, out: l.out, hidden: l.hidden,
-			w:        append([]float64(nil), l.w...),
-			b:        append([]float64(nil), l.b...),
-			vw:       append([]float64(nil), l.vw...),
-			vb:       append([]float64(nil), l.vb...),
-			activity: make([]float64, l.out),
-			preact:   make([]float64, l.out),
-			delta:    make([]float64, l.out),
-		}
-		c.layers = append(c.layers, nl)
-	}
-	return c
 }
 
 // Weights returns a flat copy of all trainable parameters in a stable

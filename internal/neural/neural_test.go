@@ -45,7 +45,7 @@ func TestPredictDimensionPanics(t *testing.T) {
 			t.Fatal("expected panic on wrong input dimension")
 		}
 	}()
-	n.Predict([]float64{1, 2})
+	n.Predict1([]float64{1, 2})
 }
 
 func TestTrainTargetDimensionPanics(t *testing.T) {
@@ -117,22 +117,6 @@ func TestNumParams(t *testing.T) {
 	want := 4*8 + 8 + 8*1 + 1
 	if got := n.NumParams(); got != want {
 		t.Fatalf("NumParams = %d, want %d", got, want)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	n := MustNew(DefaultConfig(2), rng.NewStream(17, "nn"))
-	x := []float64{0.5, -0.5}
-	clone := n.Clone()
-	before := clone.Predict1(x)
-	for i := 0; i < 500; i++ {
-		n.Train1(x, 3)
-	}
-	if clone.Predict1(x) != before {
-		t.Fatal("training the original changed the clone")
-	}
-	if n.Predict1(x) == before {
-		t.Fatal("training had no effect on the original")
 	}
 }
 

@@ -131,16 +131,6 @@ type Sample struct {
 // ID renders the sample's canonical series identity.
 func (s Sample) ID() string { return seriesID(s.Name, s.Labels) }
 
-// Label returns the value of one label key ("" when absent).
-func (s Sample) Label(key string) string {
-	for _, l := range s.Labels {
-		if l.Key == key {
-			return l.Value
-		}
-	}
-	return ""
-}
-
 // ParseExposition parses Prometheus text exposition format, validating
 // the subset WritePrometheus emits: # HELP/# TYPE comments, sample lines
 // of the form name{labels} value, no duplicate series, every sample

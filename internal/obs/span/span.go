@@ -58,15 +58,10 @@ type Record struct {
 	// StartUnixNs and EndUnixNs bound the span on the wall clock.
 	StartUnixNs int64 `json:"start_unix_ns"`
 	EndUnixNs   int64 `json:"end_unix_ns"`
-	// Attrs carries the typed attributes. Values are string, int64,
-	// float64 or bool locally; numbers decode as float64 after a JSON
-	// round trip, which is lossless for the small integers used here.
+	// Attrs carries the typed attributes. Values are string, int64 or
+	// bool locally; numbers decode as float64 after a JSON round trip,
+	// which is lossless for the small integers used here.
 	Attrs map[string]any `json:"attrs,omitempty"`
-}
-
-// Duration returns the span's wall-clock extent.
-func (r Record) Duration() time.Duration {
-	return time.Duration(r.EndUnixNs - r.StartUnixNs)
 }
 
 // DeriveTraceID deterministically derives a 32-hex-digit trace ID from a
@@ -178,16 +173,6 @@ func (t *Trace) Dropped() uint64 {
 	return t.buf.Dropped()
 }
 
-// Len returns the number of retained spans.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.buf.Len()
-}
-
 // Snapshot returns the retained spans in a stable order: by start time,
 // then span ID, so repeated reads of a settled trace are byte-identical.
 func (t *Trace) Snapshot() []Record {
@@ -222,10 +207,9 @@ type Span struct {
 
 type attr struct {
 	key  string
-	kind byte // 's', 'i', 'f', 'b'
+	kind byte // 's', 'i', 'b'
 	s    string
 	i    int64
-	f    float64
 	b    bool
 }
 
@@ -255,16 +239,6 @@ func (s *Span) SetInt(key string, v int64) {
 	}
 	s.mu.Lock()
 	s.attrs = append(s.attrs, attr{key: key, kind: 'i', i: v})
-	s.mu.Unlock()
-}
-
-// SetFloat attaches a float attribute.
-func (s *Span) SetFloat(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, attr{key: key, kind: 'f', f: v})
 	s.mu.Unlock()
 }
 
@@ -308,8 +282,6 @@ func (s *Span) End() {
 				rec.Attrs[a.key] = a.s
 			case 'i':
 				rec.Attrs[a.key] = a.i
-			case 'f':
-				rec.Attrs[a.key] = a.f
 			case 'b':
 				rec.Attrs[a.key] = a.b
 			}

@@ -245,12 +245,11 @@ func (p *Processor) NoteTaskRun() { p.tasksRun++ }
 // TasksRun returns the number of completed executions.
 func (p *Processor) TasksRun() int { return p.tasksRun }
 
-// BusyTime, IdleTime, SleepTime and WakeTime return cumulative dwell
-// times as of the last Advance (or platform breakpoint).
+// BusyTime, IdleTime and SleepTime return cumulative dwell times as of
+// the last Advance (or platform breakpoint).
 func (p *Processor) BusyTime() float64  { return p.dwellIn(StateBusy) }
 func (p *Processor) IdleTime() float64  { return p.dwellIn(StateIdle) }
 func (p *Processor) SleepTime() float64 { return p.dwellIn(StateSleep) }
-func (p *Processor) WakeTime() float64  { return p.dwellIn(StateWaking) }
 
 // FailedTime returns cumulative downtime as of the last Advance.
 func (p *Processor) FailedTime() float64 { return p.dwellIn(StateFailed) }
@@ -331,23 +330,6 @@ func (n *Node) Capacity() float64 {
 	return n.TotalSpeed() / float64(n.QueueCap)
 }
 
-// SlowestSpeed and FastestSpeed return the extreme processor speeds.
-func (n *Node) SlowestSpeed() float64 {
-	s := math.Inf(1)
-	for _, p := range n.Processors {
-		s = math.Min(s, p.SpeedMIPS)
-	}
-	return s
-}
-
-func (n *Node) FastestSpeed() float64 {
-	s := 0.0
-	for _, p := range n.Processors {
-		s = math.Max(s, p.SpeedMIPS)
-	}
-	return s
-}
-
 // Energy implements Eq. 6: E_c = (1/m)·Σ_j PP_j, the node's average
 // per-processor energy. Processors must have been advanced to the
 // reporting instant first (Platform.AdvanceAll does this).
@@ -358,18 +340,6 @@ func (n *Node) Energy() float64 {
 	sum := 0.0
 	for _, p := range n.Processors {
 		sum += p.Energy()
-	}
-	return sum / float64(len(n.Processors))
-}
-
-// Utilization averages processor utilisation across the node.
-func (n *Node) Utilization() float64 {
-	if len(n.Processors) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range n.Processors {
-		sum += p.Utilization()
 	}
 	return sum / float64(len(n.Processors))
 }

@@ -332,17 +332,6 @@ func TestMaxProcsPerNode(t *testing.T) {
 	}
 }
 
-func TestNodeSlowFastSpeed(t *testing.T) {
-	node := &Node{QueueCap: 1}
-	node.Processors = []*Processor{
-		{SpeedMIPS: 700, Node: node}, {SpeedMIPS: 500, Node: node, Index: 1, ID: 1},
-		{SpeedMIPS: 900, Node: node, Index: 2, ID: 2},
-	}
-	if node.SlowestSpeed() != 500 || node.FastestSpeed() != 900 {
-		t.Fatalf("slow/fast = %g/%g", node.SlowestSpeed(), node.FastestSpeed())
-	}
-}
-
 // Property: generated platforms always validate and respect the configured
 // structural ranges, for arbitrary seeds.
 func TestQuickGeneratedPlatformsValid(t *testing.T) {
@@ -400,8 +389,8 @@ func TestWakingStateDrawsPeakPower(t *testing.T) {
 	if math.Abs(p.Energy()-wantEnergy) > 1e-9 {
 		t.Fatalf("energy %g, want %g", p.Energy(), wantEnergy)
 	}
-	if p.WakeTime() != 2 {
-		t.Fatalf("wake time %g, want 2", p.WakeTime())
+	if p.dwellIn(StateWaking) != 2 {
+		t.Fatalf("wake time %g, want 2", p.dwellIn(StateWaking))
 	}
 	// Waking time counts against utilisation.
 	if math.Abs(p.Utilization()-0) > 1e-12 {

@@ -217,25 +217,23 @@ func (r *replayRun) compare(at float64) {
 		eq("BusyTime", p.ID, p.BusyTime(), e.busyTime)
 		eq("IdleTime", p.ID, p.IdleTime(), e.idleTime)
 		eq("SleepTime", p.ID, p.SleepTime(), e.sleepTime)
-		eq("WakeTime", p.ID, p.WakeTime(), e.wakeTime)
+		eq("WakeTime", p.ID, p.dwellIn(StateWaking), e.wakeTime)
 		eq("FailedTime", p.ID, p.FailedTime(), e.failedTime)
 		eq("Utilization", p.ID, p.Utilization(), e.utilization())
 	}
 	var total, totalAt, util float64
 	k := 0
 	for _, n := range r.pl.Nodes() {
-		var sum, sumAt, u float64
+		var sum, sumAt float64
 		for range n.Processors {
 			e := r.ref[k]
 			k++
 			sum += e.energy
 			sumAt += e.energyAt(at)
-			u += e.utilization()
 			util += e.utilization()
 		}
 		m := float64(len(n.Processors))
 		eq("node Energy", n.ID, n.Energy(), sum/m)
-		eq("node Utilization", n.ID, n.Utilization(), u/m)
 		total += sum / m
 		totalAt += sumAt / m
 	}

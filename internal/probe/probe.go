@@ -190,7 +190,6 @@ type Recorder struct {
 	mu     sync.Mutex
 	series []recSeries
 	epoch  uint64
-	stop   func()
 }
 
 // NewRecorder builds a Recorder for the given config. Unknown families
@@ -229,27 +228,12 @@ func (r *Recorder) Register(family, name, unit string, fn func() float64) {
 
 // Start takes an immediate sample and schedules the recurring sampling
 // event on sim. The engine stops the simulator when the run completes,
-// which retires the recurring event; Stop exists for callers that want
-// to cease sampling earlier.
+// which retires the recurring event.
 func (r *Recorder) Start(sim *des.Simulator) {
 	r.SampleNow(sim.Now())
-	stop := sim.Every(r.cfg.Cadence, func(s *des.Simulator) {
+	sim.Every(r.cfg.Cadence, func(s *des.Simulator) {
 		r.SampleNow(s.Now())
 	})
-	r.mu.Lock()
-	r.stop = stop
-	r.mu.Unlock()
-}
-
-// Stop cancels the recurring sampling event, if any.
-func (r *Recorder) Stop() {
-	r.mu.Lock()
-	stop := r.stop
-	r.stop = nil
-	r.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
 }
 
 // SampleNow reads every registered series at simulated time t. The

@@ -162,21 +162,6 @@ func TestStartOnSimulator(t *testing.T) {
 	}
 }
 
-func TestStopCancelsSampling(t *testing.T) {
-	sim := des.New()
-	r := NewRecorder(Config{Cadence: 10})
-	calls := 0
-	r.Register(FamilyUtil, "u", "", func() float64 { calls++; return 0 })
-	r.Start(sim)
-	sim.AfterFunc(15, func(*des.Simulator) { r.Stop() })
-	sim.AfterFunc(100, func(s *des.Simulator) { s.Stop() })
-	sim.Run()
-	// Samples at t=0 and t=10 only; the t=20+ firings were cancelled.
-	if calls != 2 {
-		t.Fatalf("sampling closure ran %d times after Stop at t=15, want 2", calls)
-	}
-}
-
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	r := NewRecorder(Config{})
 	r.Register(FamilyRL, "r", "", func() float64 { return 7 })

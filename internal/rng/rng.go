@@ -24,11 +24,6 @@ import (
 type Stream struct {
 	s    [4]uint64
 	name string
-
-	// spare holds a cached second normal deviate from the Box-Muller
-	// transform; spareOK reports whether it is valid.
-	spare   float64
-	spareOK bool
 }
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
@@ -57,9 +52,6 @@ func NewStream(seed uint64, name string) *Stream {
 	}
 	return st
 }
-
-// Name returns the diagnostic name given at construction.
-func (r *Stream) Name() string { return r.name }
 
 func (r *Stream) String() string {
 	return fmt.Sprintf("rng.Stream(%s)", r.name)
@@ -168,59 +160,6 @@ func (r *Stream) Exp(mean float64) float64 {
 	return -mean * math.Log(1-r.Float64())
 }
 
-// Normal returns a normally distributed deviate with the given mean and
-// standard deviation, via the Box-Muller transform. Panics if stddev < 0.
-func (r *Stream) Normal(mean, stddev float64) float64 {
-	if stddev < 0 {
-		panic(fmt.Sprintf("rng: Normal stddev must be non-negative, got %g", stddev))
-	}
-	if r.spareOK {
-		r.spareOK = false
-		return mean + stddev*r.spare
-	}
-	var u, v, s float64
-	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
-		if s > 0 && s < 1 {
-			break
-		}
-	}
-	f := math.Sqrt(-2 * math.Log(s) / s)
-	r.spare = v * f
-	r.spareOK = true
-	return mean + stddev*u*f
-}
-
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's multiplication method for small means and normal approximation
-// (rounded, clamped at zero) for large means. Panics if mean < 0.
-func (r *Stream) Poisson(mean float64) int {
-	switch {
-	case mean < 0:
-		panic(fmt.Sprintf("rng: Poisson mean must be non-negative, got %g", mean))
-	case mean == 0:
-		return 0
-	case mean > 30:
-		n := int(math.Round(r.Normal(mean, math.Sqrt(mean))))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	limit := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
-}
-
 // Bool returns true with probability p (clamped to [0,1]).
 func (r *Stream) Bool(p float64) bool {
 	if p <= 0 {
@@ -231,10 +170,6 @@ func (r *Stream) Bool(p float64) bool {
 	}
 	return r.Float64() < p
 }
-
-// Choice returns a uniform index into a slice of length n. It is Intn with
-// a clearer call-site name. Panics if n <= 0.
-func (r *Stream) Choice(n int) int { return r.Intn(n) }
 
 // WeightedChoice returns an index drawn proportionally to weights. Negative
 // weights are treated as zero; if the total weight is zero it falls back to
@@ -263,23 +198,4 @@ func (r *Stream) WeightedChoice(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Shuffle permutes the order of n elements via the provided swap function
-// (Fisher-Yates).
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -180,47 +180,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := NewStream(7, "n")
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal(10, 3)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-10) > 0.05 {
-		t.Fatalf("Normal(10,3) mean %g", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-3) > 0.05 {
-		t.Fatalf("Normal(10,3) stddev %g", math.Sqrt(variance))
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	for _, mean := range []float64{0.5, 3, 10, 50} {
-		r := NewStream(8, "p")
-		const n = 50000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Fatalf("Poisson(%g) sample mean %g", mean, got)
-		}
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	r := NewStream(8, "p")
-	if r.Poisson(0) != 0 {
-		t.Fatal("Poisson(0) must be 0")
-	}
-}
-
 func TestBoolEdges(t *testing.T) {
 	r := NewStream(9, "b")
 	for i := 0; i < 100; i++ {
@@ -291,35 +250,6 @@ func TestWeightedChoiceNegativeTreatedAsZero(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewStream(14, "perm")
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid/duplicate element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := NewStream(15, "sh")
-	s := []int{1, 2, 2, 3, 5, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed contents: sum %d != %d", got, sum)
-	}
-}
-
 // Property: Uniform(lo,hi) is always within bounds for arbitrary bounds.
 func TestQuickUniformWithinBounds(t *testing.T) {
 	r := NewStream(16, "q")
@@ -364,15 +294,6 @@ func BenchmarkUint64(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink ^= r.Uint64()
-	}
-	_ = sink
-}
-
-func BenchmarkNormal(b *testing.B) {
-	r := NewStream(1, "bench")
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += r.Normal(0, 1)
 	}
 	_ = sink
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"rlsched/internal/audit"
-	"rlsched/internal/des"
 	"rlsched/internal/grouping"
 	"rlsched/internal/memory"
 	"rlsched/internal/metrics"
@@ -182,9 +181,6 @@ func (c *Context) takeAuditNote() audit.Note {
 
 // Now returns the current simulation time.
 func (c *Context) Now() float64 { return c.engine.sim.Now() }
-
-// Sim exposes the simulator for policies that schedule their own events.
-func (c *Context) Sim() *des.Simulator { return c.engine.sim }
 
 // Platform returns the target system.
 func (c *Context) Platform() *platform.Platform { return c.engine.pl }

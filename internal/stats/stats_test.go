@@ -65,6 +65,28 @@ func TestCI95ShrinksWithN(t *testing.T) {
 	}
 }
 
+// TestT975 pins the Student-t quantile behind CI95 against published
+// t(0.975, df) values, on both sides of the table's end at df = 30.
+func TestT975(t *testing.T) {
+	for _, c := range []struct {
+		df   int
+		want float64
+		tol  float64
+	}{
+		{1, 12.706, 1e-3}, {4, 2.776, 1e-3}, {9, 2.262, 1e-3}, {29, 2.045, 1e-3}, {100, 1.984, 1e-3},
+		{31, 2.039513446, 1e-5}, {60, 2.000297822, 1e-5}, {120, 1.979930405, 1e-5},
+	} {
+		if got := t975(c.df); math.Abs(got-c.want) > c.tol {
+			t.Errorf("t975(%d) = %.9f, want %.9f ± %g", c.df, got, c.want, c.tol)
+		}
+	}
+	var a Accumulator
+	a.AddAll([]float64{1, 2, 3, 4, 5})
+	if want := 2.776445105 * a.StdDev() / math.Sqrt(5); !almost(a.CI95(), want, 1e-12) {
+		t.Errorf("CI95 over 5 observations = %g, want t(0.975, 4)·s/√5 = %g", a.CI95(), want)
+	}
+}
+
 func TestSummary(t *testing.T) {
 	var a Accumulator
 	a.AddAll([]float64{1, 2, 3})
@@ -78,14 +100,11 @@ func TestSummary(t *testing.T) {
 }
 
 func TestMeanHelpers(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
+	if mean(nil) != 0 {
+		t.Fatal("mean(nil) != 0")
 	}
-	if Mean([]float64{1, 2, 3, 4}) != 2.5 {
-		t.Fatal("Mean wrong")
-	}
-	if StdDev([]float64{5}) != 0 {
-		t.Fatal("StdDev single != 0")
+	if mean([]float64{1, 2, 3, 4}) != 2.5 {
+		t.Fatal("mean wrong")
 	}
 }
 
@@ -104,8 +123,8 @@ func TestPercentile(t *testing.T) {
 	if got := Percentile(xs, 30); !almost(got, 23, 1e-12) {
 		t.Fatalf("P30 = %g", got)
 	}
-	if Median([]float64{9}) != 9 {
-		t.Fatal("Median single element")
+	if Percentile([]float64{9}, 50) != 9 {
+		t.Fatal("P50 of a single element")
 	}
 }
 
@@ -152,34 +171,6 @@ func TestMeanSeries(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3, 100, -1}
-	counts := Histogram(xs, 3, 0, 3)
-	// buckets: [0,1) [1,2) [2,3]; 3 lands in last; 100 and -1 skipped.
-	want := []int{2, 2, 3}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("Histogram = %v, want %v", counts, want)
-		}
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { Histogram(nil, 0, 0, 1) },
-		func() { Histogram(nil, 3, 1, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 // Property: Welford matches the two-pass mean/variance computation.
 func TestQuickWelfordMatchesTwoPass(t *testing.T) {
 	f := func(raw []int8) bool {
@@ -192,13 +183,13 @@ func TestQuickWelfordMatchesTwoPass(t *testing.T) {
 		}
 		var a Accumulator
 		a.AddAll(xs)
-		mean := Mean(xs)
+		m := mean(xs)
 		ss := 0.0
 		for _, x := range xs {
-			ss += (x - mean) * (x - mean)
+			ss += (x - m) * (x - m)
 		}
 		wantVar := ss / float64(len(xs)-1)
-		return almost(a.Mean(), mean, 1e-9) && almost(a.Variance(), wantVar, 1e-9)
+		return almost(a.Mean(), m, 1e-9) && almost(a.Variance(), wantVar, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -228,32 +219,22 @@ func TestQuickPercentileMonotone(t *testing.T) {
 	}
 }
 
-// Property: histogram counts sum to the number of in-range samples.
-func TestQuickHistogramConservation(t *testing.T) {
-	f := func(raw []uint8) bool {
-		xs := make([]float64, len(raw))
-		inRange := 0
-		for i, r := range raw {
-			xs[i] = float64(r)
-			if xs[i] >= 10 && xs[i] <= 200 {
-				inRange++
-			}
-		}
-		counts := Histogram(xs, 7, 10, 200)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total == inRange
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkAccumulator(b *testing.B) {
 	var a Accumulator
 	for i := 0; i < b.N; i++ {
 		a.Add(float64(i % 1000))
 	}
+}
+
+// mean is the two-pass reference the Welford accumulator is checked
+// against: the arithmetic mean of xs (0 when empty).
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }

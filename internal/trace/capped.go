@@ -39,15 +39,9 @@ func (c *Capped[T]) Append(v T) bool {
 // buffer's) into the counter without storing anything.
 func (c *Capped[T]) NoteDrops(n uint64) { c.dropped += n }
 
-// Len returns the number of retained items.
-func (c *Capped[T]) Len() int { return len(c.buf) }
-
 // Dropped returns how many appends were rejected, plus any drops folded
 // in via NoteDrops.
 func (c *Capped[T]) Dropped() uint64 { return c.dropped }
-
-// Total returns how many items were ever offered: retained plus dropped.
-func (c *Capped[T]) Total() uint64 { return uint64(len(c.buf)) + c.dropped }
 
 // Snapshot returns a copy of the retained items in append order.
 func (c *Capped[T]) Snapshot() []T {

@@ -153,17 +153,6 @@ func (r *Ring) Events() []Event {
 	return out
 }
 
-// ByKind filters retained events by kind, oldest-first.
-func (r *Ring) ByKind(kind string) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Counter tallies events per kind without retaining them.
 type Counter struct {
 	min    Level

@@ -46,17 +46,6 @@ func TestRingLevelFilter(t *testing.T) {
 	}
 }
 
-func TestRingByKind(t *testing.T) {
-	r := NewRing(10, LevelDebug)
-	r.Emit(ev(1, LevelInfo, "a"))
-	r.Emit(ev(2, LevelInfo, "b"))
-	r.Emit(ev(3, LevelInfo, "a"))
-	got := r.ByKind("a")
-	if len(got) != 2 || got[0].At != 1 || got[1].At != 3 {
-		t.Fatalf("ByKind = %v", got)
-	}
-}
-
 func TestRingCapacityPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {

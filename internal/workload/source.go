@@ -44,10 +44,6 @@ func (s *sliceSource) Next() (*Task, bool) {
 	return t, true
 }
 
-// Collect drains a source into a slice — the bridge back from streaming
-// to the slice-based entry points.
-func Collect(src Source) []*Task { return collect(nil, src) }
-
 // collect appends everything src yields to tasks; Generate and
 // GenerateBursty pass a slice sized to the task count.
 func collect(tasks []*Task, src Source) []*Task {
@@ -207,15 +203,6 @@ type DiurnalConfig struct {
 	Amplitude float64
 	// Period is the cycle length in time units.
 	Period float64
-}
-
-// DefaultDiurnalConfig returns a ±60% swing over a 10,000-unit day.
-func DefaultDiurnalConfig() DiurnalConfig {
-	return DiurnalConfig{
-		GenConfig: DefaultGenConfig(),
-		Amplitude: 0.6,
-		Period:    10_000,
-	}
 }
 
 // Validate checks the modulation parameters.

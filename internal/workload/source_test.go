@@ -62,7 +62,7 @@ func assertSameTasks(t *testing.T, want []*Task, src Source) {
 // TestFromSliceRoundTrip checks the slice adapters compose to identity.
 func TestFromSliceRoundTrip(t *testing.T) {
 	tasks := MustGenerate(DefaultGenConfig(), rng.NewStream(1, "wl"))
-	got := Collect(FromSlice(tasks))
+	got := collect(nil, FromSlice(tasks))
 	if len(got) != len(tasks) {
 		t.Fatalf("round trip changed length: %d -> %d", len(tasks), len(got))
 	}
@@ -77,9 +77,8 @@ func TestFromSliceRoundTrip(t *testing.T) {
 // arrivals, a long-run rate near the configured mean, and visible
 // rate variation between peak and trough phases.
 func TestDiurnalSource(t *testing.T) {
-	cfg := DefaultDiurnalConfig()
+	cfg := DiurnalConfig{GenConfig: DefaultGenConfig(), Amplitude: 0.6, Period: 5_000}
 	cfg.NumTasks = 40_000
-	cfg.Period = 5_000
 	src, err := NewDiurnalSource(cfg, rng.NewStream(3, "wl"))
 	if err != nil {
 		t.Fatal(err)
@@ -126,53 +125,15 @@ func TestDiurnalSource(t *testing.T) {
 
 // TestDiurnalValidation rejects out-of-range modulation parameters.
 func TestDiurnalValidation(t *testing.T) {
-	bad := DefaultDiurnalConfig()
+	good := DiurnalConfig{GenConfig: DefaultGenConfig(), Amplitude: 0.6, Period: 10_000}
+	bad := good
 	bad.Amplitude = 1
 	if _, err := NewDiurnalSource(bad, rng.NewStream(1, "wl")); err == nil {
 		t.Fatal("Amplitude=1 accepted")
 	}
-	bad = DefaultDiurnalConfig()
+	bad = good
 	bad.Period = 0
 	if _, err := NewDiurnalSource(bad, rng.NewStream(1, "wl")); err == nil {
 		t.Fatal("Period=0 accepted")
-	}
-}
-
-// TestStatsAccumulatorEquivalence asserts the streaming accumulator
-// reproduces the slice-based Summarize/TotalSize/TotalDeadline exactly
-// (same float operations in the same order).
-func TestStatsAccumulatorEquivalence(t *testing.T) {
-	cfg := DefaultGenConfig()
-	cfg.NumTasks = 3000
-	cfg.Mix = PriorityMix{Low: 0.5, Medium: 0.25, High: 0.25}
-	tasks := MustGenerate(cfg, rng.NewStream(11, "wl"))
-
-	var acc StatsAccumulator
-	for _, task := range tasks {
-		acc.Add(task)
-	}
-	if got, want := acc.Stats(), Summarize(tasks); got != want {
-		t.Fatalf("accumulator stats differ:\n  got  %+v\n  want %+v", got, want)
-	}
-	if got, want := acc.TotalSize(), TotalSize(tasks); got != want {
-		t.Fatalf("TotalSize: got %x, want %x", got, want)
-	}
-	if got, want := acc.TotalDeadline(), TotalDeadline(tasks); got != want {
-		t.Fatalf("TotalDeadline: got %x, want %x", got, want)
-	}
-	if got, want := acc.Count(), len(tasks); got != want {
-		t.Fatalf("Count: got %d, want %d", got, want)
-	}
-
-	if got, want := SummarizeSource(FromSlice(tasks)), Summarize(tasks); got != want {
-		t.Fatalf("SummarizeSource differs:\n  got  %+v\n  want %+v", got, want)
-	}
-}
-
-// TestStatsAccumulatorEmpty matches Summarize(nil) on the empty input.
-func TestStatsAccumulatorEmpty(t *testing.T) {
-	var acc StatsAccumulator
-	if got, want := acc.Stats(), Summarize(nil); got != want {
-		t.Fatalf("empty stats differ: got %+v, want %+v", got, want)
 	}
 }

@@ -126,16 +126,6 @@ func (t *Task) MetDeadline() bool {
 	return t.Finished() && t.FinishTime <= t.AbsoluteDeadline()
 }
 
-// ExecTimeOn returns ET(i, j) = s_i / sp_j (Eq. 3), the execution time of
-// the task on a processor with the given speed in MIPS. Panics on
-// non-positive speed.
-func (t *Task) ExecTimeOn(speedMIPS float64) float64 {
-	if speedMIPS <= 0 {
-		panic(fmt.Sprintf("workload: non-positive processor speed %g", speedMIPS))
-	}
-	return t.SizeMI / speedMIPS
-}
-
 // Validate checks internal consistency of a generated task.
 func (t *Task) Validate() error {
 	switch {
@@ -263,38 +253,6 @@ func MustGenerate(cfg GenConfig, r *rng.Stream) []*Task {
 		panic(err)
 	}
 	return tasks
-}
-
-// Stats summarises a generated workload for reporting and sanity checks.
-type Stats struct {
-	Count        int
-	MeanSizeMI   float64
-	MeanIAT      float64
-	Span         float64 // last arrival - first arrival
-	CountByPrio  [numPriorities]int
-	MeanDeadline float64
-}
-
-// Summarize computes workload statistics.
-func Summarize(tasks []*Task) Stats {
-	var st Stats
-	st.Count = len(tasks)
-	if st.Count == 0 {
-		return st
-	}
-	var sizeSum, dlSum float64
-	for _, t := range tasks {
-		sizeSum += t.SizeMI
-		dlSum += t.Deadline
-		st.CountByPrio[t.Priority]++
-	}
-	st.MeanSizeMI = sizeSum / float64(st.Count)
-	st.MeanDeadline = dlSum / float64(st.Count)
-	st.Span = tasks[st.Count-1].ArrivalTime - tasks[0].ArrivalTime
-	if st.Count > 1 {
-		st.MeanIAT = st.Span / float64(st.Count-1)
-	}
-	return st
 }
 
 // SortEDF sorts tasks in place by absolute deadline, earliest first

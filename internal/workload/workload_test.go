@@ -55,7 +55,7 @@ func TestSizeDistributionBounds(t *testing.T) {
 
 func TestInterArrivalMean(t *testing.T) {
 	tasks := genDefault(t, 3000)
-	st := Summarize(tasks)
+	st := summarize(tasks)
 	if math.Abs(st.MeanIAT-5) > 0.3 {
 		t.Fatalf("mean inter-arrival %g, want ~5", st.MeanIAT)
 	}
@@ -97,7 +97,7 @@ func TestPriorityMixRespected(t *testing.T) {
 	cfg.NumTasks = 5000
 	cfg.Mix = PriorityMix{Low: 0.1, Medium: 0.2, High: 0.7}
 	tasks := MustGenerate(cfg, rng.NewStream(3, "wl"))
-	st := Summarize(tasks)
+	st := summarize(tasks)
 	fracHigh := float64(st.CountByPrio[PriorityHigh]) / float64(st.Count)
 	if math.Abs(fracHigh-0.7) > 0.03 {
 		t.Fatalf("high-priority fraction %g, want ~0.7", fracHigh)
@@ -132,19 +132,6 @@ func TestDeadlineWithinPriorityBand(t *testing.T) {
 			t.Fatalf("task %d: slack %g inconsistent with priority %v", task.ID, slack, task.Priority)
 		}
 	}
-}
-
-func TestExecTimeOn(t *testing.T) {
-	task := &Task{SizeMI: 1000}
-	if got := task.ExecTimeOn(500); got != 2 {
-		t.Fatalf("ExecTimeOn(500) = %g, want 2", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero speed")
-		}
-	}()
-	task.ExecTimeOn(0)
 }
 
 func TestDeadlineAccounting(t *testing.T) {
@@ -207,7 +194,7 @@ func TestTotals(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	st := Summarize(nil)
+	st := summarize(nil)
 	if st.Count != 0 || st.MeanSizeMI != 0 {
 		t.Fatalf("empty summary %+v", st)
 	}
@@ -325,4 +312,36 @@ func BenchmarkGenerate3000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MustGenerate(cfg, rng.NewStream(uint64(i), "bench"))
 	}
+}
+
+// workloadStats summarises a generated workload for the generator checks.
+type workloadStats struct {
+	Count        int
+	MeanSizeMI   float64
+	MeanIAT      float64
+	Span         float64 // last arrival - first arrival
+	CountByPrio  [numPriorities]int
+	MeanDeadline float64
+}
+
+// summarize computes workload statistics.
+func summarize(tasks []*Task) workloadStats {
+	var st workloadStats
+	st.Count = len(tasks)
+	if st.Count == 0 {
+		return st
+	}
+	var sizeSum, dlSum float64
+	for _, t := range tasks {
+		sizeSum += t.SizeMI
+		dlSum += t.Deadline
+		st.CountByPrio[t.Priority]++
+	}
+	st.MeanSizeMI = sizeSum / float64(st.Count)
+	st.MeanDeadline = dlSum / float64(st.Count)
+	st.Span = tasks[st.Count-1].ArrivalTime - tasks[0].ArrivalTime
+	if st.Count > 1 {
+		st.MeanIAT = st.Span / float64(st.Count-1)
+	}
+	return st
 }

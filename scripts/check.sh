@@ -4,6 +4,10 @@
 # would take tens of minutes; the short suite still runs every
 # parallel-runner and engine test), then every benchmark run once. Pass
 # FULL_RACE=1 to run the race detector over the complete suite instead.
+# The full tests include the dead-code gate (deadcode_test.go), which
+# type-checks this module and perfbench/ and fails on any internal/
+# identifier that nothing but its own package's tests uses; it skips
+# under -short, so the race pass does not repeat it.
 set -eu
 cd "$(dirname "$0")/.."
 
