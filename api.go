@@ -49,6 +49,11 @@ type (
 	// EngineConfig holds scheduling-framework parameters (merge-buffer
 	// timeouts, decision interval, split/dispatch switches, tracing).
 	EngineConfig = sched.Config
+	// EngineRecorders are one run's tracer, probe and decision audit, as
+	// EngineConfig embeds them and Profile.RecordersFor returns them.
+	EngineRecorders = sched.Recorders
+	// RunStats are one run's engine counters, as Profile.Progress gets them.
+	RunStats = sched.RunStats
 	// PlatformConfig parameterises random platform generation (§V.A
 	// ranges, power levels, heterogeneity control).
 	PlatformConfig = platform.GenConfig
@@ -314,8 +319,8 @@ func AllFiguresContext(ctx context.Context, p Profile) ([]Figure, error) {
 
 // Simulation-state probes: in-sim time-series telemetry sampled on the
 // DES clock. Attach a ProbeRecorder via EngineConfig.Probe (single run)
-// or Profile.ProbeFor (one recorder per campaign point), then Snapshot
-// or export the recorded series.
+// or Profile.RecordersFor (one recorder per campaign point), then
+// Snapshot or export the recorded series.
 type (
 	// ProbeConfig selects sampling cadence, retention bound and series
 	// families for a ProbeRecorder.
@@ -362,7 +367,7 @@ func NewHTMLReport(title string) *HTMLReport { return report.NewHTMLReport(title
 // with their scores, the chosen action and its explore-vs-exploit kind,
 // and the reward/error feedback once the group lands — plus per-agent
 // learning-curve series. Attach an AuditRecorder via EngineConfig.Audit
-// (single run) or Profile.AuditFor (one per campaign point); daemon jobs
+// (single run) or Profile.RecordersFor (one per campaign point); daemon jobs
 // opt in with a "decisions" block and serve the log at
 // GET /v1/jobs/{id}/decisions. Auditing draws no randomness and
 // schedules no events, so audited results are byte-identical to

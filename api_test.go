@@ -319,7 +319,7 @@ func TestPointCacheKeyInsensitiveToCampaignShape(t *testing.T) {
 	reshaped.Workers = 7
 	reshaped.Replications = 9
 	reshaped.Seed = 999
-	reshaped.Progress = func() {}
+	reshaped.Progress = func(rlsched.RunStats) {}
 	same, err := rlsched.PointCacheKey(reshaped, spec)
 	if err != nil {
 		t.Fatal(err)

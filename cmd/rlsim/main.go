@@ -12,6 +12,9 @@
 //
 //	rlsim -scale large [-scale-sites 5000] [-scale-tasks 2000000]
 //	      [-policy adaptive-rl] [-seed 1]
+//
+// With -scale, the flags only a profile run reads (-n, -cv, -config and
+// the output flags) are refused with exit code 2.
 package main
 
 import (
@@ -20,6 +23,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 
 	"rlsched"
 	"rlsched/internal/obs"
@@ -59,6 +63,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *scale != "" {
+		// A scale run reads only the -scale*, -policy and -seed flags:
+		// refuse any other rather than ignore it without a word.
+		bad := ""
+		fs.Visit(func(f *flag.Flag) {
+			if !strings.HasPrefix(f.Name, "scale") && f.Name != "policy" && f.Name != "seed" {
+				bad = f.Name
+			}
+		})
+		if bad != "" {
+			fmt.Fprintf(stderr, "rlsim: -%s cannot be combined with -scale\n", bad)
+			return 2
+		}
 		return runScale(*scale, *scaleSites, *scaleTasks, *policy, *seed, stdout, stderr)
 	}
 

@@ -67,6 +67,30 @@ func TestRunScaleBadPreset(t *testing.T) {
 	}
 }
 
+// TestRunScaleRejectsProfileFlags checks that -scale refuses, with exit
+// code 2 and the flag's name, every flag only a profile run reads,
+// instead of running and writing nothing.
+func TestRunScaleRejectsProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"series-csv", "decisions-csv", "dump-tasks", "dump-groups", "dump-gantt", "report", "n"} {
+		path := filepath.Join(dir, name)
+		var out, errOut bytes.Buffer
+		args := []string{"-scale", "small", "-scale-sites", "2", "-scale-tasks", "50", "-" + name, path}
+		if name == "n" {
+			args[len(args)-1] = "10"
+		}
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("-%s: exit code = %d, want 2", name, code)
+		}
+		if !strings.Contains(errOut.String(), "-"+name+" ") || out.Len() != 0 {
+			t.Errorf("-%s: stderr %q, stdout %q", name, errOut.String(), out.String())
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("-%s: a file was written", name)
+		}
+	}
+}
+
 func TestRunDumpGantt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gantt.csv")
 	var out, errOut bytes.Buffer

@@ -294,9 +294,11 @@ func TestDispatcherCachesRepeatedCampaign(t *testing.T) {
 
 	var progressed atomic.Int64
 	p2 := p
-	p2.Progress = func() { progressed.Add(1) }
 	engStats := new(sched.Stats)
-	p2.Engine.Stats = engStats
+	p2.Progress = func(st sched.RunStats) {
+		progressed.Add(1)
+		engStats.Add(st)
+	}
 	second, err := d.Runner(JobMeta{ID: "job-000002"})(context.Background(), p2, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +335,7 @@ func TestDispatcherFanOutMatchesLocal(t *testing.T) {
 
 	var progressed atomic.Int64
 	pd := p
-	pd.Progress = func() { progressed.Add(1) }
+	pd.Progress = func(sched.RunStats) { progressed.Add(1) }
 	got, err := d.Runner(JobMeta{ID: "job-000001"})(context.Background(), pd, specs)
 	if err != nil {
 		t.Fatal(err)

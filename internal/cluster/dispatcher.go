@@ -229,16 +229,11 @@ func encodeResult(r sched.Result) ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// finishPoint folds a point that was not run in-process — served from
-// cache or computed remotely — into the campaign's side channels: the
-// job-level engine stats aggregate and the progress hook. Locally run
-// points do both themselves.
+// finishPoint reports a point served from cache or computed remotely to
+// the campaign's progress hook; the local runner reports its own points.
 func finishPoint(p experiments.Profile, r sched.Result) {
-	if p.Engine.Stats != nil {
-		p.Engine.Stats.Add(r.Stats)
-	}
 	if p.Progress != nil {
-		p.Progress()
+		p.Progress(r.Stats)
 	}
 }
 

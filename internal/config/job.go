@@ -90,8 +90,8 @@ type JobSpec struct {
 	// ?format=csv, ?format=html policy report; streamed live by
 	// .../decisions/stream). Absent by default: an unaudited job pays no
 	// audit cost at all (the endpoints then return 404) and its results
-	// are byte-identical to an audited run's. Not valid on "scale" jobs,
-	// whose streaming engine has no audit hook.
+	// are byte-identical to an audited run's. A "scale" job records its
+	// one run as point 0, like its series.
 	Decisions *DecisionsSpec `json:"decisions,omitempty"`
 	// Profile holds every experiment knob; omitted fields keep the
 	// default profile's values, exactly like File.Profile.
@@ -226,7 +226,7 @@ func defaultJobSpec() JobSpec {
 }
 
 // Normalize validates the spec and returns a copy with the figure alias
-// resolved to its canonical identifier.
+// resolved to its canonical identifier and empty lists dropped.
 func (s JobSpec) Normalize() (JobSpec, error) {
 	if err := s.Profile.Validate(); err != nil {
 		return JobSpec{}, fmt.Errorf("config: invalid profile: %w", err)
@@ -242,6 +242,16 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	}
 	if err := s.Decisions.validate(); err != nil {
 		return JobSpec{}, err
+	}
+	// An empty list means what an absent one does; keep it absent, as
+	// MarshalJob's omitempty would, so a spec survives its JSON round trip.
+	if len(s.Points) == 0 {
+		s.Points = nil
+	}
+	if s.Series != nil && len(s.Series.Select) == 0 {
+		series := *s.Series
+		series.Select = nil
+		s.Series = &series
 	}
 	if s.Kind != JobScale && s.Scale != nil {
 		return JobSpec{}, fmt.Errorf("config: %q job must not set scale", s.Kind)
@@ -277,11 +287,6 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	case JobScale:
 		if s.Figure != "" || len(s.Points) != 0 {
 			return JobSpec{}, fmt.Errorf("config: %q job must not set figure or points", JobScale)
-		}
-		// The streaming scale engine has no audit hook, so a decisions
-		// block would record nothing.
-		if s.Decisions != nil {
-			return JobSpec{}, fmt.Errorf("config: %q job must not set decisions", JobScale)
 		}
 		c, err := s.Scale.Config()
 		if err != nil {

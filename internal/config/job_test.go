@@ -64,11 +64,16 @@ func TestJobPointsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJobScaleRoundTrip pins the scale block's wire form. A scale job
+// takes every artifact block, decisions included, like any other kind.
 func TestJobScaleRoundTrip(t *testing.T) {
 	s := JobSpec{
-		Kind:    JobScale,
-		Scale:   &ScaleSpec{Preset: "small", Sites: 40, NumTasks: 9000, Policy: experiments.Greedy, Seed: 7},
-		Profile: experiments.DefaultProfile(),
+		Kind:      JobScale,
+		Scale:     &ScaleSpec{Preset: "small", Sites: 40, NumTasks: 9000, Policy: experiments.Greedy, Seed: 7},
+		Trace:     true,
+		Series:    &SeriesSpec{Cadence: 50},
+		Decisions: &DecisionsSpec{TopK: 3},
+		Profile:   experiments.DefaultProfile(),
 	}
 	data, err := MarshalJob(s)
 	if err != nil {
@@ -80,6 +85,9 @@ func TestJobScaleRoundTrip(t *testing.T) {
 	}
 	if got.Scale == nil || got.Scale.Preset != "small" || got.Scale.Sites != 40 || got.Scale.Seed != 7 {
 		t.Fatalf("round trip lost scale block: %+v", got.Scale)
+	}
+	if !got.Trace || got.Series == nil || got.Series.Cadence != 50 || got.Decisions == nil || got.Decisions.TopK != 3 {
+		t.Fatalf("round trip lost an artifact block: trace %v series %+v decisions %+v", got.Trace, got.Series, got.Decisions)
 	}
 	n, err := got.TotalPoints()
 	if err != nil || n != 1 {

@@ -21,8 +21,9 @@ func auditSpecs() []RunSpec {
 	}
 }
 
-// auditCampaign runs the specs with an AuditFor hook at the given worker
-// count and returns the canonical CSV export plus the campaign results.
+// auditCampaign runs the specs with an audit recorder per point at the
+// given worker count and returns the canonical CSV export plus the
+// campaign results.
 func auditCampaign(t *testing.T, workers int) ([]byte, []sched.Result) {
 	t.Helper()
 	p := fastProfile()
@@ -36,12 +37,12 @@ func auditCampaign(t *testing.T, workers int) ([]byte, []sched.Result) {
 		mu   sync.Mutex
 		runs []run
 	)
-	p.AuditFor = func(i int, spec RunSpec) *audit.Recorder {
+	p.RecordersFor = func(i int, spec RunSpec) sched.Recorders {
 		rec := audit.NewRecorder(audit.Config{})
 		mu.Lock()
 		runs = append(runs, run{index: i, label: PointLabel(spec), rec: rec})
 		mu.Unlock()
-		return rec
+		return sched.Recorders{Audit: rec}
 	}
 	res, err := RunMany(p, auditSpecs())
 	if err != nil {
@@ -90,11 +91,11 @@ func TestAuditWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestAuditForByteIdenticalResults guards the campaign-level contract:
-// attaching AuditFor changes nothing about the results — byte for byte,
-// instrumentation counters included — because auditing draws no
-// randomness and schedules no events.
-func TestAuditForByteIdenticalResults(t *testing.T) {
+// TestAuditRecordersByteIdenticalResults guards the campaign-level
+// contract: attaching audit recorders changes nothing about the results
+// — byte for byte, instrumentation counters included — because auditing
+// draws no randomness and schedules no events.
+func TestAuditRecordersByteIdenticalResults(t *testing.T) {
 	p := fastProfile()
 	plain, err := RunMany(p, auditSpecs())
 	if err != nil {
@@ -117,28 +118,28 @@ func TestAuditForByteIdenticalResults(t *testing.T) {
 	}
 }
 
-// TestAuditForPerPoint checks the hook runs once per point with the
+// TestAuditRecordersPerPoint checks the hook runs once per point with the
 // point's own index and spec, and that the adaptive-rl policy annotates
 // decisions with explore/exploit kinds and candidate scores.
-func TestAuditForPerPoint(t *testing.T) {
+func TestAuditRecordersPerPoint(t *testing.T) {
 	p := fastProfile()
 	p.Workers = 4
 	specs := auditSpecs()
 	var mu sync.Mutex
 	recs := map[int]*audit.Recorder{}
 	seen := map[int]RunSpec{}
-	p.AuditFor = func(i int, spec RunSpec) *audit.Recorder {
+	p.RecordersFor = func(i int, spec RunSpec) sched.Recorders {
 		rec := audit.NewRecorder(audit.Config{})
 		mu.Lock()
 		recs[i], seen[i] = rec, spec
 		mu.Unlock()
-		return rec
+		return sched.Recorders{Audit: rec}
 	}
 	if _, err := RunMany(p, specs); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != len(specs) {
-		t.Fatalf("AuditFor called for %d points, want %d", len(recs), len(specs))
+		t.Fatalf("RecordersFor called for %d points, want %d", len(recs), len(specs))
 	}
 	for i, spec := range specs {
 		if seen[i] != spec {

@@ -22,7 +22,6 @@ import (
 	"log/slog"
 	"runtime/debug"
 
-	"rlsched/internal/audit"
 	"rlsched/internal/baselines/cooperative"
 	"rlsched/internal/baselines/onlinerl"
 	"rlsched/internal/baselines/predictive"
@@ -30,7 +29,6 @@ import (
 	"rlsched/internal/core"
 	"rlsched/internal/obs"
 	"rlsched/internal/platform"
-	"rlsched/internal/probe"
 	"rlsched/internal/rng"
 	"rlsched/internal/sched"
 	"rlsched/internal/workload"
@@ -115,10 +113,12 @@ type Profile struct {
 	Workers int
 	// Progress, when non-nil, is invoked once after every completed
 	// simulation point (replications included) by RunMany and the figure
-	// sweeps. It is called from worker goroutines concurrently, so it must
-	// be safe for concurrent use and cheap — it sits on the campaign hot
-	// path. Runtime-only: never serialised, never affects results.
-	Progress func() `json:"-"`
+	// sweeps with that point's Result.Stats, wherever it ran: a RunPoints
+	// executor reports cached and remote points the same way. It is
+	// called from worker goroutines concurrently, so it must be safe for
+	// concurrent use and cheap. Runtime-only: never serialised, never
+	// affects results.
+	Progress func(sched.RunStats) `json:"-"`
 	// Metrics, when non-nil, receives campaign telemetry: RunManyCtx
 	// records each completed point's wall-clock duration into a
 	// point_run_seconds histogram. Like Progress it is runtime-only and
@@ -146,22 +146,15 @@ type Profile struct {
 	// point to another machine (see InProcess). Runtime-only, never
 	// serialised.
 	RunPoints func(ctx context.Context, p Profile, specs []RunSpec) ([]sched.Result, error) `json:"-"`
-	// ProbeFor, when non-nil, supplies a per-point probe recorder:
-	// RunManyCtx (and everything built on it — figures, sweeps, the
-	// daemon) calls it once per simulation point with the point's index
-	// in the expanded spec list and its spec, and attaches the returned
-	// recorder to that point's engine. Return nil to leave a point
-	// unprobed. It is called from worker goroutines concurrently.
-	// Runtime-only, like Progress: a nil hook costs nothing and sampling
-	// never affects results.
-	ProbeFor func(index int, spec RunSpec) *probe.Recorder `json:"-"`
-	// AuditFor, when non-nil, supplies a per-point decision-audit recorder,
-	// with exactly the ProbeFor contract: called once per simulation point
-	// with the point's index and spec, from worker goroutines concurrently;
-	// return nil to leave a point unaudited. Runtime-only. Like ProbeFor,
-	// its presence forces the campaign to run locally — a recorder cannot
-	// follow a point to another machine or be fed from the result cache.
-	AuditFor func(index int, spec RunSpec) *audit.Recorder `json:"-"`
+	// RecordersFor, when non-nil, supplies each simulation point's
+	// recorders: RunManyCtx (and everything built on it — figures,
+	// sweeps, the daemon) calls it once per point, from worker goroutines
+	// concurrently, with the point's index in the expanded spec list and
+	// its spec; the returned set replaces Engine.Recorders for that run.
+	// A direct Run or RunWith calls it as point 0. Its presence forces
+	// the campaign to run locally (see InProcess). Runtime-only, like
+	// Progress: no recorder affects results.
+	RecordersFor func(index int, spec RunSpec) sched.Recorders `json:"-"`
 	// PointSpan, when non-nil, brackets every locally executed simulation
 	// point: RunManyCtx calls it just before point i runs with the
 	// point's index in the expanded spec list and its spec, and calls the
@@ -175,14 +168,13 @@ type Profile struct {
 }
 
 // InProcess reports whether the profile carries in-process
-// instrumentation: a ProbeFor or AuditFor hook, an Engine.Probe or
-// Engine.Audit recorder, or an Engine.Tracer. Such a recorder is fed by
-// the engine run itself, so it cannot follow a point to another machine
-// or be filled from the result cache: RunManyCtx then bypasses
-// RunPoints and runs the campaign locally.
+// instrumentation: a RecordersFor hook or an Engine recorder. Such a
+// recorder is fed by the engine run itself, so it cannot follow a point
+// to another machine or be filled from the result cache: RunManyCtx then
+// bypasses RunPoints and runs the campaign locally.
 func (p Profile) InProcess() bool {
-	return p.ProbeFor != nil || p.Engine.Probe != nil ||
-		p.AuditFor != nil || p.Engine.Audit != nil || p.Engine.Tracer != nil
+	r := p.Engine.Recorders
+	return p.RecordersFor != nil || r.Tracer != nil || r.Probe != nil || r.Audit != nil
 }
 
 // DefaultProfile returns the tuned defaults used for every figure.
@@ -317,16 +309,18 @@ func scenarioStream(spec RunSpec) *rng.Stream {
 // RunWith executes one simulation point with a caller-supplied policy
 // instance (which must be fresh: policies carry learned state).
 func RunWith(p Profile, spec RunSpec, policy sched.Policy) (sched.Result, error) {
-	return runScenario(p, spec, policy, workload.Generate)
+	return runScenario(p, 0, spec, policy, workload.Generate)
 }
 
 // runScenario builds a scenario with gen and runs it under policy, using
-// the single stream buildScenario hands back for the engine split. A
+// the single stream buildScenario hands back for the engine split, with
+// the recorders RecordersFor gives the point at index (0 for a direct
+// Run or RunWith). A
 // panic escaping the engine or the policy (the engine already converts
 // its own invariant violations into a returned *InvariantError) is
 // recovered into a *PointError so one corrupted point fails its caller,
 // never the process.
-func runScenario(p Profile, spec RunSpec, policy sched.Policy, gen workloadGen) (res sched.Result, err error) {
+func runScenario(p Profile, index int, spec RunSpec, policy sched.Policy, gen workloadGen) (res sched.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = sched.Result{}, &PointError{Point: spec, Index: -1, Panic: r, Stack: string(debug.Stack())}
@@ -336,14 +330,8 @@ func runScenario(p Profile, spec RunSpec, policy sched.Policy, gen workloadGen) 
 	if err != nil {
 		return sched.Result{}, err
 	}
-	// The campaign runner resolves ProbeFor/AuditFor per point (it knows
-	// the index); a direct single-point Run resolves them here as point 0.
-	// The nil guards keep the two paths from double-invoking the hooks.
-	if p.ProbeFor != nil && p.Engine.Probe == nil {
-		p.Engine.Probe = p.ProbeFor(0, spec)
-	}
-	if p.AuditFor != nil && p.Engine.Audit == nil {
-		p.Engine.Audit = p.AuditFor(0, spec)
+	if p.RecordersFor != nil {
+		p.Engine.Recorders = p.RecordersFor(index, spec)
 	}
 	eng, err := sched.New(p.Engine, pl, tasks, policy, r.Split("engine"))
 	if err != nil {
@@ -354,16 +342,16 @@ func runScenario(p Profile, spec RunSpec, policy sched.Policy, gen workloadGen) 
 
 // Run executes one simulation point under the profile.
 func Run(p Profile, spec RunSpec) (sched.Result, error) {
-	return runGen(p, spec, workload.Generate)
+	return runGen(p, 0, spec, workload.Generate)
 }
 
-// runGen is Run with the workload generator gen.
-func runGen(p Profile, spec RunSpec, gen workloadGen) (sched.Result, error) {
+// runGen is Run of the point at index with the workload generator gen.
+func runGen(p Profile, index int, spec RunSpec, gen workloadGen) (sched.Result, error) {
 	policy, err := NewPolicy(spec.Policy)
 	if err != nil {
 		return sched.Result{}, err
 	}
-	return runScenario(p, spec, policy, gen)
+	return runScenario(p, index, spec, policy, gen)
 }
 
 // PointStat aggregates one metric over the profile's replications.

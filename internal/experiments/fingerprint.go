@@ -1,5 +1,7 @@
 package experiments
 
+import "rlsched/internal/sched"
+
 // CacheFingerprint reduces the profile to the fields that can influence
 // one simulation point's result, zeroing everything else. A point's
 // outcome is a pure function of its RunSpec plus the scenario-shaping
@@ -20,7 +22,7 @@ func (p Profile) CacheFingerprint() Profile {
 	// anyway so a fingerprint compares clean in tests and never leaks an
 	// engine handle.
 	p.Progress, p.Metrics, p.Logger = nil, nil, nil
-	p.RunPoints, p.ProbeFor, p.AuditFor, p.PointSpan = nil, nil, nil, nil
-	p.Engine.Tracer, p.Engine.Stats, p.Engine.Probe, p.Engine.Audit = nil, nil, nil, nil
+	p.RunPoints, p.RecordersFor, p.PointSpan = nil, nil, nil
+	p.Engine.Recorders = sched.Recorders{}
 	return p
 }

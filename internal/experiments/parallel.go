@@ -150,7 +150,8 @@ func RunMany(p Profile, specs []RunSpec) ([]sched.Result, error) {
 // RunManyCtx is RunMany under a context: cancelling ctx stops issuing new
 // points, discards any completed work and returns the context's error.
 // After each completed point the profile's Progress hook (if set) is
-// invoked, so a caller can observe how far a campaign has advanced; the
+// invoked with the point's engine counters, so a caller can observe how
+// far a campaign has advanced and what it cost; the
 // profile's Metrics registry (if set) records the point's wall-clock
 // duration, and points slower than SlowPointSec are logged as warnings.
 func RunManyCtx(ctx context.Context, p Profile, specs []RunSpec) ([]sched.Result, error) {
@@ -187,21 +188,11 @@ func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen) (
 		if timed {
 			start = time.Now()
 		}
-		pp := p
-		if pp.ProbeFor != nil {
-			// Attach the point's probe recorder on a per-point copy of
-			// the profile, so concurrent workers never share an Engine
-			// config.
-			pp.Engine.Probe = pp.ProbeFor(i, specs[i])
-		}
-		if pp.AuditFor != nil {
-			pp.Engine.Audit = pp.AuditFor(i, specs[i])
-		}
 		var endSpan func(error)
 		if p.PointSpan != nil {
 			endSpan = p.PointSpan(i, specs[i])
 		}
-		res, err := runGen(pp, specs[i], gen)
+		res, err := runGen(p, i, specs[i], gen)
 		if endSpan != nil {
 			endSpan(err)
 		}
@@ -227,7 +218,7 @@ func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen) (
 		}
 		out[i] = res
 		if p.Progress != nil {
-			p.Progress()
+			p.Progress(res.Stats)
 		}
 		return nil
 	})

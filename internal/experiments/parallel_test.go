@@ -248,7 +248,7 @@ func TestRunManyCtxCancelDiscards(t *testing.T) {
 	p.Workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int32
-	p.Progress = func() {
+	p.Progress = func(sched.RunStats) {
 		if done.Add(1) == 2 {
 			cancel()
 		}
@@ -269,7 +269,8 @@ func TestRunManyCtxCancelDiscards(t *testing.T) {
 }
 
 // TestRunManyProgressCount checks that the Progress hook fires exactly
-// once per completed point, at any worker count.
+// once per completed point, at any worker count, with that point's
+// engine counters.
 func TestRunManyProgressCount(t *testing.T) {
 	p := fastProfile()
 	specs := replicate(p, []RunSpec{
@@ -280,12 +281,24 @@ func TestRunManyProgressCount(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		p.Workers = workers
 		var ticks atomic.Int32
-		p.Progress = func() { ticks.Add(1) }
-		if _, err := RunMany(p, specs); err != nil {
+		var agg sched.Stats
+		p.Progress = func(st sched.RunStats) {
+			ticks.Add(1)
+			agg.Add(st)
+		}
+		res, err := RunMany(p, specs)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got := ticks.Load(); got != int32(len(specs)) {
 			t.Fatalf("workers=%d: %d progress ticks, want %d", workers, got, len(specs))
+		}
+		var events uint64
+		for _, r := range res {
+			events += r.Stats.Events
+		}
+		if got := agg.Snapshot().Events; got != events || events == 0 {
+			t.Fatalf("workers=%d: progress reported %d events, results hold %d", workers, got, events)
 		}
 	}
 }
@@ -320,7 +333,7 @@ func TestPointCountMatchesProgress(t *testing.T) {
 	p.Replications = 2
 	p.LightTasks, p.HeavyTasks = 20, 30
 	var ticks atomic.Int32
-	p.Progress = func() { ticks.Add(1) }
+	p.Progress = func(sched.RunStats) { ticks.Add(1) }
 	ids := []string{FigureIDAll, "ext"}
 	for _, f := range figureTable {
 		ids = append(ids, f.id)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rlsched/internal/probe"
+	"rlsched/internal/sched"
 )
 
 func TestPointLabel(t *testing.T) {
@@ -20,10 +21,10 @@ func TestPointLabel(t *testing.T) {
 	}
 }
 
-// TestProbeForPerPoint checks the campaign runner calls the hook once
-// per point with that point's index and spec, and wires the returned
+// TestProbeRecordersPerPoint checks the campaign runner calls the hook
+// once per point with that point's index and spec, and wires the returned
 // recorder into the engine (series get recorded).
-func TestProbeForPerPoint(t *testing.T) {
+func TestProbeRecordersPerPoint(t *testing.T) {
 	p := fastProfile()
 	p.Workers = 4
 	specs := []RunSpec{
@@ -34,18 +35,18 @@ func TestProbeForPerPoint(t *testing.T) {
 	var mu sync.Mutex
 	recs := map[int]*probe.Recorder{}
 	seen := map[int]RunSpec{}
-	p.ProbeFor = func(i int, spec RunSpec) *probe.Recorder {
+	p.RecordersFor = func(i int, spec RunSpec) sched.Recorders {
 		rec := probe.NewRecorder(probe.Config{Cadence: 50})
 		mu.Lock()
 		recs[i], seen[i] = rec, spec
 		mu.Unlock()
-		return rec
+		return sched.Recorders{Probe: rec}
 	}
 	if _, err := RunMany(p, specs); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != len(specs) {
-		t.Fatalf("ProbeFor called for %d points, want %d", len(recs), len(specs))
+		t.Fatalf("RecordersFor called for %d points, want %d", len(recs), len(specs))
 	}
 	for i, spec := range specs {
 		if seen[i] != spec {
@@ -58,17 +59,18 @@ func TestProbeForPerPoint(t *testing.T) {
 	}
 }
 
-// TestProbeForNilKeepsResults guards the zero-cost contract at the
-// campaign layer: a profile without the hook runs exactly as before.
-func TestProbeForNilKeepsResults(t *testing.T) {
+// TestProbeRecordersKeepResults guards the read-only contract at the
+// campaign layer: attaching a probe recorder per point leaves the
+// results as a profile without the hook computes them.
+func TestProbeRecordersKeepResults(t *testing.T) {
 	p := fastProfile()
 	specs := []RunSpec{{Policy: Greedy, NumTasks: 60, Seed: 1}}
 	plain, err := RunMany(p, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.ProbeFor = func(int, RunSpec) *probe.Recorder {
-		return probe.NewRecorder(probe.Config{Cadence: 50})
+	p.RecordersFor = func(int, RunSpec) sched.Recorders {
+		return sched.Recorders{Probe: probe.NewRecorder(probe.Config{Cadence: 50})}
 	}
 	probed, err := RunMany(p, specs)
 	if err != nil {

@@ -57,14 +57,18 @@ func TestRunPointsBypassedForProbes(t *testing.T) {
 		local bool
 	}{
 		{"plain", func(p *Profile) {}, false},
+		// A RecordersFor hook forces a local run, even one that returns
+		// no recorder for a point (the auditfor case).
 		{"probefor", func(p *Profile) {
-			p.ProbeFor = func(int, RunSpec) *probe.Recorder { return nil }
+			p.RecordersFor = func(int, RunSpec) sched.Recorders {
+				return sched.Recorders{Probe: probe.NewRecorder(probe.Config{})}
+			}
 		}, true},
 		{"engine-probe", func(p *Profile) {
 			p.Engine.Probe = probe.NewRecorder(probe.Config{})
 		}, true},
 		{"auditfor", func(p *Profile) {
-			p.AuditFor = func(int, RunSpec) *audit.Recorder { return nil }
+			p.RecordersFor = func(int, RunSpec) sched.Recorders { return sched.Recorders{} }
 		}, true},
 		{"engine-audit", func(p *Profile) {
 			p.Engine.Audit = audit.NewRecorder(audit.Config{})
@@ -100,15 +104,13 @@ func TestRunPointsBypassedForProbes(t *testing.T) {
 func TestCacheFingerprintDropsRuntimeHooks(t *testing.T) {
 	bare := DefaultProfile()
 	hooked := bare
-	hooked.Progress = func() {}
+	hooked.Progress = func(sched.RunStats) {}
 	hooked.Metrics = obs.NewRegistry()
 	hooked.Logger = obs.NopLogger()
 	hooked.RunPoints = func(context.Context, Profile, []RunSpec) ([]sched.Result, error) { return nil, nil }
-	hooked.ProbeFor = func(int, RunSpec) *probe.Recorder { return nil }
-	hooked.AuditFor = func(int, RunSpec) *audit.Recorder { return nil }
+	hooked.RecordersFor = func(int, RunSpec) sched.Recorders { return sched.Recorders{} }
 	hooked.PointSpan = func(int, RunSpec) func(error) { return nil }
 	hooked.Engine.Tracer = trace.NewRing(16, trace.LevelDebug)
-	hooked.Engine.Stats = new(sched.Stats)
 	hooked.Engine.Probe = probe.NewRecorder(probe.Config{})
 	hooked.Engine.Audit = audit.NewRecorder(audit.Config{})
 	if got, want := hooked.CacheFingerprint(), bare.CacheFingerprint(); !reflect.DeepEqual(got, want) {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"rlsched/internal/platform"
-	"rlsched/internal/probe"
 	"rlsched/internal/rng"
 	"rlsched/internal/sched"
-	"rlsched/internal/trace"
 	"rlsched/internal/workload"
 )
 
@@ -41,15 +39,10 @@ type ScaleConfig struct {
 	// Policy and Seed identify the run.
 	Policy PolicyName
 	Seed   uint64
-	// Probe, when non-nil, records in-sim time series (aggregated
-	// platform-wide above 64 sites).
-	Probe *probe.Recorder
-	// Stats and Tracer, when non-nil, receive the engine's run counters
-	// and structured events, exactly as sched.Config forwards them —
-	// the daemon wires these so scale jobs report engine telemetry like
-	// every other kind.
-	Stats  *sched.Stats
-	Tracer trace.Tracer
+	// Recorders are handed to the run's engine unchanged (a probe
+	// records platform-wide series above 64 sites). The run's counters
+	// come back in Result.Stats.
+	sched.Recorders
 }
 
 // ScalePresets names the built-in scale scenario sizes.
@@ -169,9 +162,7 @@ func RunScale(c ScaleConfig) (sched.Result, error) {
 	}
 	ecfg := sched.DefaultConfig()
 	ecfg.LowMemory = true
-	ecfg.Probe = c.Probe
-	ecfg.Stats = c.Stats
-	ecfg.Tracer = c.Tracer
+	ecfg.Recorders = c.Recorders
 	eng, err := sched.NewFromSource(ecfg, pl, src, policy, r.Split("engine"))
 	if err != nil {
 		return sched.Result{}, err

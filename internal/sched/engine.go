@@ -64,28 +64,9 @@ type Config struct {
 	// RepairTime is the downtime per failure (only used when FailureMTBF
 	// is positive).
 	RepairTime float64
-	// Tracer, when non-nil, receives structured events at every
-	// scheduling decision point. It is runtime-only state and is not
-	// serialised by the config package.
-	Tracer trace.Tracer `json:"-"`
-	// Stats, when non-nil, receives the run's RunStats (atomically, once,
-	// at the end of Run), so concurrent runs of one campaign aggregate
-	// into a single job-level tally. Runtime-only, like Tracer. The
-	// engine's own per-run counters are always collected — they are plain
-	// single-threaded increments — and returned in Result.Stats.
-	Stats *Stats `json:"-"`
-	// Probe, when non-nil, records simulation-domain time series (queue
-	// depths, power draw, learning signals) at a sim-time cadence.
-	// Runtime-only, like Tracer: a nil Probe costs nothing, and sampling
-	// never changes simulation outcomes — only the DES event count.
-	Probe *probe.Recorder `json:"-"`
-	// Audit, when non-nil, records scheduling decisions (state, action,
-	// explore-vs-exploit kind, candidate scores, reward feedback) into a
-	// bounded reservoir. Runtime-only, like Probe, and stricter still:
-	// the recorder draws no randomness and schedules no events, so an
-	// audited run is byte-identical to an unaudited one — Events
-	// included — and a nil Audit costs one branch per decision site.
-	Audit *audit.Recorder `json:"-"`
+	// Recorders are the run's runtime-only observers; the embedding keeps
+	// cfg.Tracer, cfg.Probe and cfg.Audit addressable directly.
+	Recorders `json:"-"`
 	// LowMemory switches the run to streaming observation so memory stays
 	// O(active tasks + aggregate statistics) regardless of workload length:
 	// the collector retains no task or group records (Collector.Tasks/
@@ -95,6 +76,25 @@ type Config struct {
 	// multi-million-task scale runs; leave off to keep full per-task
 	// records and byte-identical historical results.
 	LowMemory bool
+}
+
+// Recorders are the observers one run feeds: runtime-only state that the
+// config package never serialises, that changes no result, and whose nil
+// fields cost one branch per site. The campaign runner attaches one set
+// per point (see experiments.Profile.RecordersFor).
+type Recorders struct {
+	// Tracer, when non-nil, receives structured events at every
+	// scheduling decision point.
+	Tracer trace.Tracer
+	// Probe, when non-nil, records simulation-domain time series (queue
+	// depths, power draw, learning signals) at a sim-time cadence; its
+	// sampling events add to Result.Stats.Events and nothing else.
+	Probe *probe.Recorder
+	// Audit, when non-nil, records scheduling decisions (state, action,
+	// explore-vs-exploit kind, candidate scores, reward feedback) into a
+	// bounded reservoir. It draws no randomness and schedules no events,
+	// so an audited run is byte-identical to an unaudited one.
+	Audit *audit.Recorder
 }
 
 // DefaultConfig returns the engine defaults.
@@ -383,13 +383,9 @@ func (e *Engine) tracing(level trace.Level) bool {
 	return t != nil && t.Enabled(level)
 }
 
-// emit sends a trace event when tracing is enabled.
+// emit sends a trace event; every call site is guarded by tracing.
 func (e *Engine) emit(level trace.Level, kind string, fields ...trace.Field) {
-	t := e.cfg.Tracer
-	if t == nil || !t.Enabled(level) {
-		return
-	}
-	t.Emit(trace.Event{At: e.sim.Now(), Level: level, Kind: kind, Fields: fields})
+	e.cfg.Tracer.Emit(trace.Event{At: e.sim.Now(), Level: level, Kind: kind, Fields: fields})
 }
 
 func (e *Engine) nextGroup() int {
@@ -571,86 +567,26 @@ func (e *Engine) buildResult() Result {
 	if e.cfg.Probe != nil {
 		e.cfg.Probe.SampleNow(end)
 	}
-	e.cfg.Stats.add(res.Stats)
 	return res
 }
 
 // attachProbes registers the engine's simulation-domain series on the
-// configured probe recorder and starts its sampling event. Every closure
-// is strictly read-only — energy uses the TotalEnergyAt projection
-// rather than AdvanceAll, so even the float rounding of the energy
-// integral is untouched — and probed runs produce byte-identical
-// results to unprobed ones.
+// configured probe recorder and starts its sampling event. Each site up
+// to routeScanMax gets its own queue, backlog and utilisation series;
+// above that, one platform-wide set sums over every site, since
+// thousands of per-site series would dwarf the data they describe. Every
+// closure is strictly read-only — energy uses the TotalEnergyAt
+// projection rather than AdvanceAll, so even the float rounding of the
+// energy integral is untouched.
 func (e *Engine) attachProbes() {
 	rec := e.cfg.Probe
 	if len(e.agents) > routeScanMax {
-		// Thousands of per-site series would dwarf the data they describe;
-		// large platforms get platform-wide aggregates instead.
-		rec.Register(probe.FamilyQueue, "sites.queue_depth", "groups", func() float64 {
-			n := 0
-			for _, q := range e.queues {
-				n += len(q)
-			}
-			return float64(n)
-		})
-		rec.Register(probe.FamilyQueue, "sites.backlog", "groups", func() float64 {
-			n := 0
-			for _, ag := range e.agents {
-				n += ag.BacklogLen()
-			}
-			return float64(n)
-		})
-		rec.Register(probe.FamilyUtil, "sites.utilization", "fraction", func() float64 {
-			busy, total := 0, 0
-			for _, p := range e.pl.Processors() {
-				total++
-				if p.State() == platform.StateBusy {
-					busy++
-				}
-			}
-			if total == 0 {
-				return 0
-			}
-			return float64(busy) / float64(total)
-		})
-		e.attachGlobalProbes(rec)
-		return
+		e.probeSites(rec, "sites", e.agents)
+	} else {
+		for i, ag := range e.agents {
+			e.probeSites(rec, fmt.Sprintf("site%d", ag.Site.ID), e.agents[i:i+1])
+		}
 	}
-	for _, ag := range e.agents {
-		ag := ag
-		site := ag.Site
-		rec.Register(probe.FamilyQueue, fmt.Sprintf("site%d.queue_depth", site.ID), "groups", func() float64 {
-			n := 0
-			for _, nd := range site.Nodes {
-				n += len(e.queues[nd.ID])
-			}
-			return float64(n)
-		})
-		rec.Register(probe.FamilyQueue, fmt.Sprintf("site%d.backlog", site.ID), "groups", func() float64 {
-			return float64(ag.BacklogLen())
-		})
-		rec.Register(probe.FamilyUtil, fmt.Sprintf("site%d.utilization", site.ID), "fraction", func() float64 {
-			busy, total := 0, 0
-			for _, nd := range site.Nodes {
-				for _, p := range nd.Processors {
-					total++
-					if p.State() == platform.StateBusy {
-						busy++
-					}
-				}
-			}
-			if total == 0 {
-				return 0
-			}
-			return float64(busy) / float64(total)
-		})
-	}
-	e.attachGlobalProbes(rec)
-}
-
-// attachGlobalProbes registers the platform-wide series shared by both
-// probe layouts and starts the recorder's sampling event.
-func (e *Engine) attachGlobalProbes(rec *probe.Recorder) {
 	rec.Register(probe.FamilyPower, "power.draw", "W", func() float64 {
 		w := 0.0
 		for _, p := range e.pl.Processors() {
@@ -671,6 +607,44 @@ func (e *Engine) attachGlobalProbes(rec *probe.Recorder) {
 		return float64(e.statGroupTasks) / float64(e.statGroups)
 	})
 	rec.Start(e.sim)
+}
+
+// probeSites registers the queue depth, backlog and utilisation series
+// of the sites ags run, summed over them, under name's prefix.
+func (e *Engine) probeSites(rec *probe.Recorder, name string, ags []*Agent) {
+	rec.Register(probe.FamilyQueue, name+".queue_depth", "groups", func() float64 {
+		n := 0
+		for _, ag := range ags {
+			for _, nd := range ag.Site.Nodes {
+				n += len(e.queues[nd.ID])
+			}
+		}
+		return float64(n)
+	})
+	rec.Register(probe.FamilyQueue, name+".backlog", "groups", func() float64 {
+		n := 0
+		for _, ag := range ags {
+			n += ag.BacklogLen()
+		}
+		return float64(n)
+	})
+	rec.Register(probe.FamilyUtil, name+".utilization", "fraction", func() float64 {
+		busy, total := 0, 0
+		for _, ag := range ags {
+			for _, nd := range ag.Site.Nodes {
+				for _, p := range nd.Processors {
+					total++
+					if p.State() == platform.StateBusy {
+						busy++
+					}
+				}
+			}
+		}
+		if total == 0 {
+			return 0
+		}
+		return float64(busy) / float64(total)
+	})
 }
 
 // routeSite draws the destination site for an arrival, proportionally to

@@ -1,9 +1,17 @@
 package sched
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
+	"rlsched/internal/platform"
 	"rlsched/internal/probe"
+	"rlsched/internal/rng"
+	"rlsched/internal/workload"
 )
 
 // TestProbedRunIdenticalResults pins the probe contract: sampling is
@@ -118,5 +126,90 @@ func TestNilProbeAllocsNothing(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("nil-probe guard path allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// probeLayoutRun runs a Greedy scenario over the given number of
+// two-node, one-slot sites with a probe recorder attached and returns its series.
+func probeLayoutRun(t *testing.T, sites int) []probe.Series {
+	t.Helper()
+	pcfg := platform.DefaultGenConfig()
+	pcfg.Sites = sites
+	pcfg.MinNodesPerSite, pcfg.MaxNodesPerSite = 2, 2
+	// One queue slot per node, so a loaded site backlogs groups.
+	pcfg.MinQueueCap, pcfg.MaxQueueCap = 1, 1
+	r := rng.NewStream(3, "probe-layout")
+	pl, err := platform.Generate(pcfg, r.Split("platform"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := workload.Generate(workload.GenConfig{
+		NumTasks: 600, MeanInterArrival: 0.05, MinSizeMI: 600, MaxSizeMI: 7200,
+		SlowestSpeedMIPS: pcfg.MinSpeedMIPS, Mix: workload.DefaultMix(),
+	}, r.Split("workload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := probe.NewRecorder(probe.Config{Cadence: 10})
+	cfg := DefaultConfig()
+	cfg.Probe = rec
+	MustNew(cfg, pl, tasks, NewGreedy(), r.Split("engine")).MustRun()
+	series, _ := rec.Snapshot()
+	return series
+}
+
+// seriesDigest hashes every series' name and exact sampled points.
+func seriesDigest(series []probe.Series) string {
+	h := sha256.New()
+	for _, s := range series {
+		fmt.Fprintf(h, "%s/%s/%s:", s.Name, s.Family, s.Unit)
+		for _, p := range s.Points {
+			fmt.Fprintf(h, "%x,%x;", math.Float64bits(p.T), math.Float64bits(p.V))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestProbeSeriesLayouts pins both probe layouts: one set of queue,
+// backlog and utilisation series per site up to 64 sites, and one
+// platform-wide set above that. Names, order and the sampled values are
+// pinned, so a refactor of how the series are registered cannot move a
+// single sample.
+func TestProbeSeriesLayouts(t *testing.T) {
+	global := []string{"power.draw", "energy.total", "rl.reward", "rl.error", "rl.hit_rate", "group.mean_size"}
+	for _, tc := range []struct {
+		sites  int
+		names  []string
+		digest string
+	}{
+		{2, append([]string{
+			"site0.queue_depth", "site0.backlog", "site0.utilization",
+			"site1.queue_depth", "site1.backlog", "site1.utilization",
+		}, global...), "47da5938bdaac865"},
+		{65, append([]string{"sites.queue_depth", "sites.backlog", "sites.utilization"}, global...), "766fa8449c3a69f6"},
+	} {
+		series := probeLayoutRun(t, tc.sites)
+		names := make([]string, len(series))
+		for i, s := range series {
+			names[i] = s.Name
+		}
+		if !slices.Equal(names, tc.names) {
+			t.Errorf("%d sites: series %v, want %v", tc.sites, names, tc.names)
+		}
+		if tc.sites > routeScanMax {
+			// The platform-wide series must have seen real load.
+			for _, s := range series[:3] {
+				peak := 0.0
+				for _, p := range s.Points {
+					peak = max(peak, p.V)
+				}
+				if peak == 0 {
+					t.Errorf("%d sites: %s never rose above 0", tc.sites, s.Name)
+				}
+			}
+		}
+		if got := seriesDigest(series); got != tc.digest {
+			t.Errorf("%d sites: sampled values digest %s, want %s", tc.sites, got, tc.digest)
+		}
 	}
 }

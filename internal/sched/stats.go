@@ -1,6 +1,6 @@
 package sched
 
-import "sync/atomic"
+import "sync"
 
 // RunStats are the engine's cheap per-run instrumentation counters,
 // snapshotted into Result.Stats at the end of every run. The engine
@@ -39,74 +39,50 @@ type RunStats struct {
 	MemoryOccupancy uint64 `json:"memory_occupancy"`
 }
 
-// Stats aggregates RunStats across runs with atomic counters, so the
-// parallel campaign runner's worker goroutines can all fold their runs
-// into one job-level tally. Attach one via Config.Stats; the engine adds
-// its RunStats exactly once, at the end of Run. A nil *Stats is inert.
+// Stats aggregates RunStats across runs, so the parallel campaign
+// runner's worker goroutines can all fold their runs into one job-level
+// tally. A campaign folds each point's Result.Stats in through its
+// Progress hook (see experiments.Profile.Progress), whether the point
+// ran locally, remotely or came from the result cache. It is safe for
+// concurrent use, and a nil *Stats is inert.
 type Stats struct {
-	events, tasksScheduled, groupsPlaced, splits, backlogged atomic.Uint64
-	heapHighWater                                            atomic.Uint64
-	timelineDrops                                            atomic.Uint64
-	memLookups, memHits, memEvictions                        atomic.Uint64
-	memOccupancy                                             atomic.Uint64
-	runs                                                     atomic.Uint64
+	mu   sync.Mutex
+	sum  RunStats
+	runs uint64
 }
 
-// Add folds one run's counters in (HeapHighWater by maximum). The
-// engine calls it once per Run; external executors — the cluster
-// dispatcher folding results that were computed remotely or served from
-// the content-addressed cache — call it so a job's aggregate stats stay
-// meaningful when its engine runs happened elsewhere.
-func (s *Stats) Add(r RunStats) { s.add(r) }
-
-// add folds one run's counters in (HeapHighWater by maximum).
-func (s *Stats) add(r RunStats) {
+// Add folds one run's counters in (HeapHighWater and MemoryOccupancy by
+// maximum, the others by sum).
+func (s *Stats) Add(r RunStats) {
 	if s == nil {
 		return
 	}
-	s.events.Add(r.Events)
-	s.tasksScheduled.Add(r.TasksScheduled)
-	s.groupsPlaced.Add(r.GroupsPlaced)
-	s.splits.Add(r.Splits)
-	s.backlogged.Add(r.Backlogged)
-	s.timelineDrops.Add(r.TimelineDrops)
-	s.memLookups.Add(r.MemoryLookups)
-	s.memHits.Add(r.MemoryHits)
-	s.memEvictions.Add(r.MemoryEvictions)
-	s.runs.Add(1)
-	for {
-		cur := s.memOccupancy.Load()
-		if r.MemoryOccupancy <= cur || s.memOccupancy.CompareAndSwap(cur, r.MemoryOccupancy) {
-			break
-		}
-	}
-	for {
-		cur := s.heapHighWater.Load()
-		if r.HeapHighWater <= cur || s.heapHighWater.CompareAndSwap(cur, r.HeapHighWater) {
-			return
-		}
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a := &s.sum
+	a.Events += r.Events
+	a.TasksScheduled += r.TasksScheduled
+	a.GroupsPlaced += r.GroupsPlaced
+	a.Splits += r.Splits
+	a.Backlogged += r.Backlogged
+	a.HeapHighWater = max(a.HeapHighWater, r.HeapHighWater)
+	a.TimelineDrops += r.TimelineDrops
+	a.MemoryLookups += r.MemoryLookups
+	a.MemoryHits += r.MemoryHits
+	a.MemoryEvictions += r.MemoryEvictions
+	a.MemoryOccupancy = max(a.MemoryOccupancy, r.MemoryOccupancy)
+	s.runs++
 }
 
-// Snapshot returns the aggregate counters (HeapHighWater is the max over
-// runs, everything else a sum).
+// Snapshot returns the aggregate counters (HeapHighWater and
+// MemoryOccupancy are the max over runs, everything else a sum).
 func (s *Stats) Snapshot() RunStats {
 	if s == nil {
 		return RunStats{}
 	}
-	return RunStats{
-		Events:          s.events.Load(),
-		TasksScheduled:  s.tasksScheduled.Load(),
-		GroupsPlaced:    s.groupsPlaced.Load(),
-		Splits:          s.splits.Load(),
-		Backlogged:      s.backlogged.Load(),
-		HeapHighWater:   s.heapHighWater.Load(),
-		TimelineDrops:   s.timelineDrops.Load(),
-		MemoryLookups:   s.memLookups.Load(),
-		MemoryHits:      s.memHits.Load(),
-		MemoryEvictions: s.memEvictions.Load(),
-		MemoryOccupancy: s.memOccupancy.Load(),
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sum
 }
 
 // Runs returns how many engine runs have been folded in.
@@ -114,5 +90,7 @@ func (s *Stats) Runs() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.runs.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.runs
 }

@@ -71,9 +71,8 @@ func TestStatsAggregation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := DefaultConfig()
-			cfg.Stats = agg
-			per[i] = statsScenario(t, uint64(i+1), cfg).MustRun().Stats
+			per[i] = statsScenario(t, uint64(i+1), DefaultConfig()).MustRun().Stats
+			agg.Add(per[i])
 		}(i)
 	}
 	wg.Wait()
@@ -94,16 +93,16 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatalf("Runs() = %d, want 4", agg.Runs())
 	}
 	var nilStats *Stats
-	nilStats.add(RunStats{Events: 1}) // must not panic
+	nilStats.Add(RunStats{Events: 1}) // must not panic
 	if nilStats.Snapshot() != (RunStats{}) || nilStats.Runs() != 0 {
 		t.Fatal("nil Stats not inert")
 	}
 }
 
 // TestDisabledInstrumentationAllocsNothing pins the contract the engine
-// benchmark relies on: with tracing disabled and no Stats sink attached,
-// the per-event instrumentation sites — the guarded trace emit and the
-// plain counter increments — allocate nothing. The trace.F calls below
+// benchmark relies on: with tracing disabled, the per-event
+// instrumentation sites — the guarded trace emit and the plain counter
+// increments — allocate nothing. The trace.F calls below
 // would box their arguments if the guard were removed, so this fails
 // loudly if someone bypasses e.tracing().
 func TestDisabledInstrumentationAllocsNothing(t *testing.T) {
@@ -119,12 +118,11 @@ func TestDisabledInstrumentationAllocsNothing(t *testing.T) {
 	}
 	// The Stats fold is once per run, not per event, but it must not
 	// allocate either.
-	cfg := DefaultConfig()
-	cfg.Stats = new(Stats)
+	agg := new(Stats)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		cfg.Stats.add(RunStats{Events: 10, HeapHighWater: 5})
+		agg.Add(RunStats{Events: 10, HeapHighWater: 5})
 	}); allocs != 0 {
-		t.Fatalf("Stats.add allocates %.1f per op, want 0", allocs)
+		t.Fatalf("Stats.Add allocates %.1f per op, want 0", allocs)
 	}
 }
 
@@ -139,8 +137,8 @@ func TestTimelineDropsSurfaceInRunStats(t *testing.T) {
 	agg := new(Stats)
 	cfg := DefaultConfig()
 	cfg.Tracer = tl
-	cfg.Stats = agg
 	res := statsScenario(t, 5, cfg).MustRun()
+	agg.Add(res.Stats)
 	if res.Stats.TimelineDrops < 1 {
 		t.Fatalf("TimelineDrops = %d, want >= 1", res.Stats.TimelineDrops)
 	}

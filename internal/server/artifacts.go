@@ -43,11 +43,15 @@ func newPointLog[R, T any](newRec func() R, view func(int, string, R) (T, uint64
 	return &pointLog[R, T]{newRec: newRec, view: view}
 }
 
-// hook is the experiments.Profile per-point hook (ProbeFor, AuditFor):
-// every point gets a fresh recorder, registered here under the point's
-// index and canonical label.
-func (l *pointLog[R, T]) hook(i int, spec experiments.RunSpec) R {
-	rec := l.newRec()
+// hook makes one point's recorder for the job's RecordersFor hook: every
+// point gets a fresh recorder, registered here under the point's index
+// and canonical label. A nil log (the job did not ask for the artifact)
+// returns the zero recorder.
+func (l *pointLog[R, T]) hook(i int, spec experiments.RunSpec) (rec R) {
+	if l == nil {
+		return rec
+	}
+	rec = l.newRec()
 	l.mu.Lock()
 	l.entries = append(l.entries, pointEntry[R]{index: i, label: experiments.PointLabel(spec), rec: rec})
 	l.mu.Unlock()

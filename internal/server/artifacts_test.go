@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"rlsched/internal/config"
 	"rlsched/internal/experiments"
 )
 
@@ -100,5 +101,27 @@ func TestSeriesScaleJob(t *testing.T) {
 	}
 	if len(sr.Runs[0].Series) == 0 || len(sr.Runs[0].Series[0].Points) == 0 {
 		t.Fatalf("scale run recorded no samples: %+v", sr.Runs[0])
+	}
+}
+
+// TestArtifactsRecordersMatchSpec checks the per-point hook hands the
+// engine exactly the recorders a job asked for: no hook at all without
+// artifact switches (so the job may still use the cache and the
+// cluster), and a nil Tracer — not a nil *trace.Ring inside the
+// interface — for a job with series but no trace.
+func TestArtifactsRecordersMatchSpec(t *testing.T) {
+	spec := experiments.RunSpec{Policy: experiments.Greedy, NumTasks: 5, Seed: 1}
+	if newJob("job-a", config.JobSpec{Kind: config.JobScale}, 1).recordersFor() != nil {
+		t.Fatal("a job without artifact switches got a recorder hook")
+	}
+	r := newJob("job-b", config.JobSpec{Kind: config.JobScale, Series: &config.SeriesSpec{}}, 1).recordersFor()(0, spec)
+	if r.Tracer != nil || r.Probe == nil || r.Audit != nil {
+		t.Fatalf("series-only job recorders = %+v, want a probe and nothing else", r)
+	}
+	all := newJob("job-c", config.JobSpec{Kind: config.JobScale, Trace: true,
+		Series: &config.SeriesSpec{}, Decisions: &config.DecisionsSpec{}}, 1)
+	r = all.recordersFor()(0, spec)
+	if r.Tracer != all.ring || r.Probe == nil || r.Audit == nil {
+		t.Fatalf("fully recorded job recorders = %+v, want the ring, a probe and an audit", r)
 	}
 }

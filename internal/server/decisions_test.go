@@ -16,6 +16,7 @@ import (
 	"rlsched/internal/audit"
 	"rlsched/internal/experiments"
 	"rlsched/internal/memory"
+	"rlsched/internal/sched"
 )
 
 const decisionsPointsBody = `{"kind": "points", "points": [
@@ -48,13 +49,58 @@ func TestSubmitRejectsBadDecisionsBlock(t *testing.T) {
 		"negative max_decisions": `{"kind": "figure", "figure": "10", "decisions": {"max_decisions": -1}, "profile": ` + tinyProfile + `}`,
 		"negative top_k":         `{"kind": "figure", "figure": "10", "decisions": {"top_k": -3}, "profile": ` + tinyProfile + `}`,
 		"unknown key":            `{"kind": "figure", "figure": "10", "decisions": {"depth": 5}, "profile": ` + tinyProfile + `}`,
-		// The streaming scale engine has no audit hook.
-		"scale job": `{"kind": "scale", "decisions": {}, "scale": {"preset": "small", "sites": 4, "num_tasks": 300}}`,
 	}
 	for name, body := range cases {
 		if code, _ := postJob(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, code)
 		}
+	}
+}
+
+// TestDecisionsScaleJob checks that a scale job records every artifact
+// its spec asks for: the trace, the series and the decision audit of its
+// one streaming run, served as point 0.
+func TestDecisionsScaleJob(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	body := `{"kind": "scale", "trace": true, "series": {"cadence": 50}, "decisions": {},
+		"scale": {"preset": "small", "sites": 4, "num_tasks": 300, "seed": 3}}`
+	code, m := postJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %v", code, m)
+	}
+	id := m["id"].(string)
+	waitState(t, ts, id, StateDone)
+	label := experiments.PointLabel(experiments.RunSpec{Policy: experiments.AdaptiveRL, NumTasks: 300, Seed: 3})
+
+	var tr TraceResponse
+	getInto(t, ts.URL+"/v1/jobs/"+id+"/trace", &tr)
+	if tr.Total == 0 || len(tr.Events) == 0 {
+		t.Errorf("scale trace empty: total %d, %d events", tr.Total, len(tr.Events))
+	}
+	var sr SeriesResponse
+	getInto(t, ts.URL+"/v1/jobs/"+id+"/series", &sr)
+	if len(sr.Runs) != 1 || sr.Runs[0].Label != label || len(sr.Runs[0].Series) == 0 {
+		t.Errorf("scale series = %+v, want one non-empty run labelled %q", sr.Runs, label)
+	}
+	var dr DecisionsResponse
+	getInto(t, ts.URL+"/v1/jobs/"+id+"/decisions", &dr)
+	if len(dr.Runs) != 1 || dr.Runs[0].Index != 0 || dr.Runs[0].Label != label {
+		t.Fatalf("scale decisions runs = %d, want one run labelled %q at index 0", len(dr.Runs), label)
+	}
+	if l := dr.Runs[0].Log; l.Total == 0 || l.Fed == 0 || len(l.Decisions) == 0 {
+		t.Errorf("scale decisions: total %d, fed %d, %d retained; want all > 0", l.Total, l.Fed, len(l.Decisions))
+	}
+}
+
+// getInto GETs url, requires 200 and decodes the JSON body into v.
+func getInto(t *testing.T, url string, v any) {
+	t.Helper()
+	code, raw := getJSON(t, url)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d: %s", url, code, raw)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
 	}
 }
 
@@ -108,7 +154,9 @@ func TestDecisionsJSONAndCSV(t *testing.T) {
 	// package with the same audit config, exported with the same writer.
 	prof := tinyProfileValue()
 	log := newPointLog(func() *audit.Recorder { return audit.NewRecorder(audit.Config{}) }, decisionsView)
-	prof.AuditFor = log.hook
+	prof.RecordersFor = func(i int, spec experiments.RunSpec) sched.Recorders {
+		return sched.Recorders{Audit: log.hook(i, spec)}
+	}
 	specs := []experiments.RunSpec{
 		{Policy: "adaptive-rl", NumTasks: 25, Seed: 1},
 		{Policy: "greedy", NumTasks: 25, Seed: 2},

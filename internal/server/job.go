@@ -158,18 +158,13 @@ type job struct {
 	// acceptedAt feeds the queue-wait histogram; for restored jobs it is
 	// the restore time, which still measures real waiting.
 	acceptedAt time.Time
-	// ring retains the job's engine trace when the spec asked for one
-	// ("trace": true); nil otherwise, and an untraced job pays nothing.
-	ring *trace.Ring
-	// series collects the per-point probe recorders when the spec carried
-	// a "series" block; nil otherwise, and an unprobed job pays nothing.
-	// Recorded series are runtime-only, like the trace ring: a restored
-	// job serves an empty set.
-	series *pointLog[*probe.Recorder, probe.RunSeries]
-	// decisions collects the per-point decision-audit recorders when the
-	// spec carried a "decisions" block; nil otherwise, and an unaudited
-	// job pays nothing. Runtime-only, like series: a restored job serves
-	// an empty set.
+	// ring, series and decisions hold the job's engine trace and its
+	// per-point probe and decision-audit recorders when the spec asked
+	// for them ("trace", "series", "decisions"); each is nil otherwise,
+	// and the job pays nothing for it. They are runtime-only: a restored
+	// job serves empty ones.
+	ring      *trace.Ring
+	series    *pointLog[*probe.Recorder, probe.RunSeries]
 	decisions *pointLog[*audit.Recorder, audit.RunLog]
 	// spans collects the job's distributed span trace when the spec asked
 	// for one ("spans": true); nil otherwise, and an untraced job pays a
@@ -225,6 +220,24 @@ func newJob(id string, spec config.JobSpec, total int) *job {
 		j.spans = span.New(span.DeriveTraceID(id), id, spanCap)
 	}
 	return j
+}
+
+// recordersFor returns the job's experiments.Profile.RecordersFor hook:
+// every point gets the job's trace ring plus a fresh probe and audit
+// recorder for the artifacts the spec asked for. A job that records
+// nothing gets a nil hook, so its points may still be served from the
+// cache or leased to workers.
+func (j *job) recordersFor() func(int, experiments.RunSpec) sched.Recorders {
+	if j.ring == nil && j.series == nil && j.decisions == nil {
+		return nil
+	}
+	var tracer trace.Tracer
+	if j.ring != nil {
+		tracer = j.ring // never a nil *trace.Ring inside the interface
+	}
+	return func(i int, spec experiments.RunSpec) sched.Recorders {
+		return sched.Recorders{Tracer: tracer, Probe: j.series.hook(i, spec), Audit: j.decisions.hook(i, spec)}
+	}
 }
 
 // adoptTraceparent re-roots the job's span trace under a remote parent:

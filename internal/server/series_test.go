@@ -15,6 +15,7 @@ import (
 
 	"rlsched/internal/experiments"
 	"rlsched/internal/probe"
+	"rlsched/internal/sched"
 )
 
 const seriesPointsBody = `{"kind": "points", "points": [
@@ -125,7 +126,9 @@ func TestSeriesJSONAndCSV(t *testing.T) {
 	// package with the same probe config, exported with the same writer.
 	prof := tinyProfileValue()
 	log := newPointLog(func() *probe.Recorder { return probe.NewRecorder(probe.Config{Cadence: 20}) }, seriesView)
-	prof.ProbeFor = log.hook
+	prof.RecordersFor = func(i int, spec experiments.RunSpec) sched.Recorders {
+		return sched.Recorders{Probe: log.hook(i, spec)}
+	}
 	specs := []experiments.RunSpec{
 		{Policy: "greedy", NumTasks: 25, Seed: 1},
 		{Policy: "round-robin", NumTasks: 25, Seed: 2},

@@ -1254,7 +1254,13 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	prof := j.spec.Profile
-	prof.Progress = func() {
+	// Campaign telemetry flows into the server's registry: point
+	// durations land in point_run_seconds, and every point's engine
+	// counters — whether it ran here, on a worker or came from the cache —
+	// fold into the job-level aggregate snapshotted below.
+	engStats := new(sched.Stats)
+	prof.Progress = func(st sched.RunStats) {
+		engStats.Add(st)
 		j.done.Add(1)
 		s.m.points.Inc()
 		j.notify()
@@ -1262,13 +1268,8 @@ func (s *Server) runJob(j *job) {
 			s.pointGate()
 		}
 	}
-	// Campaign telemetry flows into the server's registry: point
-	// durations land in point_run_seconds and the engine folds each run's
-	// counters into the job-level aggregate snapshotted below.
 	prof.Metrics = s.reg
 	prof.Logger = s.log
-	engStats := new(sched.Stats)
-	prof.Engine.Stats = engStats
 	// Campaign points route through the dispatcher: answered from the
 	// content-addressed cache when possible, leased to cluster workers
 	// when a pool has capacity, run locally otherwise. The runner
@@ -1278,15 +1279,7 @@ func (s *Server) runJob(j *job) {
 	prof.RunPoints = s.dispatcher.Runner(cluster.JobMeta{
 		ID: j.id, RequestID: j.reqID, Trace: j.spans, Parent: jobSpan.ID(),
 	})
-	if j.ring != nil {
-		prof.Engine.Tracer = j.ring
-	}
-	if j.series != nil {
-		prof.ProbeFor = j.series.hook
-	}
-	if j.decisions != nil {
-		prof.AuditFor = j.decisions.hook
-	}
+	prof.RecordersFor = j.recordersFor()
 	if j.spans != nil && prof.InProcess() {
 		// In-process instrumentation forces the campaign to run locally
 		// (RunManyCtx bypasses RunPoints), so the dispatcher never sees
@@ -1442,25 +1435,17 @@ func (s *Server) execute(ctx context.Context, j *job, prof experiments.Profile, 
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		// Engine telemetry flows exactly as in profile-driven jobs: run
-		// counters into the settled status and /metrics, events into the
-		// trace ring when the job asked for one.
-		c.Stats = prof.Engine.Stats
-		c.Tracer = prof.Engine.Tracer
-		// A series block records the run as the campaign's point 0.
-		// (Normalize rejects decisions blocks: the scale engine has no
-		// audit hook.)
+		// The run is the job's point 0: it feeds the job's recorders and
+		// reports its engine counters like any profile-driven point.
 		spec := experiments.RunSpec{Policy: c.Policy, NumTasks: c.NumTasks, Seed: c.Seed}
-		if prof.ProbeFor != nil {
-			c.Probe = prof.ProbeFor(0, spec)
+		if prof.RecordersFor != nil {
+			c.Recorders = prof.RecordersFor(0, spec)
 		}
 		res, err := experiments.RunScale(c)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		if prof.Progress != nil {
-			prof.Progress()
-		}
+		prof.Progress(res.Stats)
 		return nil, []PointResult{summarizePoint(spec, res)}, nil, nil
 	default:
 		return nil, nil, nil, fmt.Errorf("unknown job kind %q", j.spec.Kind)
