@@ -42,7 +42,8 @@ const (
 	// memory's best rewarded experience, or the default action.
 	KindExploit = "exploit"
 	// KindFallback marks the §IV.C reward-regression override: the action
-	// came straight from the shared memory's max-l_val entry.
+	// came straight from the shared memory's entry with the highest
+	// similarity-weighted l_val.
 	KindFallback = "fallback"
 	// KindPolicy marks a decision by a policy without audit annotations.
 	KindPolicy = "policy"

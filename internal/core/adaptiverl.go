@@ -10,8 +10,11 @@
 //     the learning value l_val = reward/error (Eq. 7),
 //   - shares its experiences through the bounded shared learning memory
 //     (§III.B), which accelerates exploration decay for every agent, and
-//   - falls back to the remembered action with maximum l_val whenever its
-//     reward regresses (§IV.C).
+//   - falls back, whenever its reward regresses (§IV.C), to the remembered
+//     action with the highest similarity-weighted learning value
+//     sim(state)·l_val (memory.Shared.BestFor): the paper's maximum-l_val
+//     rule, weighted towards experiences recorded in a state like the
+//     present one.
 //
 // A small neural network (per the structure of [10]) approximates the
 // expected learning value of candidate grouping actions under the current
@@ -114,7 +117,8 @@ type agentState struct {
 	// and the next arrival should trigger a fresh action selection.
 	redecide bool
 	// useMemoryNext is the §IV.C reward-regression flag: when set, the
-	// next action comes straight from the shared memory's max-l_val entry.
+	// next action comes straight from the shared memory's entry with the
+	// highest sim(state)·l_val.
 	useMemoryNext bool
 	// ownExperience counts this agent's completed groups (exploration
 	// basis when shared memory is disabled).
@@ -289,6 +293,9 @@ func lvalTarget(lval float64) float64 { return lval / (1 + lval) }
 // selection of §IV.B, with the reward-regression override of §IV.C. The
 // agent keeps the action in force for one group-formation epoch; §IV.B's
 // "action" is the grouping of newly arriving tasks, not a per-task choice.
+// Both the override and the exploit fallback adopt the remembered action
+// with the highest similarity-weighted l_val, sim(state)·l_val, not the
+// plain maximum l_val the paper names.
 func (p *AdaptiveRL) ChooseAction(ctx *sched.Context, ag *sched.Agent, _ *workload.Task) sched.Action {
 	st := p.agents[ag.ID]
 	if !st.redecide && !st.useMemoryNext {
@@ -309,9 +316,10 @@ func (p *AdaptiveRL) ChooseAction(ctx *sched.Context, ag *sched.Agent, _ *worklo
 	kind := audit.KindExploit
 	switch {
 	case st.useMemoryNext:
-		// Reward regressed: adopt the remembered action with max l_val
-		// (§IV.C); a memory with no rewarding experience yet teaches
-		// nothing, so the agent then keeps its current action.
+		// Reward regressed: adopt the remembered action with the highest
+		// sim(state)·l_val (§IV.C, similarity-weighted); a memory with no
+		// rewarding experience yet teaches nothing, so the agent then
+		// keeps its current action.
 		st.useMemoryNext = false
 		action = st.lastAction
 		if e, ok := p.mem(ctx, st).BestFor(state); ok && e.LVal() > 0 {
@@ -458,7 +466,8 @@ func (p *AdaptiveRL) OnGroupComplete(ctx *sched.Context, ag *sched.Agent, g *gro
 	}
 
 	// §IV.C: if the reward decreased versus the previous action, consult
-	// the shared memory for the max-l_val action next time.
+	// the shared memory for the best similarity-weighted l_val action
+	// next time.
 	if float64(g.Reward()) < ag.LastReward {
 		st.useMemoryNext = true
 	}

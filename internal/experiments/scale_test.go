@@ -177,6 +177,21 @@ func BenchmarkScaleStream(b *testing.B) {
 	}
 }
 
+// BenchmarkScaleSites250 runs perfbench's scale shape: 250 sites × 2
+// nodes, 100k diurnal tasks through Adaptive-RL in low-memory mode. At
+// this many agents the shared-memory lookup is a large share of the run,
+// which the 50-site BenchmarkScaleStream does not show.
+func BenchmarkScaleSites250(b *testing.B) {
+	c := shrink(b, "small", 250, 100_000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Seed = uint64(i) + 1
+		if _, err := RunScale(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScaleRoute exercises the prefix-sum routing fast path: 300
 // sites is well above the linear-scan threshold.
 func BenchmarkScaleRoute(b *testing.B) {

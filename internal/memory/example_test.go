@@ -8,7 +8,9 @@ import (
 )
 
 // Example shows the shared learning memory: recording experiences from
-// two agents and recalling the max-l_val action (the §IV.C fallback).
+// two agents and recalling the action with the best similarity-weighted
+// l_val (the §IV.C fallback). Both experiences were recorded in the state
+// queried, so the similarity is 1 and the higher l_val wins.
 func Example() {
 	shared := memory.NewShared()
 
@@ -23,7 +25,7 @@ func Example() {
 		Reward:  4, Error: 0.8, // l_val = 5 — the best experience
 	})
 
-	best, ok := shared.Best()
+	best, ok := shared.BestFor(memory.State{})
 	fmt.Printf("best action from any agent: opnum=%d (found=%v)\n", best.Action.Opnum, ok)
 	// Output:
 	// best action from any agent: opnum=5 (found=true)

@@ -1,18 +1,19 @@
 // Package memory implements the shared long-term learning memory of
 // §III.B/§IV.B: every site agent records its recent learning experiences
 // (bounded to 15 learning cycles per agent) in a store visible to all
-// agents, and agents consult each other's experiences — in particular the
-// action with the maximum learning value l_val — to improve decisions.
+// agents, and agents consult each other's experiences — the action whose
+// learning value l_val, weighted by how similar its recorded state is to
+// the present one, is highest — to improve decisions.
 //
 // The store is single-threaded by design: the discrete-event simulation
 // engine serialises all agent activity, so the "communication link between
 // the shared-learning memory and all agents" (assumed contention-free at
-// uniform speed in the paper) is a plain method call here. Lookups scan
-// agents in ascending ID order, so equal scores resolve alike in every run.
+// uniform speed in the paper) is a plain method call here. Lookups walk
+// the agents best-first, by their highest retained l_val, and settle
+// equal scores by agent ID, so equal scores resolve alike in every run.
 package memory
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -39,18 +40,24 @@ type State struct {
 	SiteLoad float64
 }
 
-// distance is a squared Euclidean distance on normalised features. The
-// builtin max follows math.Max's NaN and ±Inf rules and inlines.
+// distance is a squared Euclidean distance on normalised features,
+// summed feature by feature in field order.
 func (s State) distance(o State) float64 {
 	d := 0.0
-	a := [...]float64{s.Load, s.FreeSlots, s.MeanPower, s.SiteLoad}
-	b := [...]float64{o.Load, o.FreeSlots, o.MeanPower, o.SiteLoad}
-	for i := range a {
-		scale := max(1, max(math.Abs(a[i]), math.Abs(b[i])))
-		diff := (a[i] - b[i]) / scale
-		d += diff * diff
-	}
+	d += sqDiff(s.Load, o.Load)
+	d += sqDiff(s.FreeSlots, o.FreeSlots)
+	d += sqDiff(s.MeanPower, o.MeanPower)
+	d += sqDiff(s.SiteLoad, o.SiteLoad)
 	return d
+}
+
+// sqDiff is one feature's squared difference, scaled by the larger
+// magnitude but at least 1. The builtin max follows math.Max's NaN and
+// ±Inf rules and inlines.
+func sqDiff(a, b float64) float64 {
+	scale := max(1, max(math.Abs(a), math.Abs(b)))
+	diff := (a - b) / scale
+	return diff * diff
 }
 
 // Similarity maps distance into (0, 1], 1 meaning identical states.
@@ -108,16 +115,20 @@ func (e Experience) LVal() float64 {
 }
 
 // Shared is the shared learning memory: a bounded ring of experiences per
-// agent, plus cheap aggregate counters. Every scan walks rings in
-// ascending agent-ID order, so no result depends on map iteration order;
-// byID serves only Record and ForAgent.
+// agent, plus cheap aggregate counters. The rings are kept in two orders:
+// by ascending agent ID, a list from lowest that every aggregate walks so
+// no result depends on map iteration order, and best-first in order,
+// which BestFor walks. byID serves only Record and ForAgent.
 type Shared struct {
 	capacity int
-	rings    []*ring
-	byID     map[int]*ring
-	total    uint64
-	// lookups/hits count Best/BestFor calls and how many found an
-	// experience — the shared-memory hit rate probes report.
+	lowest   *ring
+	// order holds the rings by cached maximum l_val, descending, ties by
+	// ascending agent ID; each ring knows its index in pos.
+	order []*ring
+	byID  map[int]*ring
+	total uint64
+	// lookups/hits count BestFor calls and how many found an experience
+	// — the shared-memory hit rate probes report.
 	lookups uint64
 	hits    uint64
 	// evictions counts experiences dropped by the per-agent bound, so
@@ -126,14 +137,50 @@ type Shared struct {
 	evictions uint64
 }
 
-// ring is one agent's retained experiences, oldest first, with each
-// entry's LVal cached in lvals and their maximum (NaNs ignored) in max:
-// the bounds that let lookups skip rings and entries that cannot win.
+// slot is what a lookup reads of one retained experience: its state, its
+// cached LVal and its age, stored contiguously so the scan reads nothing
+// else.
+type slot struct {
+	state State
+	lval  float64
+	// seq numbers the ring's records from 0, so a lower seq is older.
+	seq uint64
+}
+
+// record is the rest of a retained experience: the agent ID is the
+// ring's and the state is in the slot, so neither is stored twice.
+type record struct {
+	cycle       int
+	at          float64
+	action      Action
+	reward, err float64
+}
+
+// ring is one agent's retained experiences: records oldest first, and a
+// slot per record sorted best-first, by l_val descending, equal l_vals
+// oldest first, NaN l_vals last. max caches the first slot's l_val (−Inf
+// when there is no number): with the slot order, the bounds that let
+// lookups stop before rings and entries that cannot win.
 type ring struct {
 	id    int
-	exps  []Experience
-	lvals []float64
+	recs  []record
+	slots []slot
+	seq   uint64 // records so far; recs[i] has seq seq−len(recs)+i
 	max   float64
+	pos   int
+	next  *ring // the ring with the next higher agent ID
+}
+
+// first is the seq of the ring's oldest retained record.
+func (r *ring) first() uint64 { return r.seq - uint64(len(r.recs)) }
+
+// experience reassembles the experience a slot stands for.
+func (r *ring) experience(sl *slot) Experience {
+	c := &r.recs[sl.seq-r.first()]
+	return Experience{
+		AgentID: r.id, Cycle: c.cycle, At: c.at, State: sl.state,
+		Action: c.action, Reward: c.reward, Error: c.err,
+	}
 }
 
 // NewShared creates a memory with the paper's per-agent capacity.
@@ -156,28 +203,70 @@ func (m *Shared) Record(e Experience) {
 	if r == nil {
 		r = &ring{
 			id:    e.AgentID,
-			exps:  make([]Experience, 0, m.capacity),
-			lvals: make([]float64, 0, m.capacity),
+			recs:  make([]record, 0, m.capacity),
+			slots: make([]slot, 0, m.capacity),
+			pos:   len(m.order),
 		}
-		i, _ := slices.BinarySearchFunc(m.rings, r.id, func(r *ring, id int) int { return cmp.Compare(r.id, id) })
-		m.rings = slices.Insert(m.rings, i, r)
+		// Rings are created once per agent, so a linear walk to the
+		// ring's place in ID order costs little.
+		link := &m.lowest
+		for *link != nil && (*link).id < r.id {
+			link = &(*link).next
+		}
+		r.next, *link = *link, r
+		m.order = append(m.order, r)
 		m.byID[r.id] = r
 	}
-	if n := len(r.exps); n >= m.capacity {
-		copy(r.exps, r.exps[1:])
-		copy(r.lvals, r.lvals[1:])
-		r.exps, r.lvals = r.exps[:n-1], r.lvals[:n-1]
+	if n := len(r.recs); n >= m.capacity {
+		oldest := r.first()
+		copy(r.recs, r.recs[1:])
+		r.recs = r.recs[:n-1]
+		for i := range r.slots {
+			if r.slots[i].seq == oldest {
+				r.slots = slices.Delete(r.slots, i, i+1)
+				break
+			}
+		}
 		m.evictions++
 	}
-	r.exps = append(r.exps, e)
-	r.lvals = append(r.lvals, e.LVal())
-	r.max = math.Inf(-1)
-	for _, v := range r.lvals {
-		if v > r.max {
-			r.max = v
-		}
+	r.recs = append(r.recs, record{
+		cycle: e.Cycle, at: e.At, action: e.Action, reward: e.Reward, err: e.Error,
+	})
+	// The new slot is the youngest: it goes after every slot with an
+	// l_val at least as high, and a NaN goes last.
+	sl := slot{state: e.State, lval: e.LVal(), seq: r.seq}
+	r.seq++
+	i := len(r.slots)
+	for i > 0 && !math.IsNaN(sl.lval) && !(r.slots[i-1].lval >= sl.lval) {
+		i--
 	}
+	r.slots = slices.Insert(r.slots, i, sl)
+	r.max = r.slots[0].lval
+	if math.IsNaN(r.max) {
+		r.max = math.Inf(-1)
+	}
+	m.reorder(r)
 	m.total++
+}
+
+// ahead reports whether ring a precedes ring b in best-first order.
+func ahead(a, b *ring) bool {
+	return a.max > b.max || a.max == b.max && a.id < b.id
+}
+
+// reorder moves r to its place in the best-first order by insertion; the
+// other rings keep their relative order, so only r's neighbours shift.
+func (m *Shared) reorder(r *ring) {
+	i := r.pos
+	for ; i > 0 && ahead(r, m.order[i-1]); i-- {
+		m.order[i] = m.order[i-1]
+		m.order[i].pos = i
+	}
+	for ; i+1 < len(m.order) && ahead(m.order[i+1], r); i++ {
+		m.order[i] = m.order[i+1]
+		m.order[i].pos = i
+	}
+	m.order[i], r.pos = r, i
 }
 
 // TotalRecorded returns the lifetime count of recorded experiences
@@ -186,40 +275,21 @@ func (m *Shared) Record(e Experience) {
 func (m *Shared) TotalRecorded() uint64 { return m.total }
 
 // Agents returns the number of agents that have recorded at least once.
-func (m *Shared) Agents() int { return len(m.rings) }
+func (m *Shared) Agents() int { return len(m.order) }
 
-// ForAgent returns the retained experiences of one agent, oldest first.
-// The returned slice is the internal ring; callers must not mutate it.
+// ForAgent returns a copy of the retained experiences of one agent,
+// oldest first.
 func (m *Shared) ForAgent(id int) []Experience {
-	if r := m.byID[id]; r != nil {
-		return r.exps
+	r := m.byID[id]
+	if r == nil {
+		return nil
 	}
-	return nil
-}
-
-// Best returns the retained experience with the maximum learning value
-// across all agents — the lookup the paper prescribes when an agent's
-// reward regresses ("the agent immediately checks and learns the actions
-// from the shared-learning memory — considering the action with the
-// maximum learning value", §IV.C). ok is false when the memory is empty.
-// Among exactly tied values the lowest agent ID wins, then that agent's
-// oldest entry.
-func (m *Shared) Best() (Experience, bool) {
-	var best *Experience
-	bestV := math.Inf(-1)
-	for _, r := range m.rings {
-		// A ring whose maximum l_val cannot strictly beat the running
-		// best holds no winner (selection uses strict >), so skip it.
-		if best != nil && r.max <= bestV {
-			continue
-		}
-		for i, v := range r.lvals {
-			if v > bestV || (best == nil && v == bestV) {
-				best, bestV = &r.exps[i], v
-			}
-		}
+	out := make([]Experience, len(r.recs))
+	for i := range r.slots {
+		sl := &r.slots[i]
+		out[sl.seq-r.first()] = r.experience(sl)
 	}
-	return m.settle(best)
+	return out
 }
 
 // BestFor returns the experience maximising similarity-weighted learning
@@ -228,28 +298,48 @@ func (m *Shared) Best() (Experience, bool) {
 // Among exactly tied scores the lowest agent ID wins, then that agent's
 // oldest entry.
 func (m *Shared) BestFor(s State) (Experience, bool) {
-	var best *Experience
+	var best *ring
+	var bestSlot *slot
 	bestV := math.Inf(-1)
-	for _, r := range m.rings {
-		// Similarity lies in (0, 1], so sim·l_val is bounded above by
-		// the ring's maximum l_val when positive and by 0 otherwise;
-		// rings that cannot strictly beat the running best are skipped
-		// without evaluating a single similarity.
-		if best != nil && max(r.max, 0) <= bestV {
-			continue
-		}
-		for i, lv := range r.lvals {
-			// The ring bound, per entry.
-			if best != nil && max(lv, 0) <= bestV {
+	for _, r := range m.order {
+		// Similarity lies in [0, 1], so sim·l_val is bounded above by
+		// the l_val when positive and by 0 otherwise. A ring whose bound
+		// cannot beat the running best, or only tie it from a higher
+		// agent ID, holds no winner. Once the best is positive neither
+		// can any later ring: their maxima are no higher, and an equal
+		// maximum comes with a higher ID.
+		if best != nil {
+			if b := max(r.max, 0); b < bestV || b == bestV && r.id > best.id {
+				if bestV > 0 {
+					break
+				}
 				continue
 			}
-			d := r.exps[i].State.distance(s)
-			// Now lv > bestV, and once bestV > 0 the entry wins only if
-			// e^-d·lv > bestV. As e^d >= p = (1+d/32)^32, an entry with
+		}
+		for i := range r.slots {
+			sl := &r.slots[i]
+			lv := sl.lval
+			// The same bound per entry. Slots run by l_val descending,
+			// NaNs last, so an entry below the best (or NaN, which never
+			// wins) ends the ring, and so does an equal bound in a ring
+			// with a higher ID than the winner's. In the winner's own
+			// ring an equal bound can still win the tie if it is older.
+			if best != nil {
+				b := max(lv, 0)
+				if !(b >= bestV) || b == bestV && r.id > best.id {
+					break
+				}
+				if b == bestV && r == best && sl.seq > bestSlot.seq {
+					continue
+				}
+			}
+			d := sl.state.distance(s)
+			// Now lv >= bestV, and once bestV > 0 the entry wins only if
+			// e^-d·lv >= bestV. As e^d >= p = (1+d/32)^32, an entry with
 			// p >= (lv/bestV)(1+1e-9) scores at most bestV(1−1e-9)
 			// exactly; computing p, the quotient, Exp and the product
 			// errs by under 1e-14 relative, so its computed score cannot
-			// beat bestV either and Exp is skipped. A p that overflows
+			// reach bestV either and Exp is skipped. A p that overflows
 			// means Exp(-d) is 0: the score is 0 or NaN and cannot win.
 			if bestV > 0 {
 				p := 1 + d/32
@@ -260,22 +350,18 @@ func (m *Shared) BestFor(s State) (Experience, bool) {
 					continue
 				}
 			}
-			if v := math.Exp(-d) * lv; v > bestV || (best == nil && v == bestV) {
-				best, bestV = &r.exps[i], v
+			v := math.Exp(-d) * lv
+			if v > bestV || v == bestV && (best == nil || r.id < best.id || r == best && sl.seq < bestSlot.seq) {
+				best, bestSlot, bestV = r, sl, v
 			}
 		}
 	}
-	return m.settle(best)
-}
-
-// settle counts a lookup and returns its winner, if any.
-func (m *Shared) settle(best *Experience) (Experience, bool) {
 	m.lookups++
 	if best == nil {
 		return Experience{}, false
 	}
 	m.hits++
-	return *best, true
+	return best.experience(bestSlot), true
 }
 
 // Candidate is one retained experience scored against a query state —
@@ -292,8 +378,8 @@ type Candidate struct {
 
 // TopFor returns the k highest-scoring candidates for the given state,
 // best first, appended to out (which may be nil). Ties are broken by
-// (AgentID, Cycle), the order Best and BestFor scan in, so the result
-// is deterministic. TopFor is an audit-only observation: it does not
+// (AgentID, Cycle), as BestFor breaks them, so the result is
+// deterministic. TopFor is an audit-only observation: it does not
 // touch the lookup/hit counters, and it never prunes, so it may see
 // candidates a pruned BestFor scan skipped — but the top entry always
 // scores at least as high as BestFor's winner.
@@ -311,14 +397,20 @@ func (m *Shared) TopFor(s State, k int, out []Candidate) []Candidate {
 		}
 		return a.Cycle < b.Cycle
 	}
-	for _, r := range m.rings {
-		for i, e := range r.exps {
+	// Each ring is scanned oldest first, as BestFor's ties resolve.
+	byAge := make([]*slot, m.capacity)
+	for r := m.lowest; r != nil; r = r.next {
+		for i := range r.slots {
+			byAge[r.slots[i].seq-r.first()] = &r.slots[i]
+		}
+		for j := range r.recs {
+			sl := byAge[j]
 			c := Candidate{
 				AgentID:    r.id,
-				Cycle:      e.Cycle,
-				Action:     e.Action,
-				Similarity: e.State.Similarity(s),
-				LVal:       r.lvals[i],
+				Cycle:      r.recs[j].cycle,
+				Action:     r.recs[j].action,
+				Similarity: sl.state.Similarity(s),
+				LVal:       sl.lval,
 			}
 			c.Score = c.Similarity * c.LVal
 			if math.IsNaN(c.Score) {
@@ -342,15 +434,16 @@ func (m *Shared) TopFor(s State, k int, out []Candidate) []Candidate {
 	return out
 }
 
-// meanField averages one Experience field over retained experiences,
-// skipping non-finite values (an unmeasurable turnaround estimate
-// records an infinite error) so the mean stays representable in JSON.
-// It sums in ring order: floating-point addition is not associative.
-func (m *Shared) meanField(get func(Experience) float64) float64 {
+// meanField averages one field over retained experiences, skipping
+// non-finite values (an unmeasurable turnaround estimate records an
+// infinite error) so the mean stays representable in JSON. It sums in
+// agent-ID order, oldest first: floating-point addition is not
+// associative.
+func (m *Shared) meanField(get func(*record) float64) float64 {
 	sum, n := 0.0, 0
-	for _, r := range m.rings {
-		for _, e := range r.exps {
-			v := get(e)
+	for r := m.lowest; r != nil; r = r.next {
+		for i := range r.recs {
+			v := get(&r.recs[i])
 			if math.IsInf(v, 0) || math.IsNaN(v) {
 				continue
 			}
@@ -367,19 +460,19 @@ func (m *Shared) meanField(get func(Experience) float64) float64 {
 // MeanReward returns the average reward over retained experiences
 // (0 when empty) — the learning-progress signal probes sample.
 func (m *Shared) MeanReward() float64 {
-	return m.meanField(func(e Experience) float64 { return e.Reward })
+	return m.meanField(func(c *record) float64 { return c.reward })
 }
 
 // MeanError returns the average turnaround-estimate error over retained
 // experiences (0 when empty).
 func (m *Shared) MeanError() float64 {
-	return m.meanField(func(e Experience) float64 { return e.Error })
+	return m.meanField(func(c *record) float64 { return c.err })
 }
 
-// Lookups returns the lifetime Best/BestFor call count.
+// Lookups returns the lifetime BestFor call count.
 func (m *Shared) Lookups() uint64 { return m.lookups }
 
-// Hits returns how many Best/BestFor calls found an experience.
+// Hits returns how many BestFor calls found an experience.
 func (m *Shared) Hits() uint64 { return m.hits }
 
 // Evictions returns the lifetime count of experiences dropped by the
@@ -391,7 +484,7 @@ func (m *Shared) Evictions() uint64 { return m.evictions }
 // either retained or was evicted) so it costs O(1).
 func (m *Shared) Occupancy() uint64 { return m.total - m.evictions }
 
-// HitRate returns the fraction of Best/BestFor lookups that found an
+// HitRate returns the fraction of BestFor lookups that found an
 // experience (0 before the first lookup).
 func (m *Shared) HitRate() float64 {
 	if m.lookups == 0 {

@@ -52,22 +52,21 @@ func TestPerAgentIsolation(t *testing.T) {
 	}
 }
 
+// TestBestAcrossAgents: with every state equal to the query, similarity
+// is 1 and BestFor picks the maximum l_val across agents.
 func TestBestAcrossAgents(t *testing.T) {
 	m := NewShared()
 	m.Record(exp(1, 0, 5, 1))  // l_val 5
 	m.Record(exp(2, 0, 9, 1))  // l_val 9 <- best
 	m.Record(exp(3, 0, 20, 4)) // l_val 5
-	best, ok := m.Best()
+	best, ok := m.BestFor(State{})
 	if !ok || best.AgentID != 2 {
-		t.Fatalf("Best = agent %d (ok=%v), want agent 2", best.AgentID, ok)
+		t.Fatalf("BestFor = agent %d (ok=%v), want agent 2", best.AgentID, ok)
 	}
 }
 
 func TestBestEmpty(t *testing.T) {
 	m := NewShared()
-	if _, ok := m.Best(); ok {
-		t.Fatal("empty memory must report no best")
-	}
 	if _, ok := m.BestFor(State{}); ok {
 		t.Fatal("empty memory must report no BestFor")
 	}
@@ -181,7 +180,8 @@ func TestQuickBoundAndRecency(t *testing.T) {
 	}
 }
 
-// Property: Best always returns the maximum l_val over retained entries.
+// Property: with every state equal to the query, BestFor returns the
+// maximum l_val over retained entries.
 func TestQuickBestIsMax(t *testing.T) {
 	f := func(rewards []uint8) bool {
 		if len(rewards) == 0 {
@@ -201,7 +201,7 @@ func TestQuickBestIsMax(t *testing.T) {
 				}
 			}
 		}
-		best, ok := m.Best()
+		best, ok := m.BestFor(State{})
 		return ok && best.LVal() == maxV
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -209,12 +209,12 @@ func TestQuickBestIsMax(t *testing.T) {
 	}
 }
 
-func BenchmarkRecordAndBest(b *testing.B) {
+func BenchmarkRecordAndBestFor(b *testing.B) {
 	m := NewShared()
 	for i := 0; i < b.N; i++ {
 		m.Record(exp(i%8, i, float64(i%17), float64(i%5)+0.1))
 		if i%10 == 0 {
-			m.Best()
+			m.BestFor(State{})
 		}
 	}
 }
@@ -224,11 +224,11 @@ func TestLookupCounters(t *testing.T) {
 	if m.Lookups() != 0 || m.HitRate() != 0 {
 		t.Fatal("fresh memory should report zero lookups and hit rate")
 	}
-	m.Best()           // miss: empty
-	m.BestFor(State{}) // miss: empty
+	m.BestFor(State{})        // miss: empty
+	m.BestFor(State{Load: 1}) // miss: empty
 	m.Record(exp(1, 0, 5, 1))
-	m.Best()           // hit
-	m.BestFor(State{}) // hit
+	m.BestFor(State{})        // hit
+	m.BestFor(State{Load: 1}) // hit
 	if m.Lookups() != 4 {
 		t.Fatalf("Lookups = %d, want 4", m.Lookups())
 	}
@@ -286,23 +286,9 @@ func TestMeanSumsInAgentOrder(t *testing.T) {
 	}
 }
 
-// bruteBest and bruteBestFor are the unpruned reference scans, in
-// ascending agent ID below agents and oldest entry first; the pruned
-// Best/BestFor must select the identical experience, ties included.
-func bruteBest(m *Shared, agents int) (Experience, float64, bool) {
-	var best Experience
-	bestV := math.Inf(-1)
-	found := false
-	for id := 0; id < agents; id++ {
-		for _, e := range m.ForAgent(id) {
-			if v := e.LVal(); v > bestV || (!found && v == bestV) {
-				best, bestV, found = e, v, true
-			}
-		}
-	}
-	return best, bestV, found
-}
-
+// bruteBestFor is the unpruned reference scan, in ascending agent ID
+// below agents and oldest entry first; the pruned BestFor must select the
+// identical experience, ties included.
 func bruteBestFor(m *Shared, s State, agents int) (Experience, float64, bool) {
 	var best Experience
 	bestV := math.Inf(-1)
@@ -317,28 +303,95 @@ func bruteBestFor(m *Shared, s State, agents int) (Experience, float64, bool) {
 	return best, bestV, found
 }
 
-// checkLookups fails unless Best and BestFor(q) pick the same entry —
-// identified by agent and cycle, so NaN fields compare — as the
-// brute-force scans over agent IDs below agents.
+// checkLookups fails unless BestFor(q) picks the same entry — identified
+// by agent and cycle, so NaN fields compare — as the brute-force scan
+// over agent IDs below agents.
 func checkLookups(t *testing.T, m *Shared, q State, agents int, step string) {
 	t.Helper()
-	same := func(a, b Experience, aok, bok bool) bool {
-		return aok == bok && (!aok || a.AgentID == b.AgentID && a.Cycle == b.Cycle)
-	}
-	wantE, wantV, wantOK := bruteBest(m, agents)
-	if gotE, gotOK := m.Best(); !same(gotE, wantE, gotOK, wantOK) {
-		t.Fatalf("%s: Best = %+v (%v), brute force %+v (%v, v=%g)", step, gotE, gotOK, wantE, wantOK, wantV)
-	}
-	wantE, wantV, wantOK = bruteBestFor(m, q, agents)
-	if gotE, gotOK := m.BestFor(q); !same(gotE, wantE, gotOK, wantOK) {
+	wantE, wantV, wantOK := bruteBestFor(m, q, agents)
+	gotE, gotOK := m.BestFor(q)
+	if gotOK != wantOK || gotOK && (gotE.AgentID != wantE.AgentID || gotE.Cycle != wantE.Cycle) {
 		t.Fatalf("%s: BestFor = %+v (%v), brute force %+v (%v, v=%g)", step, gotE, gotOK, wantE, wantOK, wantV)
 	}
 }
 
-// TestPrunedLookupMatchesBruteForce pins the pruned Best/BestFor against
-// exhaustive scans, including negative and zero learning values, across
-// many agents and evictions: first on tie-free data, then on data full of
-// exact ties.
+// slotAhead reports whether slot a precedes slot b within a ring: l_val
+// descending, NaNs last, equal l_vals (and NaNs) oldest first.
+func slotAhead(a, b slot) bool {
+	aNaN, bNaN := math.IsNaN(a.lval), math.IsNaN(b.lval)
+	switch {
+	case aNaN != bNaN:
+		return bNaN
+	case aNaN || a.lval == b.lval:
+		return a.seq < b.seq
+	}
+	return a.lval > b.lval
+}
+
+// checkOrder fails unless the best-first orders hold: every ring appears
+// once in m.order, at the index it records, sorted by cached maximum
+// l_val descending and then agent ID ascending; each ring's slots are one
+// per record, sorted by slotAhead, each caching its experience's LVal;
+// and each cached maximum is the maximum of the ring's l_vals, NaNs
+// ignored.
+func checkOrder(t *testing.T, m *Shared, step string) {
+	t.Helper()
+	n := 0
+	for r := m.lowest; r != nil; r = r.next {
+		if r.next != nil && r.next.id <= r.id {
+			t.Fatalf("%s: agent %d followed by agent %d in ID order", step, r.id, r.next.id)
+		}
+		n++
+	}
+	if len(m.order) != n {
+		t.Fatalf("%s: %d rings in best-first order, %d by ID", step, len(m.order), n)
+	}
+	for i, r := range m.order {
+		if r.pos != i || m.byID[r.id] != r {
+			t.Fatalf("%s: ring %d at order index %d records pos %d", step, r.id, i, r.pos)
+		}
+		if i > 0 && !ahead(m.order[i-1], r) {
+			p := m.order[i-1]
+			t.Fatalf("%s: order index %d (agent %d, max %g) before agent %d (max %g)", step, i-1, p.id, p.max, r.id, r.max)
+		}
+		if len(r.slots) != len(r.recs) {
+			t.Fatalf("%s: agent %d has %d slots for %d records", step, r.id, len(r.slots), len(r.recs))
+		}
+		first := r.first()
+		seen := make([]bool, len(r.recs))
+		for k, sl := range r.slots {
+			if k > 0 && !slotAhead(r.slots[k-1], sl) {
+				t.Fatalf("%s: agent %d slot %d %+v before slot %+v", step, r.id, k-1, r.slots[k-1], sl)
+			}
+			j := sl.seq - first
+			if sl.seq < first || j >= uint64(len(r.recs)) || seen[j] {
+				t.Fatalf("%s: agent %d slot %d has seq %d, retained seqs start at %d", step, r.id, k, sl.seq, first)
+			}
+			seen[j] = true
+		}
+		exps := m.ForAgent(r.id)
+		for k := range r.slots {
+			sl := &r.slots[k]
+			if lv := exps[sl.seq-first].LVal(); math.Float64bits(sl.lval) != math.Float64bits(lv) {
+				t.Fatalf("%s: agent %d slot %d caches l_val %g, its experience gives %g", step, r.id, k, sl.lval, lv)
+			}
+		}
+		want := math.Inf(-1)
+		for _, e := range exps {
+			if lv := e.LVal(); lv > want {
+				want = lv
+			}
+		}
+		if r.max != want {
+			t.Fatalf("%s: agent %d caches max %g, its l_vals give %g", step, r.id, r.max, want)
+		}
+	}
+}
+
+// TestPrunedLookupMatchesBruteForce pins the pruned BestFor against an
+// exhaustive scan, and the best-first orders after every record,
+// including negative and zero learning values, across many agents and
+// evictions: first on tie-free data, then on data full of exact ties.
 func TestPrunedLookupMatchesBruteForce(t *testing.T) {
 	m := NewShared()
 	// Deterministic pseudo-random fill: 60 agents, enough records per
@@ -365,17 +418,13 @@ func TestPrunedLookupMatchesBruteForce(t *testing.T) {
 			Action: Action{Opnum: int(rnd()*5) + 1, Mode: grouping.ModeMixed},
 		}
 		m.Record(e)
+		checkOrder(t, m, fmt.Sprintf("step %d", i))
 		if i%50 != 0 {
 			continue
 		}
-		wantE, wantV, wantOK := bruteBest(m, 60)
-		gotE, gotOK := m.Best()
-		if gotOK != wantOK || gotE != wantE {
-			t.Fatalf("step %d: Best = %+v (%v), brute force %+v (%v, v=%g)", i, gotE, gotOK, wantE, wantOK, wantV)
-		}
 		q := State{Load: rnd() * 100, FreeSlots: rnd() * 10, MeanPower: rnd() * 300, SiteLoad: rnd() * 500}
-		wantE, wantV, wantOK = bruteBestFor(m, q, 60)
-		gotE, gotOK = m.BestFor(q)
+		wantE, wantV, wantOK := bruteBestFor(m, q, 60)
+		gotE, gotOK := m.BestFor(q)
 		if gotOK != wantOK || gotE != wantE {
 			t.Fatalf("step %d: BestFor = %+v (%v), brute force %+v (%v, v=%g)", i, gotE, gotOK, wantE, wantOK, wantV)
 		}
@@ -400,10 +449,79 @@ func TestPrunedLookupMatchesBruteForce(t *testing.T) {
 			Error:   rnd() * ErrorFloor,
 			State:   pool[int(rnd()*3)],
 		})
+		checkOrder(t, m, fmt.Sprintf("tie step %d", i))
 		if i%25 == 0 {
 			checkLookups(t, m, pool[int(rnd()*3)], 40, fmt.Sprintf("tie step %d", i))
 		}
 	}
+}
+
+// TestRingOrder pins the best-first ring order in the two cases that
+// move rings: equal maxima recorded in shuffled agent-ID order must line
+// up by ascending ID, and evicting a ring's maximum must move that ring
+// down past the rings it no longer beats. BestFor must still match the
+// brute-force scan, whose ties go to the lowest ID.
+func TestRingOrder(t *testing.T) {
+	ids := func(m *Shared) []int {
+		var out []int
+		for _, r := range m.order {
+			out = append(out, r.id)
+		}
+		return out
+	}
+	t.Run("equal maxima", func(t *testing.T) {
+		m := NewShared()
+		for k, a := range rand.New(rand.NewSource(7)).Perm(12) {
+			// Agents 0-5 top out at l_val 8, agents 6-11 at 4.
+			reward := 2.0
+			if a < 6 {
+				reward = 4
+			}
+			m.Record(exp(a, 0, reward, 0.5))
+			m.Record(exp(a, 1, 1, 1))
+			checkOrder(t, m, fmt.Sprintf("record %d", k))
+			checkLookups(t, m, State{}, 12, fmt.Sprintf("record %d", k))
+		}
+		if got, want := fmt.Sprint(ids(m)), "[0 1 2 3 4 5 6 7 8 9 10 11]"; got != want {
+			t.Fatalf("best-first order %s, want %s", got, want)
+		}
+		if e, _ := m.BestFor(State{}); e.AgentID != 0 || e.Cycle != 0 {
+			t.Fatalf("BestFor under equal maxima chose agent %d cycle %d, want agent 0 cycle 0", e.AgentID, e.Cycle)
+		}
+	})
+	t.Run("evicted maximum", func(t *testing.T) {
+		m := NewSharedWithCapacity(3)
+		m.Record(exp(0, 0, 9, 1)) // agent 0 leads with l_val 9
+		m.Record(exp(1, 0, 5, 1))
+		m.Record(exp(2, 0, 3, 1))
+		m.Record(exp(0, 1, 1, 1))
+		m.Record(exp(0, 2, 2, 1))
+		if got, want := fmt.Sprint(ids(m)), "[0 1 2]"; got != want {
+			t.Fatalf("order before eviction %s, want %s", got, want)
+		}
+		// The fourth record evicts agent 0's l_val 9, leaving max 2.
+		m.Record(exp(0, 3, 1, 1))
+		checkOrder(t, m, "after eviction")
+		if got, want := fmt.Sprint(ids(m)), "[1 2 0]"; got != want {
+			t.Fatalf("order after eviction %s, want %s", got, want)
+		}
+		checkLookups(t, m, State{}, 3, "after eviction")
+		// Agent 3's infinite error makes its l_val 0; agent 4's NaN l_val
+		// is ignored, so its max is −Inf and it sits last until a finite
+		// record lifts it.
+		m.Record(exp(3, 0, math.Inf(1), math.Inf(1)))
+		m.Record(Experience{AgentID: 4, Reward: math.NaN(), Error: 1})
+		checkOrder(t, m, "NaN ring")
+		if got, want := fmt.Sprint(ids(m)), "[1 2 0 3 4]"; got != want {
+			t.Fatalf("order with worthless rings %s, want %s", got, want)
+		}
+		m.Record(exp(4, 1, 6, 1))
+		checkOrder(t, m, "NaN ring lifted")
+		if got, want := fmt.Sprint(ids(m)), "[4 1 2 0 3]"; got != want {
+			t.Fatalf("order after lifting agent 4 %s, want %s", got, want)
+		}
+		checkLookups(t, m, State{}, 5, "NaN ring lifted")
+	})
 }
 
 // TestPrunedLookupTiesKeepValue: under exact ties the lowest agent ID
@@ -415,14 +533,7 @@ func TestPrunedLookupTiesKeepValue(t *testing.T) {
 	}
 	q := State{Load: 1}
 	for i := 0; i < 20; i++ {
-		e, ok := m.Best()
-		if !ok || e.LVal() != 12 {
-			t.Fatalf("Best under ties = %+v (%v), want l_val 12", e, ok)
-		}
-		if e.AgentID != 0 {
-			t.Fatalf("call %d: Best under ties chose agent %d, want 0", i, e.AgentID)
-		}
-		e, ok = m.BestFor(q)
+		e, ok := m.BestFor(q)
 		if !ok {
 			t.Fatal("BestFor found nothing")
 		}
@@ -497,9 +608,6 @@ func TestLookupsAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sinkExperience, _ = m.BestFor(q) }); n != 0 {
 		t.Fatalf("BestFor allocates %g per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { sinkExperience, _ = m.Best() }); n != 0 {
-		t.Fatalf("Best allocates %g per call, want 0", n)
-	}
 	i := 0
 	if n := testing.AllocsPerRun(100, func() { m.Record(exp(i%40, i, 1, 1)); i++ }); n != 0 {
 		t.Fatalf("Record into a full ring allocates %g per call, want 0", n)
@@ -514,7 +622,8 @@ var fuzzValues = []float64{
 }
 
 // FuzzBestForMatchesBruteForce decodes records and a query from bytes
-// and checks Best and BestFor against the brute-force scans. Each record
+// and checks BestFor against the brute-force scan, and the best-first
+// ring order, after every record. Each record
 // takes six bytes: agent, reward, error and three state bytes; the last
 // bytes left over pick the query.
 func FuzzBestForMatchesBruteForce(f *testing.F) {
@@ -544,6 +653,7 @@ func FuzzBestForMatchesBruteForce(f *testing.F) {
 				State: state(data[3:6]),
 			})
 			data = data[6:]
+			checkOrder(t, m, fmt.Sprintf("record %d", i))
 			q := State{}
 			if len(data) >= 3 {
 				q = state(data[:3])

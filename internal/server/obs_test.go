@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rlsched/internal/obs"
 )
@@ -117,6 +118,72 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if v := value(`go_heap_alloc_bytes`); v <= 0 {
 		t.Fatalf("go_heap_alloc_bytes = %g, want > 0", v)
+	}
+}
+
+// TestMetricsCountSettledJob pins the settle order: a job's counters
+// are folded before its state is published, so a client whose long poll
+// reports the job done and that scrapes /metrics at once finds it
+// counted, job after job. The settle gate holds the worker right after
+// the publish until the scrape is done, so a counter folded after the
+// publish would be missed every time, not only when the race is lost.
+func TestMetricsCountSettledJob(t *testing.T) {
+	s, ts := newTestServer(t, Options{Jobs: 1})
+	scraped := make(chan struct{})
+	s.settleGate = func() {
+		select {
+		case <-scraped:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	body := `{"kind": "points", "points": [{"Policy": "greedy", "NumTasks": 20, "Seed": 1}],
+		"profile": ` + tinyProfile + `}`
+	prevEvents := 0.0
+	for k := 1; k <= 5; k++ {
+		code, m := postJob(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("job %d: submit: HTTP %d: %v", k, code, m)
+		}
+		id := m["id"].(string)
+		for {
+			code, raw := getJSON(t, ts.URL+"/v1/jobs/"+id+"?wait=30s")
+			var st map[string]any
+			if err := json.Unmarshal(raw, &st); code != http.StatusOK || err != nil {
+				t.Fatalf("job %d: status: HTTP %d: %s", k, code, raw)
+			}
+			if state := State(st["state"].(string)); state.Terminal() {
+				if state != StateDone {
+					t.Fatalf("job %d settled %s, want done", k, state)
+				}
+				break
+			}
+		}
+		byID, raw := scrape(t, ts.URL)
+		value := func(seriesID string) float64 {
+			s, ok := byID[seriesID]
+			if !ok {
+				t.Fatalf("job %d: missing series %s in exposition:\n%s", k, seriesID, raw)
+			}
+			return s.Value
+		}
+		if v := value(`jobs_total{state="done"}`); v != float64(k) {
+			t.Fatalf("job %d: jobs_total{state=done} = %g right after the job settled, want %d", k, v, k)
+		}
+		if v := value(`job_run_seconds_count{outcome="done"}`); v != float64(k) {
+			t.Fatalf("job %d: job_run_seconds_count{outcome=done} = %g, want %d", k, v, k)
+		}
+		if v := value(`jobs_running`); v != 0 {
+			t.Fatalf("job %d: jobs_running = %g after the job settled, want 0", k, v)
+		}
+		if v := value(`engine_tasks_scheduled_total`); v < float64(20*k) {
+			t.Fatalf("job %d: engine_tasks_scheduled_total = %g, want >= %d", k, v, 20*k)
+		}
+		events := value(`engine_events_total`)
+		if events <= prevEvents {
+			t.Fatalf("job %d: engine_events_total = %g, not above %g before the job", k, events, prevEvents)
+		}
+		prevEvents = events
+		scraped <- struct{}{}
 	}
 }
 

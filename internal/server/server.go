@@ -236,6 +236,10 @@ type Server struct {
 	m       metrics
 	log     *slog.Logger
 	sampler *obs.Sampler
+	// foldMu serialises foldEngine's read-compare-set on its high-water
+	// gauges. It is not s.mu, so a job folds its counters before its
+	// state is published without waiting on the registry lock.
+	foldMu sync.Mutex
 
 	// keepAlive is the SSE keepalive interval: idle streams emit a
 	// comment line this often so proxies and clients can tell a quiet
@@ -259,6 +263,10 @@ type Server struct {
 	// error. Tests use it to exercise the retry and panic-isolation
 	// paths.
 	faultInject func(attempt int) error
+	// settleGate, when non-nil, runs right after a job's terminal state
+	// is published. Tests hold it to read the metrics a client sees the
+	// instant a job reads as settled.
+	settleGate func()
 }
 
 // maxSettledJobs bounds how many settled jobs the registry keeps: once
@@ -338,8 +346,8 @@ func newMetrics(reg *obs.Registry) metrics {
 }
 
 // foldEngine adds one job's aggregated engine counters into the
-// server-wide series. Callers hold s.mu, which serialises the
-// read-compare-set on the high-water gauge.
+// server-wide series. Callers hold Server.foldMu, which serialises the
+// read-compare-set on the high-water gauges.
 func (m *metrics) foldEngine(snap sched.RunStats) {
 	m.engEvents.Add(snap.Events)
 	m.engTasks.Add(snap.TasksScheduled)
@@ -1029,13 +1037,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s already %s", j.id, state)
 		return
 	case j.state == StateQueued:
-		// Flip to cancelled right away; the worker skips it on pop.
+		// Flip to cancelled right away; the worker skips it on pop. The
+		// counters move first, as in runJob.
+		s.m.queued.Add(-1)
+		s.m.settled[StateCancelled].Inc()
 		j.cancelled = true
 		j.state = StateCancelled
 		close(j.doneCh)
 		j.mu.Unlock()
-		s.m.queued.Add(-1)
-		s.m.settled[StateCancelled].Inc()
 		// A client's cancellation is a decision, not an accident: journal
 		// it so the job stays cancelled across restarts.
 		s.journalTerminal(j, StateCancelled, "", nil)
@@ -1168,19 +1177,19 @@ func (s *Server) safeRun(j *job) {
 			j.mu.Unlock()
 			return
 		}
-		wasRunning := j.state == StateRunning
+		// Count the job before publishing its state, as runJob does.
+		if j.state == StateRunning {
+			s.m.running.Add(-1)
+		} else {
+			s.m.queued.Add(-1)
+		}
+		s.m.settled[StateFailed].Inc()
 		j.cancel = nil
 		j.state = StateFailed
 		j.err = fmt.Sprintf("panic: %v\n%s", r, stack)
 		errMsg := j.err
 		close(j.doneCh)
 		j.mu.Unlock()
-		if wasRunning {
-			s.m.running.Add(-1)
-		} else {
-			s.m.queued.Add(-1)
-		}
-		s.m.settled[StateFailed].Inc()
 		s.log.ErrorContext(obs.WithJobID(context.Background(), j.id), "job panicked", "panic", fmt.Sprint(r))
 		s.journalTerminal(j, StateFailed, errMsg, nil)
 		s.noteSettled(j)
@@ -1199,13 +1208,15 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	if j.cancelled || s.baseCtx.Err() != nil {
-		// Cancelled or force-shutdown before starting.
+		// Cancelled or force-shutdown before starting. The counters move
+		// before the state is published, so a client that sees the job
+		// settled and scrapes /metrics at once finds it counted.
+		s.m.queued.Add(-1)
+		s.m.settled[StateCancelled].Inc()
 		j.state = StateCancelled
 		wasClient := j.cancelled
 		close(j.doneCh)
 		j.mu.Unlock()
-		s.m.queued.Add(-1)
-		s.m.settled[StateCancelled].Inc()
 		if wasClient {
 			s.journalTerminal(j, StateCancelled, "", nil)
 		}
@@ -1333,33 +1344,61 @@ func (s *Server) runJob(j *job) {
 	}
 	elapsed := time.Since(start).Seconds()
 
+	// Settle in three steps: decide the outcome, fold every counter the
+	// job moves, then publish the state. A client that sees the job
+	// settled and scrapes /metrics at once finds it counted. s.mu is
+	// taken only after the publish, and never under j.mu.
 	j.mu.Lock()
 	j.cancel = nil
-	var termResult json.RawMessage
+	var state State
+	failure := "" // the error a timeout or failure records
 	journalIt := true
 	switch {
 	case err == nil:
-		j.state = StateDone
-		j.figures, j.points, j.results = figures, points, full
-		termResult, _ = json.Marshal(JobResult{ID: j.id, Figures: figures, Points: points})
+		state = StateDone
 	case jobCtx.Err() == context.DeadlineExceeded && runCtx.Err() == nil:
-		j.state = StateTimeout
-		j.err = fmt.Sprintf("timed out after %gs", j.spec.TimeoutSec)
+		state = StateTimeout
+		failure = fmt.Sprintf("timed out after %gs", j.spec.TimeoutSec)
 	case j.cancelled:
-		j.state = StateCancelled
+		state = StateCancelled
 	case errors.Is(err, context.Canceled) || runCtx.Err() != nil:
 		// Shutdown took the job down, not a client: leave no terminal
 		// record so a restart picks the job back up, exactly as after a
 		// crash.
-		j.state = StateCancelled
+		state = StateCancelled
 		journalIt = false
 	default:
-		j.state = StateFailed
-		j.err = err.Error()
+		state = StateFailed
+		failure = err.Error()
 	}
+	attempts := j.attempts
+	j.mu.Unlock()
+
 	snap := engStats.Snapshot()
+	s.m.running.Add(-1)
+	s.m.settled[state].Inc()
+	s.m.runSeconds[state].Observe(elapsed)
+	s.foldMu.Lock()
+	s.m.foldEngine(snap)
+	s.foldMu.Unlock()
+	if j.decisions != nil {
+		s.foldDecisionMetrics(j.decisions)
+	}
+	var termResult json.RawMessage
+	if state == StateDone {
+		termResult, _ = json.Marshal(JobResult{ID: j.id, Figures: figures, Points: points})
+	}
+
+	j.mu.Lock()
+	j.state = state
+	if state == StateDone {
+		j.figures, j.points, j.results = figures, points, full
+	}
+	if failure != "" {
+		j.err = failure
+	}
+	errMsg := j.err
 	j.engine = &snap
-	state, errMsg, attempts := j.state, j.err, j.attempts
 	// The root span ends before the state is published: a client that
 	// fetches /spans the instant the job reads as settled must find it.
 	// (Span.End takes only the span's own locks.)
@@ -1369,20 +1408,16 @@ func (s *Server) runJob(j *job) {
 	}
 	close(j.doneCh)
 	j.mu.Unlock()
-	s.noteSettled(j)
-	s.m.running.Add(-1)
-	s.m.settled[state].Inc()
-	s.m.runSeconds[state].Observe(elapsed)
-	s.log.InfoContext(jctx, "job settled",
-		"state", string(state), "seconds", elapsed, "attempts", attempts, "error", errMsg)
+	if s.settleGate != nil {
+		s.settleGate()
+	}
 	s.mu.Lock()
 	s.durSum += elapsed
 	s.durN++
-	s.m.foldEngine(snap)
 	s.mu.Unlock()
-	if j.decisions != nil {
-		s.foldDecisionMetrics(j.decisions)
-	}
+	s.noteSettled(j)
+	s.log.InfoContext(jctx, "job settled",
+		"state", string(state), "seconds", elapsed, "attempts", attempts, "error", errMsg)
 	if journalIt {
 		s.journalTerminal(j, state, errMsg, termResult)
 	}

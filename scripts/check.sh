@@ -24,17 +24,37 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+# gotest runs one go test step, showing its output as it comes and
+# keeping it in a temp file. On failure it ends with the step's
+# "--- FAIL:", "FAIL" and "panic:" lines, so the name of the failing test
+# survives in a captured tail however long the output ran.
+log="$(mktemp)"
+trap 'rm -f "$log" "$log.rc"' EXIT
+gotest() {
+	{
+		rc=0
+		go test "$@" 2>&1 || rc=$?
+		echo "$rc" >"$log.rc"
+	} | tee "$log"
+	rc="$(cat "$log.rc")"
+	if [ "$rc" -ne 0 ]; then
+		echo "check.sh: go test $* failed:" >&2
+		grep -E '^[[:space:]]*--- FAIL:|^FAIL|^panic:' "$log" >&2 || true
+		exit "$rc"
+	fi
+}
+
 go vet ./...
 go build ./...
-go test ./...
+gotest ./...
 if [ "${FULL_RACE:-0}" = "1" ]; then
-	go test -race ./...
+	gotest -race ./...
 else
-	go test -race -short ./...
+	gotest -race -short ./...
 fi
 # Benchmark smoke: every Go benchmark runs exactly once, so a benchmark
 # that no longer builds or fails its own checks (each b.Fatal()s on error)
 # breaks the gate. No timing is compared here; the perfbench module and
 # BENCHMARK.json are the repo's benchmark record.
-go test -run '^$' -bench . -benchtime 1x ./...
+gotest -run '^$' -bench . -benchtime 1x ./...
 echo "check.sh: all gates passed"
