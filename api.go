@@ -106,7 +106,10 @@ func Run(p Profile, spec RunSpec) (Result, error) { return experiments.Run(p, sp
 // RunMany executes a batch of simulation points, fanned over
 // Profile.Workers goroutines, and returns results in spec order. Every
 // point derives its randomness from its RunSpec alone, so the results
-// are bit-identical to running the specs serially.
+// are bit-identical to running the specs serially. A spec listed more
+// than once runs once: its copies tick Profile.Progress with zero
+// counters and share one Result's slices and Collector, so treat the
+// results as read-only.
 func RunMany(p Profile, specs []RunSpec) ([]Result, error) { return experiments.RunMany(p, specs) }
 
 // NewPolicy constructs a fresh policy instance by name.
@@ -302,7 +305,8 @@ func MarshalJobSpec(s JobSpec) ([]byte, error) { return config.MarshalJob(s) }
 func UnmarshalJobSpec(data []byte) (JobSpec, error) { return config.UnmarshalJob(data) }
 
 // RunManyContext is RunMany under a context: cancelling ctx stops
-// launching new points and returns ctx's error.
+// launching new points and returns ctx's error. Like RunMany it runs a
+// repeated spec once and shares its Result among the copies.
 func RunManyContext(ctx context.Context, p Profile, specs []RunSpec) ([]Result, error) {
 	return experiments.RunManyCtx(ctx, p, specs)
 }

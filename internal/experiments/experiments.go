@@ -114,7 +114,10 @@ type Profile struct {
 	// Progress, when non-nil, is invoked once after every completed
 	// simulation point (replications included) by RunMany and the figure
 	// sweeps with that point's Result.Stats, wherever it ran: a RunPoints
-	// executor reports cached and remote points the same way. It is
+	// executor reports cached and remote points the same way. It fires
+	// once per index of the spec list: a repeated spec, or a point two
+	// figures of one Figures call share, runs once and its copies tick
+	// with zero counters, so summed counters count real runs only. It is
 	// called from worker goroutines concurrently, so it must be safe for
 	// concurrent use and cheap. Runtime-only: never serialised, never
 	// affects results.
@@ -132,14 +135,17 @@ type Profile struct {
 	// default) disables the warnings.
 	SlowPointSec float64
 	// RunPoints, when non-nil, replaces the local point executor:
-	// RunManyCtx hands it the whole expanded spec list and returns
-	// whatever it returns, instead of fanning the points over local
-	// worker goroutines. The rlsimd daemon uses it to route campaign
+	// RunManyCtx hands it the expanded spec list with repeats removed
+	// (each distinct point once, in first-occurrence order) and copies
+	// its results back into every index, instead of fanning the points
+	// over local worker goroutines. The rlsimd daemon uses it to route campaign
 	// points through its content-addressed result cache and, in cluster
 	// mode, across peer workers. Implementations must honour the local
 	// contract: results in spec order, bit-identical to a local run (the
 	// spec carries all randomness), lowest-index error on failure, and
-	// the profile's Progress hook invoked once per completed point.
+	// the profile's Progress hook invoked once per completed point. An
+	// executor that calls PointSpan passes indices into the list it was
+	// handed.
 	//
 	// The hook is bypassed — the campaign runs locally — whenever the
 	// profile carries in-process instrumentation that cannot follow a
@@ -151,6 +157,8 @@ type Profile struct {
 	// sweeps, the daemon) calls it once per point, from worker goroutines
 	// concurrently, with the point's index in the expanded spec list and
 	// its spec; the returned set replaces Engine.Recorders for that run.
+	// Because its recorders are per index, a campaign with this hook (or
+	// any InProcess one) runs every index, repeated specs included.
 	// A direct Run or RunWith calls it as point 0. Its presence forces
 	// the campaign to run locally (see InProcess). Runtime-only, like
 	// Progress: no recorder affects results.
@@ -158,7 +166,9 @@ type Profile struct {
 	// PointSpan, when non-nil, brackets every locally executed simulation
 	// point: RunManyCtx calls it just before point i runs with the
 	// point's index in the expanded spec list and its spec, and calls the
-	// returned function with the run's error once the point finishes. The
+	// returned function with the run's error once the point finishes.
+	// Only simulated points are bracketed: a repeated spec is bracketed
+	// once, under the index of its first occurrence. The
 	// rlsimd daemon uses it to time each local run into a job's span
 	// trace (as engine.run or local.fallback spans). Called from worker
 	// goroutines concurrently, so implementations must be safe for

@@ -274,7 +274,9 @@ func FigureIDs(id string) ([]string, error) {
 // regenerating the figure or group with the given id (any
 // CanonicalFigureID alias) runs under the profile. It equals the number
 // of Progress callbacks the regeneration makes, which is what lets a
-// caller turn the per-point hook into a completion fraction.
+// caller turn the per-point hook into a completion fraction. A group
+// simulates fewer points than this when its figures share points (see
+// Figures); the shared copies still tick.
 func PointCount(p Profile, id string) (int, error) {
 	_, rows, err := resolveFigure(id)
 	if err != nil {
@@ -306,12 +308,19 @@ func FigureByID(ctx context.Context, p Profile, id string) (Figure, error) {
 // concurrently on the profile's worker pool. Each figure additionally
 // fans its own points out, so small figures (9/10 have four points) do
 // not serialise the campaign behind the big sweeps; the Go scheduler
-// bounds actual parallelism at GOMAXPROCS regardless. Cancelling ctx
-// abandons the campaign and returns the context's error.
+// bounds actual parallelism at GOMAXPROCS regardless. The figures of a
+// group share their points: a point two figures read (Figures 7 and 8
+// read one grid) is simulated once, so "all" runs 34 points per
+// replication, not PointCount's 72. Progress still ticks PointCount
+// times, with zero counters for a shared point's later readers.
+// Cancelling ctx abandons the campaign and returns the context's error.
 func Figures(ctx context.Context, p Profile, id string) ([]Figure, error) {
 	_, rows, err := resolveFigure(id)
 	if err != nil {
 		return nil, err
+	}
+	if len(rows) > 1 {
+		ctx = context.WithValue(ctx, memoCtxKey{}, &pointMemo{entries: make(map[memoKey]*memoEntry)})
 	}
 	out := make([]Figure, len(rows))
 	err = forEachPoint(ctx, p.workerCount(), len(rows), func(i int) error {

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -141,8 +143,10 @@ func forEachPoint(ctx context.Context, workers, n int, fn func(i int) error) err
 
 // RunMany executes every spec under the profile, fanning the points over
 // p.Workers goroutines (see Profile.Workers), and returns the results in
-// spec order. On failure it returns the error of the lowest-index failing
-// spec, wrapped with that spec's parameters, and discards the rest.
+// spec order. A spec listed more than once is simulated once and its
+// result copied into every index that names it. On failure it returns
+// the error of the lowest-index failing spec, wrapped with that spec's
+// parameters, and discards the rest.
 func RunMany(p Profile, specs []RunSpec) ([]sched.Result, error) {
 	return RunManyCtx(context.Background(), p, specs)
 }
@@ -159,11 +163,107 @@ func RunManyCtx(ctx context.Context, p Profile, specs []RunSpec) ([]sched.Result
 }
 
 // runMany is RunManyCtx with the workload generator gen; nil means
-// workload.Generate.
+// workload.Generate. Every result is a pure function of the profile and
+// the spec, so the spec list is grouped by bit-exact point first and each
+// distinct point runs once — locally, through RunPoints, or (inside a
+// Figures call) once across all of the call's figures. Copies tick
+// Progress with zero counters, so the hook still fires once per index
+// while the engine counters it sums count real runs only. A profile
+// with in-process recorders runs every index: its recorders are per
+// index.
 func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen) ([]sched.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if p.InProcess() {
+		return runPoints(ctx, p, specs, nil, gen)
+	}
+	uniq, orig, slot := distinct(specs)
+	var (
+		res []sched.Result
+		err error
+	)
+	if m := memoFrom(ctx); m != nil && gen == nil {
+		res, err = m.resolve(ctx, p, uniq, orig)
+	} else {
+		res, err = runPoints(ctx, p, uniq, orig, gen)
+	}
+	if err != nil || slot == nil {
+		return res, err
+	}
+	out := make([]sched.Result, len(specs))
+	for i, k := range slot {
+		out[i] = res[k]
+		if orig[k] != i && p.Progress != nil {
+			p.Progress(sched.RunStats{})
+		}
+	}
+	return out, nil
+}
+
+// pointKey identifies a simulation point bit-exactly: −0 and +0 CV label
+// their scenario streams differently (see scenarioStream), so the CV is
+// compared by its bits, not by value.
+type pointKey struct {
+	policy PolicyName
+	tasks  int
+	cv     uint64
+	seed   uint64
+}
+
+func keyOf(s RunSpec) pointKey {
+	return pointKey{s.Policy, s.NumTasks, math.Float64bits(s.HeterogeneityCV), s.Seed}
+}
+
+// pairwiseMax bounds the lists distinct scans pair by pair, which
+// allocates nothing; a longer list is grouped through a map.
+const pairwiseMax = 256
+
+// distinct groups specs by point: uniq holds each distinct spec once in
+// first-occurrence order, orig[k] is the index of uniq[k] in specs and
+// slot[i] the position of specs[i] in uniq. When specs has no repeats it
+// returns specs itself and nil indices, without allocating for lists of
+// up to pairwiseMax specs.
+func distinct(specs []RunSpec) (uniq []RunSpec, orig, slot []int) {
+	if len(specs) <= pairwiseMax && !hasRepeat(specs) {
+		return specs, nil, nil
+	}
+	first := make(map[pointKey]int, len(specs))
+	slot = make([]int, len(specs))
+	for i, s := range specs {
+		key := keyOf(s)
+		k, ok := first[key]
+		if !ok {
+			k = len(uniq)
+			first[key] = k
+			uniq = append(uniq, s)
+			orig = append(orig, i)
+		}
+		slot[i] = k
+	}
+	if len(uniq) == len(specs) {
+		return specs, nil, nil
+	}
+	return uniq, orig, slot
+}
+
+func hasRepeat(specs []RunSpec) bool {
+	for i := range specs {
+		ki := keyOf(specs[i])
+		for j := 0; j < i; j++ {
+			if keyOf(specs[j]) == ki {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// runPoints runs every spec once, through the RunPoints executor when the
+// profile has one (and gen is nil), else on the local worker pool. orig
+// maps a spec's position to the index the local pool's PointSpan calls,
+// slow-point log and errors report it under; nil is the identity.
+func runPoints(ctx context.Context, p Profile, specs []RunSpec, orig []int, gen workloadGen) ([]sched.Result, error) {
 	// A pluggable executor (cache lookup, cluster fan-out) takes the
 	// whole campaign — unless the profile carries in-process
 	// instrumentation (probes, audit recorders, tracers) that only a
@@ -183,16 +283,20 @@ func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen) (
 	}
 	timed := pointHist != nil || (p.Logger != nil && p.SlowPointSec > 0)
 	out := make([]sched.Result, len(specs))
-	err := forEachPoint(ctx, p.workerCount(), len(specs), func(i int) error {
+	err := forEachPoint(ctx, p.workerCount(), len(specs), func(k int) error {
+		i, s := k, specs[k]
+		if orig != nil {
+			i = orig[k]
+		}
 		var start time.Time
 		if timed {
 			start = time.Now()
 		}
 		var endSpan func(error)
 		if p.PointSpan != nil {
-			endSpan = p.PointSpan(i, specs[i])
+			endSpan = p.PointSpan(i, s)
 		}
-		res, err := runGen(p, i, specs[i], gen)
+		res, err := runGen(p, i, s, gen)
 		if endSpan != nil {
 			endSpan(err)
 		}
@@ -200,7 +304,6 @@ func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen) (
 			el := time.Since(start).Seconds()
 			pointHist.Observe(el)
 			if p.Logger != nil && p.SlowPointSec > 0 && el > p.SlowPointSec {
-				s := specs[i]
 				p.Logger.Warn("slow simulation point",
 					"index", i, "policy", string(s.Policy), "tasks", s.NumTasks,
 					"cv", s.HeterogeneityCV, "seed", s.Seed, "seconds", el)
@@ -212,11 +315,10 @@ func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen) (
 				pe.Index = i
 				return pe
 			}
-			s := specs[i]
 			return fmt.Errorf("point %d (%s n=%d cv=%g seed=%d): %w",
 				i, s.Policy, s.NumTasks, s.HeterogeneityCV, s.Seed, err)
 		}
-		out[i] = res
+		out[k] = res
 		if p.Progress != nil {
 			p.Progress(res.Stats)
 		}
@@ -224,6 +326,133 @@ func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen) (
 	})
 	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// pointMemo lets the concurrently running figures of one Figures call
+// share their points: Figures 7 and 8 run one grid, 11 and 12 another,
+// and 9/10 reuse four of the first grid's points. An entry is keyed on
+// the calling profile's CacheFingerprint plus the point, so figures that
+// change the profile per row (E1, E3) never share a result wrongly.
+type pointMemo struct {
+	mu      sync.Mutex
+	entries map[memoKey]*memoEntry
+}
+
+type memoKey struct {
+	profile string // the JSON of the caller's CacheFingerprint
+	point   pointKey
+}
+
+// memoEntry is one claimed point. Its owner sets res and ok, then closes
+// done; an entry closed with ok false was dropped from the memo unrun
+// (its owner failed, was cancelled or panicked), so a waiter claims it
+// anew.
+type memoEntry struct {
+	key  memoKey
+	done chan struct{}
+	res  sched.Result
+	ok   bool
+}
+
+type memoCtxKey struct{}
+
+// memoFrom returns the memo of the Figures call ctx belongs to, or nil.
+func memoFrom(ctx context.Context) *pointMemo {
+	m, _ := ctx.Value(memoCtxKey{}).(*pointMemo)
+	return m
+}
+
+// settle publishes res[c] as the result of claims[c], or drops every
+// claim when res is nil, and wakes the claims' waiters.
+func (m *pointMemo) settle(claims []*memoEntry, res []sched.Result) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for c, e := range claims {
+		if res != nil {
+			e.res, e.ok = res[c], true
+		} else {
+			delete(m.entries, e.key)
+		}
+		close(e.done)
+	}
+}
+
+// resolve returns the results of distinct specs through the memo. Each
+// round claims every point no other figure has claimed and runs those
+// first; only then does it wait for the points other figures claimed.
+// A caller never waits while holding an unsettled claim, so the waits
+// cannot deadlock. Every claim is settled, with a result or by dropping
+// it, before resolve returns or panics. A point taken from another
+// figure ticks Progress with zero counters, like a copy within one list.
+func (m *pointMemo) resolve(ctx context.Context, p Profile, specs []RunSpec, orig []int) ([]sched.Result, error) {
+	raw, err := json.Marshal(p.CacheFingerprint())
+	if err != nil {
+		return runPoints(ctx, p, specs, orig, nil)
+	}
+	fp := string(raw)
+	// The executor below must not find the memo again: the dispatcher's
+	// local fallback re-enters RunManyCtx with this ctx.
+	runCtx := context.WithValue(ctx, memoCtxKey{}, (*pointMemo)(nil))
+	out := make([]sched.Result, len(specs))
+	pending := make([]int, len(specs))
+	for k := range pending {
+		pending[k] = k
+	}
+	var claims []*memoEntry
+	defer func() { m.settle(claims, nil) }() // claims a panic left unsettled
+	for len(pending) > 0 {
+		var (
+			mine, theirs []int
+			batch        []RunSpec
+			idx          []int
+			waits        []*memoEntry
+		)
+		m.mu.Lock()
+		for _, k := range pending {
+			key := memoKey{fp, keyOf(specs[k])}
+			if e := m.entries[key]; e != nil {
+				theirs, waits = append(theirs, k), append(waits, e)
+				continue
+			}
+			e := &memoEntry{key: key, done: make(chan struct{})}
+			m.entries[key] = e
+			mine, claims = append(mine, k), append(claims, e)
+			batch = append(batch, specs[k])
+			if orig == nil {
+				idx = append(idx, k)
+			} else {
+				idx = append(idx, orig[k])
+			}
+		}
+		m.mu.Unlock()
+		if len(mine) > 0 {
+			res, err := runPoints(runCtx, p, batch, idx, nil)
+			if err != nil {
+				res = nil
+			}
+			m.settle(claims, res)
+			claims = nil
+			if err != nil {
+				return nil, err
+			}
+			for c, k := range mine {
+				out[k] = res[c]
+			}
+		}
+		pending = pending[:0]
+		for w, e := range waits {
+			<-e.done
+			if !e.ok {
+				pending = append(pending, theirs[w])
+				continue
+			}
+			out[theirs[w]] = e.res
+			if p.Progress != nil {
+				p.Progress(sched.RunStats{})
+			}
+		}
 	}
 	return out, nil
 }
