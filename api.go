@@ -157,7 +157,9 @@ func AllFigureIDs() []string {
 }
 
 // AllFigures regenerates every figure under the profile.
-func AllFigures(p Profile) ([]Figure, error) { return experiments.All(p) }
+func AllFigures(p Profile) ([]Figure, error) {
+	return experiments.Figures(context.Background(), p, experiments.FigureIDAll)
+}
 
 // RenderTable renders a figure as an aligned text table.
 func RenderTable(fig Figure) string { return report.Table(fig) }

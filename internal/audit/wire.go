@@ -36,8 +36,9 @@ type Log struct {
 }
 
 // RunLog bundles one simulation point's decision log with its identity
-// inside a campaign: the point's index in the expanded spec list and
-// its canonical label (experiments.PointLabel) — the same self-
+// inside a campaign: the point's index (see
+// experiments.Profile.RecordersFor) and its canonical label
+// (experiments.PointLabel) — the same self-
 // describing convention probe.RunSeries uses, so campaign exports carry
 // which point each row belongs to.
 type RunLog struct {

@@ -115,12 +115,12 @@ type Profile struct {
 	// simulation point (replications included) by RunMany and the figure
 	// sweeps with that point's Result.Stats, wherever it ran: a RunPoints
 	// executor reports cached and remote points the same way. It fires
-	// once per index of the spec list: a repeated spec, or a point two
-	// figures of one Figures call share, runs once and its copies tick
-	// with zero counters, so summed counters count real runs only. It is
-	// called from worker goroutines concurrently, so it must be safe for
-	// concurrent use and cheap. Runtime-only: never serialised, never
-	// affects results.
+	// once per index of the call's point list: a repeated spec, which
+	// includes a point two figures of one Figures call share, runs once
+	// and its copies tick with zero counters, so summed counters count
+	// real runs only. It is called from worker goroutines concurrently,
+	// so it must be safe for concurrent use and cheap. Runtime-only:
+	// never serialised, never affects results.
 	Progress func(sched.RunStats) `json:"-"`
 	// Metrics, when non-nil, receives campaign telemetry: RunManyCtx
 	// records each completed point's wall-clock duration into a
@@ -145,7 +145,7 @@ type Profile struct {
 	// spec carries all randomness), lowest-index error on failure, and
 	// the profile's Progress hook invoked once per completed point. An
 	// executor that calls PointSpan passes indices into the list it was
-	// handed.
+	// handed, not the call-wide indices a local run reports.
 	//
 	// The hook is bypassed — the campaign runs locally — whenever the
 	// profile carries in-process instrumentation that cannot follow a
@@ -155,8 +155,11 @@ type Profile struct {
 	// RecordersFor, when non-nil, supplies each simulation point's
 	// recorders: RunManyCtx (and everything built on it — figures,
 	// sweeps, the daemon) calls it once per point, from worker goroutines
-	// concurrently, with the point's index in the expanded spec list and
-	// its spec; the returned set replaces Engine.Recorders for that run.
+	// concurrently, with the point's index and its spec; the returned set
+	// replaces Engine.Recorders for that run. The index is the point's
+	// position in the call's point list: the expanded spec list of a
+	// RunManyCtx call, or the merged lists of a Figures call laid end to
+	// end. It is unique within the call and the same at any worker count.
 	// Because its recorders are per index, a campaign with this hook (or
 	// any InProcess one) runs every index, repeated specs included.
 	// A direct Run or RunWith calls it as point 0. Its presence forces
@@ -165,7 +168,7 @@ type Profile struct {
 	RecordersFor func(index int, spec RunSpec) sched.Recorders `json:"-"`
 	// PointSpan, when non-nil, brackets every locally executed simulation
 	// point: RunManyCtx calls it just before point i runs with the
-	// point's index in the expanded spec list and its spec, and calls the
+	// point's index (as for RecordersFor) and its spec, and calls the
 	// returned function with the run's error once the point finishes.
 	// Only simulated points are bracketed: a repeated spec is bracketed
 	// once, under the index of its first occurrence. The
@@ -368,15 +371,4 @@ func runGen(p Profile, index int, spec RunSpec, gen workloadGen) (sched.Result, 
 type PointStat struct {
 	Mean, CI95 float64
 	N          int
-}
-
-// runReplications executes the spec across seeds (in parallel, per the
-// profile's worker count) with the workload generator gen (nil is
-// workload.Generate) and reduces each result through extract.
-func runReplications(ctx context.Context, p Profile, spec RunSpec, gen workloadGen, extract func(sched.Result) float64) (PointStat, error) {
-	results, err := runMany(ctx, p, replicate(p, []RunSpec{spec}), gen)
-	if err != nil {
-		return PointStat{}, err
-	}
-	return pointStats(p, results, extract)[0], nil
 }

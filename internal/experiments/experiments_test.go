@@ -134,7 +134,7 @@ func TestFigure12Shape(t *testing.T) {
 	// Figure 12 is the cheapest full figure (Adaptive-RL only); verify
 	// structure and that all points are positive.
 	p := fastProfile()
-	fig, err := figure12(context.Background(), p)
+	fig, err := FigureByID(context.Background(), p, "12")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFigureByIDDispatch(t *testing.T) {
 func TestUtilizationFigureStructure(t *testing.T) {
 	p := fastProfile()
 	p.LightTasks = 200
-	fig, err := figure10(context.Background(), p)
+	fig, err := FigureByID(context.Background(), p, "10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func TestUtilizationFigureStructure(t *testing.T) {
 func TestPointStatAggregation(t *testing.T) {
 	p := fastProfile()
 	p.Replications = 3
-	pt, err := runReplications(context.Background(), p, RunSpec{Policy: Greedy, NumTasks: 100}, nil,
-		func(r sched.Result) float64 { return r.AveRT })
+	results, err := RunMany(p, replicate(p, []RunSpec{{Policy: Greedy, NumTasks: 100}}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pt := pointStats(p, results, func(r sched.Result) float64 { return r.AveRT })[0]
 	if pt.N != 3 {
 		t.Fatalf("aggregated %d replications, want 3", pt.N)
 	}

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
-
 	"rlsched/internal/rng"
 	"rlsched/internal/sched"
 	"rlsched/internal/workload"
@@ -22,7 +19,7 @@ var FailureMTBFLevels = []float64{0, 800, 400, 200, 100}
 // Adaptive-RL and the greedy reference: deadline success degrades with the
 // failure rate while every task still completes (aborted executions
 // re-run).
-func figureE1(ctx context.Context, p Profile) (Figure, error) {
+func figureE1(p Profile) plan {
 	fig := Figure{
 		ID:     "figureE1",
 		Title:  "Extension: deadline success vs processor failure rate",
@@ -32,36 +29,29 @@ func figureE1(ctx context.Context, p Profile) (Figure, error) {
 			"while every task still completes; the learning advantage fades under heavy " +
 			"churn as placement beliefs go stale faster than they are re-learned.",
 	}
-	for _, name := range []PolicyName{AdaptiveRL, Greedy} {
-		s := Series{Label: string(name)}
-		for _, mtbf := range FailureMTBFLevels {
-			prof := p
-			prof.Engine.FailureMTBF = mtbf
-			if mtbf > 0 {
-				prof.Engine.RepairTime = 25
-			}
-			pt, err := runReplications(ctx, prof, RunSpec{Policy: name, NumTasks: p.HeavyTasks}, nil,
-				func(r sched.Result) float64 { return r.SuccessRate })
-			if err != nil {
-				return Figure{}, fmt.Errorf("%s/%s/mtbf=%g: %w", fig.ID, name, mtbf, err)
-			}
-			rate := 0.0
-			if mtbf > 0 {
-				rate = 1000 / mtbf
-			}
-			s.X = append(s.X, rate)
-			s.Y = append(s.Y, pt.Mean)
-			s.CI95 = append(s.CI95, pt.CI95)
+	var (
+		points  = heavyPoints(p, AdaptiveRL, Greedy)
+		batches []batch
+		rates   []float64
+	)
+	for _, mtbf := range FailureMTBFLevels {
+		prof, rate := p, 0.0
+		prof.Engine.FailureMTBF = mtbf
+		if mtbf > 0 {
+			prof.Engine.RepairTime = 25
+			rate = 1000 / mtbf
 		}
-		fig.Series = append(fig.Series, s)
+		batches = append(batches, batch{p: prof, points: points})
+		rates = append(rates, rate)
 	}
-	return fig, nil
+	return plan{batches, seriesAcrossBatches(p, fig, points, rates,
+		func(r sched.Result) float64 { return r.SuccessRate })}
 }
 
 // figureE2 compares the four learning approaches on a bursty arrival
 // process (same long-run rate as the heavy Poisson point, 4x bursts):
 // burstiness amplifies the gap between adaptive and static grouping.
-func figureE2(ctx context.Context, p Profile) (Figure, error) {
+func figureE2(p Profile) plan {
 	fig := Figure{
 		ID:     "figureE2",
 		Title:  "Extension: average response time under bursty arrivals",
@@ -78,23 +68,12 @@ func figureE2(ctx context.Context, p Profile) (Figure, error) {
 			MeanGapLen:   200,
 		}, r)
 	}
-	for _, name := range AllPolicies {
-		s := Series{Label: string(name)}
-		// nil is the default Poisson generator: only that point may come
-		// from the daemon's result cache or a cluster worker.
-		for i, gen := range []workloadGen{nil, bursty} {
-			pt, err := runReplications(ctx, p, RunSpec{Policy: name, NumTasks: p.HeavyTasks}, gen,
-				func(r sched.Result) float64 { return r.AveRT })
-			if err != nil {
-				return Figure{}, fmt.Errorf("%s/%s: %w", fig.ID, name, err)
-			}
-			s.X = append(s.X, float64(i+1))
-			s.Y = append(s.Y, pt.Mean)
-			s.CI95 = append(s.CI95, pt.CI95)
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+	points := heavyPoints(p, AllPolicies...)
+	// nil is the default Poisson generator: only that batch may come from
+	// the daemon's result cache or a cluster worker.
+	batches := []batch{{p: p, points: points}, {p: p, gen: bursty, points: points}}
+	return plan{batches, seriesAcrossBatches(p, fig, points, []float64{1, 2},
+		func(r sched.Result) float64 { return r.AveRT })}
 }
 
 // PriorityMixes is the Figure E3 sweep: the §V.A note "the probabilities
@@ -112,7 +91,7 @@ var PriorityMixes = []struct {
 // figureE3 sweeps the priority mix at the heavy point for Adaptive-RL,
 // reporting the overall successful rate: urgent-dominated populations are
 // harder because high-priority deadlines leave almost no waiting budget.
-func figureE3(ctx context.Context, p Profile) (Figure, error) {
+func figureE3(p Profile) plan {
 	fig := Figure{
 		ID:     "figureE3",
 		Title:  "Extension: successful rate vs task-priority mix",
@@ -121,19 +100,48 @@ func figureE3(ctx context.Context, p Profile) (Figure, error) {
 		Expected: "Success falls as the population shifts toward high-priority tasks " +
 			"(slack <= 20% leaves no queueing budget at heavy load).",
 	}
-	s := Series{Label: "adaptive-rl"}
+	var (
+		points  = heavyPoints(p, AdaptiveRL)
+		batches []batch
+		xs      []float64
+	)
 	for i, m := range PriorityMixes {
 		prof := p
 		prof.Mix = m.Mix
-		pt, err := runReplications(ctx, prof, RunSpec{Policy: AdaptiveRL, NumTasks: p.HeavyTasks}, nil,
-			func(r sched.Result) float64 { return r.SuccessRate })
-		if err != nil {
-			return Figure{}, fmt.Errorf("%s/%s: %w", fig.ID, m.Label, err)
-		}
-		s.X = append(s.X, float64(i+1))
-		s.Y = append(s.Y, pt.Mean)
-		s.CI95 = append(s.CI95, pt.CI95)
+		batches = append(batches, batch{p: prof, points: points})
+		xs = append(xs, float64(i+1))
 	}
-	fig.Series = append(fig.Series, s)
-	return fig, nil
+	return plan{batches, seriesAcrossBatches(p, fig, points, xs,
+		func(r sched.Result) float64 { return r.SuccessRate })}
+}
+
+// heavyPoints lists one base point per policy at the heavy task count.
+func heavyPoints(p Profile, policies ...PolicyName) []RunSpec {
+	points := make([]RunSpec, len(policies))
+	for i, name := range policies {
+		points[i] = RunSpec{Policy: name, NumTasks: p.HeavyTasks}
+	}
+	return points
+}
+
+// seriesAcrossBatches builds the figure of a plan whose batches each run
+// points under another profile or generator: points[i] becomes the
+// series labelled with its policy, whose k-th value is that point's
+// stat in batch k, at x = xs[k].
+func seriesAcrossBatches(p Profile, fig Figure, points []RunSpec, xs []float64, extract func(sched.Result) float64) func([][]sched.Result) Figure {
+	return func(results [][]sched.Result) Figure {
+		fig.Series = make([]Series, len(points))
+		for i, pt := range points {
+			fig.Series[i].Label = string(pt.Policy)
+		}
+		for k, res := range results {
+			for i, st := range pointStats(p, res, extract) {
+				s := &fig.Series[i]
+				s.X = append(s.X, xs[k])
+				s.Y = append(s.Y, st.Mean)
+				s.CI95 = append(s.CI95, st.CI95)
+			}
+		}
+		return fig
+	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"rlsched/internal/sched"
@@ -38,11 +39,26 @@ var HeterogeneityLevels = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 // CycleFractions is the Figure 9/10 x-axis (% learning cycles).
 var CycleFractions = []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 
+// batch is a list of base points that run under one profile and one
+// workload generator (nil is workload.Generate).
+type batch struct {
+	p      Profile
+	gen    workloadGen
+	points []RunSpec
+}
+
+// plan is a figure before it runs: the batches it reads, and build, which
+// turns each batch's replicated results (see replicate) into the figure.
+type plan struct {
+	batches []batch
+	build   func(results [][]sched.Result) Figure
+}
+
 // figure7 reproduces "Average response time with different learning
 // approaches": AveRT (t units) versus the number of tasks for all four
 // policies.
-func figure7(ctx context.Context, p Profile) (Figure, error) {
-	return sweepByPolicy(ctx, p, Figure{
+func figure7(p Profile) plan {
+	return sweepByPolicy(p, Figure{
 		ID:     "figure7",
 		Title:  "Average response time with different learning approaches",
 		XLabel: "number of tasks",
@@ -55,8 +71,8 @@ func figure7(ctx context.Context, p Profile) (Figure, error) {
 // figure8 reproduces "Average energy consumption with different learning
 // approaches": ECS (millions of watt·time-units) versus the number of
 // tasks for all four policies.
-func figure8(ctx context.Context, p Profile) (Figure, error) {
-	return sweepByPolicy(ctx, p, Figure{
+func figure8(p Profile) plan {
+	return sweepByPolicy(p, Figure{
 		ID:     "figure8",
 		Title:  "Average energy consumption with different learning approaches",
 		XLabel: "number of tasks",
@@ -66,40 +82,37 @@ func figure8(ctx context.Context, p Profile) (Figure, error) {
 	}, func(r sched.Result) float64 { return r.ECS / 1e6 })
 }
 
-// sweepByPolicy runs the Figure 7/8 sweep shape: every policy across
-// TaskCounts. The whole grid — policies x task counts x replications — is
-// flattened into one spec list and fanned over the profile's workers;
-// the stats are then folded back into per-policy series in order.
-func sweepByPolicy(ctx context.Context, p Profile, fig Figure, extract func(sched.Result) float64) (Figure, error) {
+// sweepByPolicy plans the Figure 7/8 sweep shape: every policy across
+// TaskCounts, as one batch whose stats fold back into per-policy series
+// in order.
+func sweepByPolicy(p Profile, fig Figure, extract func(sched.Result) float64) plan {
 	points := make([]RunSpec, 0, len(AllPolicies)*len(TaskCounts))
 	for _, name := range AllPolicies {
 		for _, n := range TaskCounts {
 			points = append(points, RunSpec{Policy: name, NumTasks: n})
 		}
 	}
-	results, err := RunManyCtx(ctx, p, replicate(p, points))
-	if err != nil {
-		return Figure{}, fmt.Errorf("%s: %w", fig.ID, err)
-	}
-	stats := pointStats(p, results, extract)
-	for pi, name := range AllPolicies {
-		s := Series{Label: string(name)}
-		for ni, n := range TaskCounts {
-			pt := stats[pi*len(TaskCounts)+ni]
-			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, pt.Mean)
-			s.CI95 = append(s.CI95, pt.CI95)
+	return plan{[]batch{{p: p, points: points}}, func(results [][]sched.Result) Figure {
+		stats := pointStats(p, results[0], extract)
+		for pi, name := range AllPolicies {
+			s := Series{Label: string(name)}
+			for ni, n := range TaskCounts {
+				pt := stats[pi*len(TaskCounts)+ni]
+				s.X = append(s.X, float64(n))
+				s.Y = append(s.Y, pt.Mean)
+				s.CI95 = append(s.CI95, pt.CI95)
+			}
+			fig.Series = append(fig.Series, s)
 		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+		return fig
+	}}
 }
 
 // figure9 reproduces "Utilisation rate between Adaptive-RL and Online RL
 // in heavily loaded state": windowed utilisation versus % learning cycles
 // at the heavy task count.
-func figure9(ctx context.Context, p Profile) (Figure, error) {
-	return utilizationFigure(ctx, p, Figure{
+func figure9(p Profile) plan {
+	return utilizationFigure(p, Figure{
 		ID:     "figure9",
 		Title:  "Utilisation rate, Adaptive-RL vs Online RL (heavily loaded)",
 		XLabel: "% learning cycles",
@@ -110,8 +123,8 @@ func figure9(ctx context.Context, p Profile) (Figure, error) {
 }
 
 // figure10 reproduces the same comparison in the lightly loaded state.
-func figure10(ctx context.Context, p Profile) (Figure, error) {
-	return utilizationFigure(ctx, p, Figure{
+func figure10(p Profile) plan {
+	return utilizationFigure(p, Figure{
 		ID:     "figure10",
 		Title:  "Utilisation rate, Adaptive-RL vs Online RL (lightly loaded)",
 		XLabel: "% learning cycles",
@@ -121,34 +134,32 @@ func figure10(ctx context.Context, p Profile) (Figure, error) {
 	}, p.LightTasks, "lightly-loaded")
 }
 
-func utilizationFigure(ctx context.Context, p Profile, fig Figure, numTasks int, loadLabel string) (Figure, error) {
+func utilizationFigure(p Profile, fig Figure, numTasks int, loadLabel string) plan {
 	policies := []PolicyName{AdaptiveRL, OnlineRL}
 	points := make([]RunSpec, 0, len(policies))
 	for _, name := range policies {
 		points = append(points, RunSpec{Policy: name, NumTasks: numTasks})
 	}
-	results, err := RunManyCtx(ctx, p, replicate(p, points))
-	if err != nil {
-		return Figure{}, fmt.Errorf("%s: %w", fig.ID, err)
-	}
-	series := pointSeries(p, results, func(r sched.Result) []float64 { return r.UtilWindows })
-	for pi, name := range policies {
-		s := Series{Label: fmt.Sprintf("%s (%s)", name, loadLabel)}
-		for i, u := range series[pi] {
-			if i < len(CycleFractions) {
-				s.X = append(s.X, CycleFractions[i])
-				s.Y = append(s.Y, u)
+	return plan{[]batch{{p: p, points: points}}, func(results [][]sched.Result) Figure {
+		series := pointSeries(p, results[0], func(r sched.Result) []float64 { return r.UtilWindows })
+		for pi, name := range policies {
+			s := Series{Label: fmt.Sprintf("%s (%s)", name, loadLabel)}
+			for i, u := range series[pi] {
+				if i < len(CycleFractions) {
+					s.X = append(s.X, CycleFractions[i])
+					s.Y = append(s.Y, u)
+				}
 			}
+			fig.Series = append(fig.Series, s)
 		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+		return fig
+	}}
 }
 
 // figure11 reproduces "Successful rate of Adaptive-RL in lightly- and
 // heavily-loaded states" across resource heterogeneity.
-func figure11(ctx context.Context, p Profile) (Figure, error) {
-	return heterogeneityFigure(ctx, p, Figure{
+func figure11(p Profile) plan {
+	return heterogeneityFigure(p, Figure{
 		ID:     "figure11",
 		Title:  "Successful rate of Adaptive-RL vs heterogeneity",
 		XLabel: "heterogeneity of resources",
@@ -160,8 +171,8 @@ func figure11(ctx context.Context, p Profile) (Figure, error) {
 
 // figure12 reproduces "Average energy consumption of Adaptive-RL in
 // lightly- and heavily-loaded states" across resource heterogeneity.
-func figure12(ctx context.Context, p Profile) (Figure, error) {
-	return heterogeneityFigure(ctx, p, Figure{
+func figure12(p Profile) plan {
+	return heterogeneityFigure(p, Figure{
 		ID:     "figure12",
 		Title:  "Energy consumption of Adaptive-RL vs heterogeneity",
 		XLabel: "heterogeneity of resources",
@@ -171,7 +182,7 @@ func figure12(ctx context.Context, p Profile) (Figure, error) {
 	}, func(r sched.Result) float64 { return r.ECS / 1e6 })
 }
 
-func heterogeneityFigure(ctx context.Context, p Profile, fig Figure, extract func(sched.Result) float64) (Figure, error) {
+func heterogeneityFigure(p Profile, fig Figure, extract func(sched.Result) float64) plan {
 	loads := []struct {
 		label string
 		tasks int
@@ -185,22 +196,20 @@ func heterogeneityFigure(ctx context.Context, p Profile, fig Figure, extract fun
 			points = append(points, RunSpec{Policy: AdaptiveRL, NumTasks: load.tasks, HeterogeneityCV: cv})
 		}
 	}
-	results, err := RunManyCtx(ctx, p, replicate(p, points))
-	if err != nil {
-		return Figure{}, fmt.Errorf("%s: %w", fig.ID, err)
-	}
-	stats := pointStats(p, results, extract)
-	for li, load := range loads {
-		s := Series{Label: load.label}
-		for ci, cv := range HeterogeneityLevels {
-			pt := stats[li*len(HeterogeneityLevels)+ci]
-			s.X = append(s.X, cv)
-			s.Y = append(s.Y, pt.Mean)
-			s.CI95 = append(s.CI95, pt.CI95)
+	return plan{[]batch{{p: p, points: points}}, func(results [][]sched.Result) Figure {
+		stats := pointStats(p, results[0], extract)
+		for li, load := range loads {
+			s := Series{Label: load.label}
+			for ci, cv := range HeterogeneityLevels {
+				pt := stats[li*len(HeterogeneityLevels)+ci]
+				s.X = append(s.X, cv)
+				s.Y = append(s.Y, pt.Mean)
+				s.CI95 = append(s.CI95, pt.CI95)
+			}
+			fig.Series = append(fig.Series, s)
 		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+		return fig
+	}}
 }
 
 // FigureIDAll is the CanonicalFigureID group of the six paper figures
@@ -213,20 +222,17 @@ const FigureIDAll = "all"
 // of rows run together ("all", "ext").
 var figureTable = []struct {
 	id, group string
-	run       func(context.Context, Profile) (Figure, error)
-	// points is the number of base points the constructor runs, each
-	// replicated Profile.Replications times.
-	points func() int
+	plan      func(Profile) plan
 }{
-	{"figure7", FigureIDAll, figure7, func() int { return len(AllPolicies) * len(TaskCounts) }},
-	{"figure8", FigureIDAll, figure8, func() int { return len(AllPolicies) * len(TaskCounts) }},
-	{"figure9", FigureIDAll, figure9, func() int { return 2 }}, // AdaptiveRL and OnlineRL
-	{"figure10", FigureIDAll, figure10, func() int { return 2 }},
-	{"figure11", FigureIDAll, figure11, func() int { return 2 * len(HeterogeneityLevels) }}, // heavy and light
-	{"figure12", FigureIDAll, figure12, func() int { return 2 * len(HeterogeneityLevels) }},
-	{"figureE1", "ext", figureE1, func() int { return 2 * len(FailureMTBFLevels) }}, // AdaptiveRL and Greedy
-	{"figureE2", "ext", figureE2, func() int { return len(AllPolicies) * 2 }},       // Poisson and bursty
-	{"figureE3", "ext", figureE3, func() int { return len(PriorityMixes) }},
+	{"figure7", FigureIDAll, figure7},
+	{"figure8", FigureIDAll, figure8},
+	{"figure9", FigureIDAll, figure9},
+	{"figure10", FigureIDAll, figure10},
+	{"figure11", FigureIDAll, figure11},
+	{"figure12", FigureIDAll, figure12},
+	{"figureE1", "ext", figureE1},
+	{"figureE2", "ext", figureE2},
+	{"figureE3", "ext", figureE3},
 }
 
 // resolveFigure returns the canonical form of id and the table rows it
@@ -274,9 +280,9 @@ func FigureIDs(id string) ([]string, error) {
 // regenerating the figure or group with the given id (any
 // CanonicalFigureID alias) runs under the profile. It equals the number
 // of Progress callbacks the regeneration makes, which is what lets a
-// caller turn the per-point hook into a completion fraction. A group
-// simulates fewer points than this when its figures share points (see
-// Figures); the shared copies still tick.
+// caller turn the per-point hook into a completion fraction. Figures
+// simulates fewer points than this when its figures share points; the
+// shared copies still tick.
 func PointCount(p Profile, id string) (int, error) {
 	_, rows, err := resolveFigure(id)
 	if err != nil {
@@ -284,7 +290,9 @@ func PointCount(p Profile, id string) (int, error) {
 	}
 	n := 0
 	for _, r := range rows {
-		n += figureTable[r].points()
+		for _, b := range figureTable[r].plan(p).batches {
+			n += len(b.points)
+		}
 	}
 	return n * p.Replications, nil
 }
@@ -293,48 +301,89 @@ func PointCount(p Profile, id string) (int, error) {
 // is an error. Cancelling ctx abandons the sweep and returns the
 // context's error.
 func FigureByID(ctx context.Context, p Profile, id string) (Figure, error) {
-	canon, rows, err := resolveFigure(id)
+	if ids, err := FigureIDs(id); err == nil && len(ids) > 1 {
+		return Figure{}, fmt.Errorf("experiments: %q is a group of figures", id)
+	}
+	figs, err := Figures(ctx, p, id)
 	if err != nil {
 		return Figure{}, err
 	}
-	if f := figureTable[rows[0]]; f.id == canon {
-		return f.run(ctx, p)
-	}
-	return Figure{}, fmt.Errorf("experiments: %q is a group of figures", id)
+	return figs[0], nil
+}
+
+// campaign is one spec list Figures runs: the replicated batches of the
+// requested figures that share a profile fingerprint and the default
+// generator, concatenated, or one batch of its own. base numbers its
+// first spec, so point indices are unique within the Figures call.
+type campaign struct {
+	p     Profile
+	gen   workloadGen
+	specs []RunSpec
+	base  int
 }
 
 // Figures regenerates every figure id names — one figure, or each member
-// of a group in paper order — running the figures themselves
-// concurrently on the profile's worker pool. Each figure additionally
-// fans its own points out, so small figures (9/10 have four points) do
-// not serialise the campaign behind the big sweeps; the Go scheduler
-// bounds actual parallelism at GOMAXPROCS regardless. The figures of a
-// group share their points: a point two figures read (Figures 7 and 8
-// read one grid) is simulated once, so "all" runs 34 points per
-// replication, not PointCount's 72. Progress still ticks PointCount
-// times, with zero counters for a shared point's later readers.
-// Cancelling ctx abandons the campaign and returns the context's error.
+// of a group in paper order. It collects the figures' plans first and
+// merges every batch with the default generator and an equal
+// CacheFingerprint into one spec list, whose repeated points runMany
+// simulates once: Figures 7 and 8 read one grid, 11 and 12 another, and
+// 9/10 four points of the first, so "all" runs 34 points per
+// replication, not PointCount's 72. The lists run concurrently on the
+// profile's worker pool, each fanning its own points out too. A point's
+// index is its position in the call's lists laid end to end, so it is
+// unique within the call. Cancelling ctx abandons the campaign and
+// returns the context's error.
 func Figures(ctx context.Context, p Profile, id string) ([]Figure, error) {
-	_, rows, err := resolveFigure(id)
+	canon, rows, err := resolveFigure(id)
 	if err != nil {
 		return nil, err
 	}
-	if len(rows) > 1 {
-		ctx = context.WithValue(ctx, memoCtxKey{}, &pointMemo{entries: make(map[memoKey]*memoEntry)})
+	type part struct{ camp, from, to int }
+	var (
+		plans  = make([]plan, len(rows))
+		parts  = make([][]part, len(rows))
+		camps  []campaign
+		merged = map[string]int{} // CacheFingerprint JSON -> index in camps
+	)
+	for i, r := range rows {
+		plans[i] = figureTable[r].plan(p)
+		for _, b := range plans[i].batches {
+			key := fmt.Sprintf("#%d", len(camps)) // a list of its own
+			if raw, err := json.Marshal(b.p.CacheFingerprint()); b.gen == nil && err == nil {
+				key = string(raw)
+			}
+			k, ok := merged[key]
+			if !ok {
+				k = len(camps)
+				merged[key] = k
+				camps = append(camps, campaign{p: b.p, gen: b.gen})
+			}
+			c := &camps[k]
+			from := len(c.specs)
+			c.specs = append(c.specs, replicate(b.p, b.points)...)
+			parts[i] = append(parts[i], part{k, from, len(c.specs)})
+		}
 	}
-	out := make([]Figure, len(rows))
-	err = forEachPoint(ctx, p.workerCount(), len(rows), func(i int) error {
-		fig, err := figureTable[rows[i]].run(ctx, p)
-		out[i] = fig
+	for k := 1; k < len(camps); k++ {
+		camps[k].base = camps[k-1].base + len(camps[k-1].specs)
+	}
+	results := make([][]sched.Result, len(camps))
+	err = forEachPoint(ctx, p.workerCount(), len(camps), func(k int) error {
+		c := camps[k]
+		res, err := runMany(ctx, c.p, c.specs, c.gen, c.base)
+		results[k] = res
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", canon, err)
+	}
+	out := make([]Figure, len(plans))
+	for i, pl := range plans {
+		res := make([][]sched.Result, len(parts[i]))
+		for j, pt := range parts[i] {
+			res[j] = results[pt.camp][pt.from:pt.to]
+		}
+		out[i] = pl.build(res)
 	}
 	return out, nil
-}
-
-// All regenerates the six paper figures (Figures under FigureIDAll).
-func All(p Profile) ([]Figure, error) {
-	return Figures(context.Background(), p, FigureIDAll)
 }

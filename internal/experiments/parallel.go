@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -159,35 +158,27 @@ func RunMany(p Profile, specs []RunSpec) ([]sched.Result, error) {
 // profile's Metrics registry (if set) records the point's wall-clock
 // duration, and points slower than SlowPointSec are logged as warnings.
 func RunManyCtx(ctx context.Context, p Profile, specs []RunSpec) ([]sched.Result, error) {
-	return runMany(ctx, p, specs, nil)
+	return runMany(ctx, p, specs, nil, 0)
 }
 
-// runMany is RunManyCtx with the workload generator gen; nil means
-// workload.Generate. Every result is a pure function of the profile and
-// the spec, so the spec list is grouped by bit-exact point first and each
-// distinct point runs once — locally, through RunPoints, or (inside a
-// Figures call) once across all of the call's figures. Copies tick
-// Progress with zero counters, so the hook still fires once per index
-// while the engine counters it sums count real runs only. A profile
-// with in-process recorders runs every index: its recorders are per
-// index.
-func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen) ([]sched.Result, error) {
+// runMany is RunManyCtx with the workload generator gen (nil means
+// workload.Generate) and the spec list numbered from base: spec i is
+// point base+i to PointSpan, RecordersFor and errors. Every result is a
+// pure function of the profile and the spec, so the spec list is grouped
+// by bit-exact point first and each distinct point runs once, locally or
+// through RunPoints. Copies tick Progress with zero counters, so the hook
+// still fires once per index while the engine counters it sums count real
+// runs only. A profile with in-process recorders runs every index: its
+// recorders are per index.
+func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen, base int) ([]sched.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if p.InProcess() {
-		return runPoints(ctx, p, specs, nil, gen)
+		return runPoints(ctx, p, specs, nil, base, gen)
 	}
 	uniq, orig, slot := distinct(specs)
-	var (
-		res []sched.Result
-		err error
-	)
-	if m := memoFrom(ctx); m != nil && gen == nil {
-		res, err = m.resolve(ctx, p, uniq, orig)
-	} else {
-		res, err = runPoints(ctx, p, uniq, orig, gen)
-	}
+	res, err := runPoints(ctx, p, uniq, orig, base, gen)
 	if err != nil || slot == nil {
 		return res, err
 	}
@@ -260,10 +251,10 @@ func hasRepeat(specs []RunSpec) bool {
 }
 
 // runPoints runs every spec once, through the RunPoints executor when the
-// profile has one (and gen is nil), else on the local worker pool. orig
-// maps a spec's position to the index the local pool's PointSpan calls,
-// slow-point log and errors report it under; nil is the identity.
-func runPoints(ctx context.Context, p Profile, specs []RunSpec, orig []int, gen workloadGen) ([]sched.Result, error) {
+// profile has one (and gen is nil), else on the local worker pool. The
+// local pool's PointSpan calls, slow-point log and errors report spec k
+// as point base+orig[k] (base+k when orig is nil).
+func runPoints(ctx context.Context, p Profile, specs []RunSpec, orig []int, base int, gen workloadGen) ([]sched.Result, error) {
 	// A pluggable executor (cache lookup, cluster fan-out) takes the
 	// whole campaign — unless the profile carries in-process
 	// instrumentation (probes, audit recorders, tracers) that only a
@@ -284,9 +275,9 @@ func runPoints(ctx context.Context, p Profile, specs []RunSpec, orig []int, gen 
 	timed := pointHist != nil || (p.Logger != nil && p.SlowPointSec > 0)
 	out := make([]sched.Result, len(specs))
 	err := forEachPoint(ctx, p.workerCount(), len(specs), func(k int) error {
-		i, s := k, specs[k]
+		i, s := base+k, specs[k]
 		if orig != nil {
-			i = orig[k]
+			i = base + orig[k]
 		}
 		var start time.Time
 		if timed {
@@ -326,133 +317,6 @@ func runPoints(ctx context.Context, p Profile, specs []RunSpec, orig []int, gen 
 	})
 	if err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// pointMemo lets the concurrently running figures of one Figures call
-// share their points: Figures 7 and 8 run one grid, 11 and 12 another,
-// and 9/10 reuse four of the first grid's points. An entry is keyed on
-// the calling profile's CacheFingerprint plus the point, so figures that
-// change the profile per row (E1, E3) never share a result wrongly.
-type pointMemo struct {
-	mu      sync.Mutex
-	entries map[memoKey]*memoEntry
-}
-
-type memoKey struct {
-	profile string // the JSON of the caller's CacheFingerprint
-	point   pointKey
-}
-
-// memoEntry is one claimed point. Its owner sets res and ok, then closes
-// done; an entry closed with ok false was dropped from the memo unrun
-// (its owner failed, was cancelled or panicked), so a waiter claims it
-// anew.
-type memoEntry struct {
-	key  memoKey
-	done chan struct{}
-	res  sched.Result
-	ok   bool
-}
-
-type memoCtxKey struct{}
-
-// memoFrom returns the memo of the Figures call ctx belongs to, or nil.
-func memoFrom(ctx context.Context) *pointMemo {
-	m, _ := ctx.Value(memoCtxKey{}).(*pointMemo)
-	return m
-}
-
-// settle publishes res[c] as the result of claims[c], or drops every
-// claim when res is nil, and wakes the claims' waiters.
-func (m *pointMemo) settle(claims []*memoEntry, res []sched.Result) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for c, e := range claims {
-		if res != nil {
-			e.res, e.ok = res[c], true
-		} else {
-			delete(m.entries, e.key)
-		}
-		close(e.done)
-	}
-}
-
-// resolve returns the results of distinct specs through the memo. Each
-// round claims every point no other figure has claimed and runs those
-// first; only then does it wait for the points other figures claimed.
-// A caller never waits while holding an unsettled claim, so the waits
-// cannot deadlock. Every claim is settled, with a result or by dropping
-// it, before resolve returns or panics. A point taken from another
-// figure ticks Progress with zero counters, like a copy within one list.
-func (m *pointMemo) resolve(ctx context.Context, p Profile, specs []RunSpec, orig []int) ([]sched.Result, error) {
-	raw, err := json.Marshal(p.CacheFingerprint())
-	if err != nil {
-		return runPoints(ctx, p, specs, orig, nil)
-	}
-	fp := string(raw)
-	// The executor below must not find the memo again: the dispatcher's
-	// local fallback re-enters RunManyCtx with this ctx.
-	runCtx := context.WithValue(ctx, memoCtxKey{}, (*pointMemo)(nil))
-	out := make([]sched.Result, len(specs))
-	pending := make([]int, len(specs))
-	for k := range pending {
-		pending[k] = k
-	}
-	var claims []*memoEntry
-	defer func() { m.settle(claims, nil) }() // claims a panic left unsettled
-	for len(pending) > 0 {
-		var (
-			mine, theirs []int
-			batch        []RunSpec
-			idx          []int
-			waits        []*memoEntry
-		)
-		m.mu.Lock()
-		for _, k := range pending {
-			key := memoKey{fp, keyOf(specs[k])}
-			if e := m.entries[key]; e != nil {
-				theirs, waits = append(theirs, k), append(waits, e)
-				continue
-			}
-			e := &memoEntry{key: key, done: make(chan struct{})}
-			m.entries[key] = e
-			mine, claims = append(mine, k), append(claims, e)
-			batch = append(batch, specs[k])
-			if orig == nil {
-				idx = append(idx, k)
-			} else {
-				idx = append(idx, orig[k])
-			}
-		}
-		m.mu.Unlock()
-		if len(mine) > 0 {
-			res, err := runPoints(runCtx, p, batch, idx, nil)
-			if err != nil {
-				res = nil
-			}
-			m.settle(claims, res)
-			claims = nil
-			if err != nil {
-				return nil, err
-			}
-			for c, k := range mine {
-				out[k] = res[c]
-			}
-		}
-		pending = pending[:0]
-		for w, e := range waits {
-			<-e.done
-			if !e.ok {
-				pending = append(pending, theirs[w])
-				continue
-			}
-			out[theirs[w]] = e.res
-			if p.Progress != nil {
-				p.Progress(sched.RunStats{})
-			}
-		}
 	}
 	return out, nil
 }

@@ -160,12 +160,12 @@ func TestFigure7ParallelDeterministic(t *testing.T) {
 	p := fastProfile()
 	p.LightTasks, p.HeavyTasks = 100, 300
 	p.Workers = 1
-	serial, err := figure7(context.Background(), p)
+	serial, err := FigureByID(context.Background(), p, "7")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Workers = 8
-	par, err := figure7(context.Background(), p)
+	par, err := FigureByID(context.Background(), p, "7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,17 +183,42 @@ func TestFigure11ParallelDeterministic(t *testing.T) {
 	p := fastProfile()
 	p.LightTasks, p.HeavyTasks = 60, 200
 	p.Workers = 1
-	serial, err := figure11(context.Background(), p)
+	serial, err := FigureByID(context.Background(), p, "11")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Workers = 8
-	par, err := figure11(context.Background(), p)
+	par, err := FigureByID(context.Background(), p, "11")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatal("Figure11 differs between Workers=1 and Workers=8")
+	}
+}
+
+// TestExtensionFiguresParallelDeterministic covers Figures E1-E3, whose
+// per-profile and per-generator batches run as concurrent spec lists.
+func TestExtensionFiguresParallelDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full figure sweep in -short mode")
+	}
+	p := fastProfile()
+	p.LightTasks, p.HeavyTasks = 100, 300
+	for _, id := range []string{"E1", "E2", "E3"} {
+		p.Workers = 1
+		serial, err := FigureByID(context.Background(), p, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Workers = 8
+		par, err := FigureByID(context.Background(), p, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial, par) {
+			t.Fatalf("Figure %s differs between Workers=1 and Workers=8", id)
+		}
 	}
 }
 

@@ -129,7 +129,7 @@ func TestRunPointsFigureEquivalence(t *testing.T) {
 	p.LightTasks, p.HeavyTasks = 10, 15
 	p.Workers = 2
 
-	want, err := figure10(context.Background(), p)
+	want, err := FigureByID(context.Background(), p, "10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRunPointsFigureEquivalence(t *testing.T) {
 		local.RunPoints = nil
 		return RunManyCtx(ctx, local, specs)
 	}
-	got, err := figure10(context.Background(), pd)
+	got, err := FigureByID(context.Background(), pd, "10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestBurstyPointsRunLocally(t *testing.T) {
 	p.LightTasks, p.HeavyTasks = 10, 15
 	p.Workers = 2
 
-	want, err := figureE2(context.Background(), p)
+	want, err := FigureByID(context.Background(), p, "E2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestBurstyPointsRunLocally(t *testing.T) {
 		pp.RunPoints, pp.PointSpan = nil, nil
 		return RunManyCtx(ctx, pp, specs)
 	}
-	got, err := figureE2(context.Background(), pd)
+	got, err := FigureByID(context.Background(), pd, "E2")
 	if err != nil {
 		t.Fatal(err)
 	}

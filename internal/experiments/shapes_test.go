@@ -33,7 +33,7 @@ func TestShapeExperiment1(t *testing.T) {
 		t.Skip("shape sweep")
 	}
 	p := shapeProfile()
-	fig7, err := figure7(context.Background(), p)
+	fig7, err := FigureByID(context.Background(), p, "7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestShapeExperiment1(t *testing.T) {
 		}
 	}
 
-	fig8, err := figure8(context.Background(), p)
+	fig8, err := FigureByID(context.Background(), p, "8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestShapeExperiment2Heavy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape sweep")
 	}
-	fig9, err := figure9(context.Background(), shapeProfile())
+	fig9, err := FigureByID(context.Background(), shapeProfile(), "9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestShapeExperiment3(t *testing.T) {
 		t.Skip("shape sweep")
 	}
 	p := shapeProfile()
-	fig11, err := figure11(context.Background(), p)
+	fig11, err := FigureByID(context.Background(), p, "11")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestShapeExperiment3(t *testing.T) {
 		t.Fatalf("light success did not decrease with heterogeneity: %v", light.Y)
 	}
 
-	fig12, err := figure12(context.Background(), p)
+	fig12, err := FigureByID(context.Background(), p, "12")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -276,3 +276,49 @@ func TestFiguresGroupExecutorPanic(t *testing.T) {
 		t.Fatalf("got %v, want the executor's panic as a *PointError", err)
 	}
 }
+
+// TestFigurePointIdentityUnique records the (index, label) pair each run
+// of a Figures call reports to RecordersFor, for every figure and both
+// groups. Every pair must be unique within the call — the daemon keys a
+// job's series and decisions by it — there must be PointCount of them,
+// and the same pairs must come back at one and eight workers.
+func TestFigurePointIdentityUnique(t *testing.T) {
+	p := fastProfile()
+	p.ObservationPeriod = 300
+	p.LightTasks, p.HeavyTasks = 20, 30
+	type pair struct {
+		index int
+		label string
+	}
+	ids := []string{FigureIDAll, "ext"}
+	for _, f := range figureTable {
+		ids = append(ids, f.id)
+	}
+	for _, id := range ids {
+		var first map[pair]bool
+		for _, workers := range []int{1, 8} {
+			p.Workers = workers
+			var mu sync.Mutex
+			runs, seen := 0, map[pair]bool{}
+			p.RecordersFor = func(i int, s RunSpec) sched.Recorders {
+				mu.Lock()
+				runs++
+				seen[pair{i, PointLabel(s)}] = true
+				mu.Unlock()
+				return sched.Recorders{}
+			}
+			if _, err := Figures(context.Background(), p, id); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			want, _ := PointCount(p, id)
+			if runs != want || len(seen) != want {
+				t.Fatalf("%s at workers=%d: %d runs with %d distinct (index, label) pairs, want %d of each",
+					id, workers, runs, len(seen), want)
+			}
+			if first != nil && !reflect.DeepEqual(seen, first) {
+				t.Fatalf("%s: the (index, label) pairs differ between workers=1 and workers=8", id)
+			}
+			first = seen
+		}
+	}
+}

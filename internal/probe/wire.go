@@ -28,8 +28,9 @@ type Series struct {
 }
 
 // RunSeries bundles one simulation point's recorded series with its
-// identity inside a campaign: the point's index in the expanded spec
-// list and its canonical label (experiments.PointLabel).
+// identity inside a campaign: the point's index (see
+// experiments.Profile.RecordersFor) and its canonical label
+// (experiments.PointLabel).
 type RunSeries struct {
 	Index  int      `json:"index"`
 	Label  string   `json:"label"`

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sort"
 	"strings"
@@ -192,6 +193,58 @@ func TestSeriesStream(t *testing.T) {
 	}
 	id := m["id"].(string)
 
+	state, frames, resets := readSeriesStream(t, ts, id)
+	if frames == 0 || resets == 0 {
+		t.Fatalf("saw %d frames (%d resets), want at least one reset frame", frames, resets)
+	}
+
+	if runs := getSeries(t, ts, id); !reflect.DeepEqual(state, runs) {
+		t.Fatalf("stream reconstruction differs from final snapshot:\nstream: %+v\nfinal:  %+v", state, runs)
+	}
+}
+
+// TestSeriesFigureRunsDistinct runs Figure E1 with a series block. Its
+// five failure-rate profiles run the same two specs, yet every run must
+// carry its own (index, label) pair: the stream's delta frames key runs
+// by that pair, and replaying them must rebuild the final snapshot.
+func TestSeriesFigureRunsDistinct(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	s.seriesPoll = 5 * time.Millisecond
+	const reps = 2
+	body := `{"kind": "figure", "figure": "E1", "series": {"cadence": 20}, "profile": ` +
+		`{"Replications": 2, "ObservationPeriod": 300, "LightTasks": 20, "HeavyTasks": 30, "Workers": 2}}`
+	code, m := postJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %v", code, m)
+	}
+	id := m["id"].(string)
+
+	state, _, _ := readSeriesStream(t, ts, id)
+	runs := getSeries(t, ts, id)
+	if want := 2 * len(experiments.FailureMTBFLevels) * reps; len(runs) != want {
+		t.Fatalf("series holds %d runs, want %d", len(runs), want)
+	}
+	type pair struct {
+		index int
+		label string
+	}
+	seen := map[pair]bool{}
+	for _, r := range runs {
+		if seen[pair{r.Index, r.Label}] {
+			t.Fatalf("two runs share index %d and label %q", r.Index, r.Label)
+		}
+		seen[pair{r.Index, r.Label}] = true
+	}
+	if !reflect.DeepEqual(state, runs) {
+		t.Fatalf("stream reconstruction differs from final snapshot:\nstream: %+v\nfinal:  %+v", state, runs)
+	}
+}
+
+// readSeriesStream follows a job's series stream until the job settles,
+// folding every frame through applyFrame. It returns the reconstructed
+// runs and how many frames, and reset frames, it saw.
+func readSeriesStream(t *testing.T, ts *httptest.Server, id string) (state []probe.RunSeries, frames, resets int) {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/series/stream")
 	if err != nil {
 		t.Fatal(err)
@@ -200,13 +253,7 @@ func TestSeriesStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-
-	var (
-		state    []probe.RunSeries
-		frames   int
-		resets   int
-		curEvent string
-	)
+	var curEvent string
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -239,10 +286,12 @@ func TestSeriesStream(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatalf("reading stream: %v", err)
 	}
-	if frames == 0 || resets == 0 {
-		t.Fatalf("saw %d frames (%d resets), want at least one reset frame", frames, resets)
-	}
+	return state, frames, resets
+}
 
+// getSeries returns a settled job's series snapshot.
+func getSeries(t *testing.T, ts *httptest.Server, id string) []probe.RunSeries {
+	t.Helper()
 	code, body := getJSON(t, ts.URL+"/v1/jobs/"+id+"/series")
 	if code != http.StatusOK {
 		t.Fatalf("series after stream: HTTP %d", code)
@@ -251,9 +300,7 @@ func TestSeriesStream(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(state, sr.Runs) {
-		t.Fatalf("stream reconstruction differs from final snapshot:\nstream: %+v\nfinal:  %+v", state, sr.Runs)
-	}
+	return sr.Runs
 }
 
 // TestSeriesDeltasStepBack covers the provisional-tail rule directly:
