@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"rlsched/internal/experiments"
+)
 
 // benchValue approximates one cached point result: a few hundred bytes
 // of summary JSON.
@@ -44,27 +48,43 @@ func BenchmarkCachePutDisk(b *testing.B) {
 	}
 }
 
-// BenchmarkPointKey measures canonical-hash throughput: the per-point
-// cost every campaign pays before its first cache lookup.
+// BenchmarkPointKey measures keying one point of a campaign under the
+// real default profile fingerprint. "keyer" is what the dispatcher pays
+// per point, with the profile canonicalised once per campaign; "PointKey"
+// canonicalises the profile again for every point.
 func BenchmarkPointKey(b *testing.B) {
-	profile := map[string]any{
-		"Sites": 5, "ObservationPeriod": 2500.0, "SizeScale": 5.6,
-		"Engine": map[string]any{"GroupCloseTimeout": 10.0, "TickInterval": 25.0},
+	fp := experiments.DefaultProfile().CacheFingerprint()
+	spec := func(i int) experiments.RunSpec {
+		return experiments.RunSpec{Policy: experiments.AdaptiveRL, NumTasks: 500, HeterogeneityCV: 0.35, Seed: uint64(i)}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spec := map[string]any{"Policy": "adaptive-rl", "NumTasks": 500, "Seed": i}
-		if _, err := PointKey(profile, spec); err != nil {
+	b.Run("keyer", func(b *testing.B) {
+		k, err := NewKeyer(fp)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := k.Key(spec(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("PointKey", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := PointKey(fp, spec(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkCacheGetDisk measures a disk-tier hit, what a coordinator
 // whose memory tier is too small for the campaign pays per cached point:
-// read, decode, checksum and canonical-form check. Two keys alternate
-// through a one-entry memory tier, so every lookup goes to disk.
+// read, one layout and JSON validity scan of the value, and its
+// checksum. Two keys alternate through a one-entry memory tier, so every
+// lookup goes to disk.
 func BenchmarkCacheGetDisk(b *testing.B) {
 	s, err := Open(b.TempDir(), 1)
 	if err != nil {

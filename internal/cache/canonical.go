@@ -52,21 +52,47 @@ func CanonicalJSON(v any) ([]byte, error) {
 	return out, nil
 }
 
-// keyEnvelope is the hashed document: the engine version plus the
-// identifying parts. Field names are part of the frozen hash format.
-type keyEnvelope struct {
-	Engine  string `json:"engine"`
-	Profile any    `json:"profile,omitempty"`
-	Spec    any    `json:"spec"`
+// Keyer addresses the points of one campaign. The hashed document is
+// {"engine":…,"profile":…,"spec":…}; a Keyer holds its canonical JSON up
+// to the spec, built once from the campaign's profile, so keying a point
+// canonicalises only that point's spec. Object members nest as their own
+// canonical text and the three names are already in sorted order, so the
+// bytes hashed are exactly the canonical JSON of the whole document. A
+// Keyer is immutable and safe for concurrent use.
+type Keyer struct {
+	head []byte // {"engine":<version>,["profile":<canonical profile>,]"spec":
 }
 
-func hashEnvelope(env keyEnvelope) (string, error) {
-	canon, err := CanonicalJSON(env)
+// NewKeyer canonicalises profile once and returns the keyer for a
+// campaign under it. A nil profile leaves the "profile" member out, as
+// SpecHash's document does.
+func NewKeyer(profile any) (Keyer, error) {
+	engine, _ := json.Marshal(EngineVersion) // a string always encodes
+	head := append([]byte(`{"engine":`), engine...)
+	if profile != nil {
+		canon, err := CanonicalJSON(profile)
+		if err != nil {
+			return Keyer{}, err
+		}
+		head = append(append(head, `,"profile":`...), canon...)
+	}
+	return Keyer{head: append(head, `,"spec":`...)}, nil
+}
+
+// Key returns the content address of spec under the keyer's profile:
+// "sha256:" plus 64 lowercase hex digits of SHA-256 over the canonical
+// document.
+func (k Keyer) Key(spec any) (string, error) {
+	canon, err := CanonicalJSON(spec)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(canon)
-	return KeyPrefix + hex.EncodeToString(sum[:]), nil
+	h := sha256.New()
+	h.Write(k.head)
+	h.Write(canon)
+	h.Write([]byte{'}'})
+	var sum [sha256.Size]byte
+	return KeyPrefix + hex.EncodeToString(h.Sum(sum[:0])), nil
 }
 
 // SpecHash returns the canonical content address of one simulation point
@@ -79,7 +105,7 @@ func hashEnvelope(env keyEnvelope) (string, error) {
 // spec must be JSON-marshallable (experiments.RunSpec always is); an
 // unmarshallable value yields the empty string.
 func SpecHash(spec any) string {
-	key, err := hashEnvelope(keyEnvelope{Engine: EngineVersion, Spec: spec})
+	key, err := PointKey(nil, spec)
 	if err != nil {
 		return ""
 	}
@@ -93,7 +119,12 @@ func SpecHash(spec any) string {
 // the point's result depends on — the caller scrubs campaign-shape
 // knobs (replication counts, worker counts, progress hooks) so that
 // re-running the same point under a differently parallelised campaign
-// still hits.
+// still hits. A caller keying many points under one profile builds a
+// NewKeyer once instead.
 func PointKey(profile, spec any) (string, error) {
-	return hashEnvelope(keyEnvelope{Engine: EngineVersion, Profile: profile, Spec: spec})
+	k, err := NewKeyer(profile)
+	if err != nil {
+		return "", err
+	}
+	return k.Key(spec)
 }

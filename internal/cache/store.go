@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"rlsched/internal/chaos"
 )
@@ -263,8 +264,8 @@ func (s *Store) GetTier(key string) ([]byte, Tier) {
 		s.mu.Unlock()
 		return nil, TierMiss
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil || env.Key != key || env.Sum != valueSum(env.Value) || !canonicalEntry(data, env) {
+	val, ok := entryValue(data, key)
+	if !ok {
 		// Corrupted or cross-wired entry: drop it so it cannot shadow a
 		// future Put, and miss.
 		_ = s.fsys.Remove(path)
@@ -279,9 +280,9 @@ func (s *Store) GetTier(key string) ([]byte, Tier) {
 	s.mu.Lock()
 	s.hits++
 	s.diskOKLocked()
-	s.insertLocked(key, env.Value)
+	s.insertLocked(key, val)
 	s.mu.Unlock()
-	return env.Value, TierDisk
+	return val, TierDisk
 }
 
 // insertLocked adds (or refreshes) a memory entry and evicts past the
@@ -347,25 +348,54 @@ func encodeEntry(env envelope) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// canonicalEntry reports whether data is byte for byte the encoding of
-// its decoded envelope. encoding/json matches field names without regard
-// to case, so a flipped bit that only changes a letter's case in "key",
-// "sum" or "value" still decodes to a valid envelope; only this check
-// tells such an entry from what spool wrote. The value is compared as
-// the raw bytes it decoded from, not re-encoded: spool wrote it compact
-// and the checksum already covers it, and re-encoding would scan every
-// value a second time on each disk hit.
-func canonicalEntry(data []byte, env envelope) bool {
-	head, err := encodeEntry(envelope{Key: env.Key, Sum: env.Sum})
-	if err != nil {
-		return false
+// entryValue returns the value of the spooled entry data for key. It
+// accepts data only in the exact layout encodeEntry writes,
+// {"key":<key>,"sum":"<64 hex>","value":<value>} and a newline, with a
+// value that is valid JSON without surrounding whitespace and whose
+// SHA-256 is the stored sum. That is one scan of the value and one hash,
+// and it accepts exactly what decoding the envelope would with a matching
+// key and checksum and a byte-for-byte canonical layout: a flipped bit
+// anywhere outside insignificant bytes (a letter's case in a field name,
+// say) makes the entry a miss.
+func entryValue(data []byte, key string) ([]byte, bool) {
+	// encoding/json writes invalid UTF-8 as U+FFFD, and such a key would
+	// decode to another string: its entries never matched it.
+	qkey, err := json.Marshal(key)
+	if err != nil || !utf8.ValidString(key) {
+		return nil, false
 	}
-	head = head[:len(head)-len("null}\n")] // {"key":…,"sum":…,"value":
-	tail := "}\n"
-	return len(data) == len(head)+len(env.Value)+len(tail) &&
-		bytes.HasPrefix(data, head) &&
-		bytes.Equal(data[len(head):len(data)-len(tail)], env.Value) &&
-		bytes.HasSuffix(data, []byte(tail))
+	rest, ok := bytes.CutPrefix(data, []byte(`{"key":`))
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, qkey)
+	}
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, []byte(`,"sum":"`))
+	}
+	const sumLen = 2 * sha256.Size
+	if !ok || len(rest) < sumLen {
+		return nil, false
+	}
+	sum := rest[:sumLen]
+	rest, ok = bytes.CutPrefix(rest[sumLen:], []byte(`","value":`))
+	if !ok {
+		return nil, false
+	}
+	val, ok := bytes.CutSuffix(rest, []byte("}\n"))
+	if !ok || len(val) == 0 || isJSONSpace(val[0]) || isJSONSpace(val[len(val)-1]) || !json.Valid(val) {
+		return nil, false
+	}
+	h := sha256.Sum256(val)
+	var want [sumLen]byte
+	hex.Encode(want[:], h[:])
+	if !bytes.Equal(sum, want[:]) {
+		return nil, false
+	}
+	return val, true
+}
+
+// isJSONSpace reports whether c is insignificant whitespace in JSON.
+func isJSONSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
 // spool performs the on-disk half of Put.

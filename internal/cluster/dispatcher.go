@@ -254,7 +254,12 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 		pointSpans = make([]*span.Span, len(specs))
 	}
 
-	fp := p.CacheFingerprint()
+	// One keyer per campaign: the profile is canonicalised here once, and
+	// each point below canonicalises only its spec.
+	keyer, err := cache.NewKeyer(p.CacheFingerprint())
+	if err != nil {
+		return nil, fmt.Errorf("cluster: keying campaign: %w", err)
+	}
 	results := make([]sched.Result, len(specs))
 	keys := make([]string, len(specs))
 	var missing []int
@@ -266,7 +271,7 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 			sp.SetStr("policy", string(spec.Policy))
 			sp.SetInt("tasks", int64(spec.NumTasks))
 		}
-		key, err := cache.PointKey(fp, spec)
+		key, err := keyer.Key(spec)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: keying point %d: %w", i, err)
 		}
@@ -297,7 +302,6 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 	}
 
 	if d.pool != nil {
-		var err error
 		missing, err = d.fanOut(ctx, meta, p, specs, keys, results, missing, pointSpans)
 		if err != nil {
 			return nil, err

@@ -28,7 +28,8 @@ type PointError struct {
 	// recovered at a layer that had no spec context).
 	Point RunSpec
 	// Index is the point's position in the submitted spec list, or -1
-	// when the panic escaped a single-point run.
+	// when no single point can be named: the panic escaped a single-point
+	// run, or a RunPoints executor that had taken the whole list.
 	Index int
 	// Panic is the recovered panic value.
 	Panic any
@@ -262,7 +263,7 @@ func runPoints(ctx context.Context, p Profile, specs []RunSpec, orig []int, base
 	// which a cache entry or a cluster worker cannot know.
 	if gen == nil {
 		if p.RunPoints != nil && !p.InProcess() {
-			return p.RunPoints(ctx, p, specs)
+			return runExecutor(ctx, p, specs)
 		}
 		gen = workload.Generate
 	}
@@ -319,6 +320,18 @@ func runPoints(ctx context.Context, p Profile, specs []RunSpec, orig []int, base
 		return nil, err
 	}
 	return out, nil
+}
+
+// runExecutor hands specs to the profile's RunPoints executor. A panic
+// in the executor is recovered into a *PointError with Index -1: the
+// executor took the whole list, so no single point can be named.
+func runExecutor(ctx context.Context, p Profile, specs []RunSpec) (res []sched.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, &PointError{Index: -1, Panic: r, Stack: string(debug.Stack())}
+		}
+	}()
+	return p.RunPoints(ctx, p, specs)
 }
 
 // replicate expands each base point into the profile's replications:

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -37,6 +38,27 @@ func TestRunPointsDelegates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, sentinel) {
 		t.Fatalf("results %+v, want the executor's %+v", out, sentinel)
+	}
+}
+
+// TestRunPointsExecutorPanic checks that a panic in a RunPoints executor
+// comes back from a direct RunManyCtx as a *PointError with Index -1 —
+// the executor took the whole list, so no point can be named — instead
+// of unwinding through the caller.
+func TestRunPointsExecutorPanic(t *testing.T) {
+	p := DefaultProfile()
+	p.Replications = 1
+	p.RunPoints = func(context.Context, Profile, []RunSpec) ([]sched.Result, error) {
+		panic("executor bug")
+	}
+	specs := []RunSpec{{Policy: Greedy, NumTasks: 10, Seed: 1}, {Policy: Greedy, NumTasks: 12, Seed: 2}}
+	out, err := RunManyCtx(context.Background(), p, specs)
+	var pe *PointError
+	if !errors.As(err, &pe) || pe.Panic != "executor bug" || pe.Index != -1 || pe.Stack == "" {
+		t.Fatalf("got %v, want the executor's panic as a *PointError with Index -1 and a stack", err)
+	}
+	if out != nil {
+		t.Fatalf("results %+v alongside the error, want none", out)
 	}
 }
 

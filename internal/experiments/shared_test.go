@@ -236,9 +236,9 @@ func TestFiguresGroupMatchesSingles(t *testing.T) {
 	}
 }
 
-// TestFiguresGroupCancel cancels a group mid-campaign: every figure must
-// return, including those waiting on points another figure claimed and
-// then dropped unrun, and the call reports the cancellation.
+// TestFiguresGroupCancel cancels a group mid-campaign, early and late, at
+// one and eight workers: the call must return, with every spec list it
+// runs concurrently stopped, and report the cancellation.
 func TestFiguresGroupCancel(t *testing.T) {
 	p := fastProfile()
 	p.ObservationPeriod = 300
@@ -262,8 +262,9 @@ func TestFiguresGroupCancel(t *testing.T) {
 }
 
 // TestFiguresGroupExecutorPanic checks that a RunPoints executor that
-// panics fails the group instead of leaving the figures that wait on its
-// claims blocked.
+// panics fails the group with the panic as a *PointError whose Index is
+// -1: the executor took a whole spec list, so no point can be named, and
+// the number of the list in the call is not a point index.
 func TestFiguresGroupExecutorPanic(t *testing.T) {
 	p := fastProfile()
 	p.Workers = 4
@@ -272,8 +273,8 @@ func TestFiguresGroupExecutorPanic(t *testing.T) {
 	}
 	_, err := Figures(context.Background(), p, FigureIDAll)
 	var pe *PointError
-	if !errors.As(err, &pe) || pe.Panic != "executor bug" {
-		t.Fatalf("got %v, want the executor's panic as a *PointError", err)
+	if !errors.As(err, &pe) || pe.Panic != "executor bug" || pe.Index != -1 {
+		t.Fatalf("got %v, want the executor's panic as a *PointError with Index -1", err)
 	}
 }
 
