@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -161,4 +162,54 @@ func TestClusterEndToEnd(t *testing.T) {
 	if cached := promMetric(t, coord2, "cluster_points_cached_total"); cached != 2 {
 		t.Fatalf("cluster_points_cached_total = %v, want 2", cached)
 	}
+}
+
+// TestClusterEndToEndCoordinatorCrash SIGKILLs a coordinator that runs
+// with -spool only (its result cache then spools under <spool>/cache)
+// once its campaign has finished a point, and restarts it on the same
+// spool. The re-run job must take the finished points from that cache
+// and still match a standalone daemon byte for byte.
+func TestClusterEndToEndCoordinatorCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess cluster e2e skipped in -short")
+	}
+	w := startDaemon(t, "", "-worker")
+	spool := t.TempDir()
+	coord := startDaemon(t, spool, "-peers", "http://"+w.addr)
+	solo := startDaemon(t, "")
+
+	// About 25 ms of simulation per point on one worker, so the kill
+	// below lands with most of the campaign still to run.
+	var pts []string
+	for i := 0; i < 24; i++ {
+		pts = append(pts, fmt.Sprintf(`{"Policy": "greedy", "NumTasks": 20000, "Seed": %d}`, i+1))
+	}
+	campaign := `{"kind": "points", "points": [` + strings.Join(pts, ",") + `],
+		"profile": {"Replications": 1, "ObservationPeriod": 300, "LightTasks": 20, "HeavyTasks": 30, "Workers": 2}}`
+
+	id := submitJob(t, coord, campaign)
+	waitProgress(t, coord, id, 1)
+	coord.kill()
+	// A point counts as done only after its cache put, so the spool
+	// holds at least one entry by now.
+	shards, err := os.ReadDir(filepath.Join(spool, "cache"))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("%s/cache empty after a finished point (err=%v)", spool, err)
+	}
+
+	coord2 := startDaemon(t, spool, "-peers", "http://"+w.addr)
+	waitDone(t, coord2, id)
+	soloID := submitJob(t, solo, campaign)
+	if soloID != id {
+		t.Fatalf("job ids diverged: coordinator %s, solo %s", id, soloID)
+	}
+	waitDone(t, solo, soloID)
+	if got, want := fetchResult(t, coord2, id), fetchResult(t, solo, soloID); !bytes.Equal(got, want) {
+		t.Fatalf("resumed result differs from solo:\ncluster: %s\nsolo:    %s", got, want)
+	}
+	cached := promMetric(t, coord2, "cluster_points_cached_total")
+	if cached < 1 || cached >= float64(len(pts)) {
+		t.Fatalf("cluster_points_cached_total = %v, want 1..%d (the points finished before the kill)", cached, len(pts)-1)
+	}
+	t.Logf("resumed with %v of %d points from the spooled cache", cached, len(pts))
 }

@@ -29,7 +29,9 @@
 // exact results the interrupted run would have delivered.
 //
 // Every campaign point flows through a content-addressed result cache;
-// -cache-dir spools it to disk so repeated points survive restarts, and
+// -cache-dir spools it to disk so repeated points survive restarts
+// (without -cache-dir, -spool puts it under DIR/cache, so a re-run job
+// takes the points that finished before the crash from it), and
 // -cache-entries bounds the in-memory tier. With -peers the daemon
 // coordinates: campaign points fan out across the named worker daemons
 // (more join at runtime via POST /v1/cluster/register), probed every
@@ -93,8 +95,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("jobs", 1, "jobs executed concurrently")
 	queue := fs.Int("queue", 16, "queued jobs accepted beyond the running ones")
 	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period for running jobs")
-	spool := fs.String("spool", "", "spool directory for the durable job journal (empty: in-memory only)")
-	cacheDir := fs.String("cache-dir", "", "spool directory for the content-addressed result cache (empty: in-memory only)")
+	spool := fs.String("spool", "", "spool directory for the durable job journal, and for the result cache unless -cache-dir is set (empty: in-memory only)")
+	cacheDir := fs.String("cache-dir", "", "spool directory for the content-addressed result cache (empty: -spool's cache subdirectory, else in-memory only)")
 	cacheEntries := fs.Int("cache-entries", 0, "in-memory result cache entries (0: default)")
 	peers := fs.String("peers", "", "comma-separated worker base URLs to fan campaign points out to")
 	workerMode := fs.Bool("worker", false, "serve cluster leases only; never fan out to peers")

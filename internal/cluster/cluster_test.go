@@ -17,7 +17,6 @@ import (
 	"rlsched/internal/cache"
 	"rlsched/internal/config"
 	"rlsched/internal/experiments"
-	"rlsched/internal/journal"
 	"rlsched/internal/sched"
 )
 
@@ -428,43 +427,6 @@ func TestDispatcherDeterministicFailureLowestIndex(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "point 0") || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("error = %v, want lowest-index point 0 with the worker's message", err)
-	}
-}
-
-func TestDispatcherJournalsLeasesAndCacheRefs(t *testing.T) {
-	w := newFakeWorker(t)
-	pool := poolOf(t, w.srv.URL)
-	var mu sync.Mutex
-	var recs []journal.Record
-	d := NewDispatcher(Options{
-		Cache: memCache(t), Pool: pool,
-		Journal: func(r journal.Record) { mu.Lock(); recs = append(recs, r); mu.Unlock() },
-	})
-	specs := testSpecs()[:2]
-	if _, err := d.Runner(JobMeta{ID: "job-000007"})(context.Background(), testProfile(), specs); err != nil {
-		t.Fatal(err)
-	}
-	var leases, refs int
-	for _, r := range recs {
-		if r.ID != "job-000007" {
-			t.Fatalf("record for job %q, want job-000007", r.ID)
-		}
-		switch r.Op {
-		case journal.OpLease:
-			leases++
-			if r.Worker != w.srv.URL || !strings.HasPrefix(r.Key, cache.KeyPrefix) {
-				t.Fatalf("lease record = %+v", r)
-			}
-		case journal.OpCacheRef:
-			refs++
-			var res sched.Result
-			if err := json.Unmarshal(r.Result, &res); err != nil || res.Completed == 0 {
-				t.Fatalf("cacheref result undecodable or empty: %v (%+v)", err, r)
-			}
-		}
-	}
-	if leases != len(specs) || refs != len(specs) {
-		t.Fatalf("journaled %d leases / %d cacherefs, want %d each", leases, refs, len(specs))
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"rlsched/internal/cache"
 	"rlsched/internal/config"
 	"rlsched/internal/experiments"
-	"rlsched/internal/journal"
 	"rlsched/internal/obs"
 	"rlsched/internal/obs/span"
 	"rlsched/internal/sched"
@@ -44,10 +43,6 @@ type Options struct {
 	// (the standalone and worker shapes — still cached, never fanned
 	// out).
 	Pool *Pool
-	// Journal, when non-nil, receives lease and cacheref records so the
-	// coordinator's spool is the source of truth for resumed fan-outs.
-	// Appends are best-effort, like the server's terminal records.
-	Journal func(journal.Record)
 	// Registry receives the dispatcher's counters; nil uses a private
 	// registry (the counters still work, nobody scrapes them).
 	Registry *obs.Registry
@@ -79,7 +74,6 @@ type Options struct {
 type Dispatcher struct {
 	cache *cache.Store
 	pool  *Pool
-	jn    func(journal.Record)
 	log   *slog.Logger
 	cl    *client
 
@@ -133,7 +127,6 @@ func NewDispatcher(opts Options) *Dispatcher {
 	return &Dispatcher{
 		cache:      opts.Cache,
 		pool:       opts.Pool,
-		jn:         opts.Journal,
 		log:        log,
 		reg:        reg,
 		cl:         &client{hc: hc, timeout: leaseTimeout},
@@ -200,7 +193,7 @@ func (d *Dispatcher) hedgeDelay() time.Duration {
 }
 
 // JobMeta identifies the job a Runner executes on behalf of. The ID
-// stamps the job's lease and cacheref journal records; RequestID, when
+// names the job in lease descriptions and logs; RequestID, when
 // set, rides every lease call as X-Request-ID so worker-side logs
 // correlate with the coordinator request that caused them; Trace, when
 // non-nil, collects the campaign's distributed spans under Parent (the
@@ -314,6 +307,8 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 	// Local remainder: no workers (or none left alive). One batched run
 	// preserves the profile's own point parallelism; the profile copy
 	// drops RunPoints so the batch cannot recurse into the dispatcher.
+	// Its points reach the cache only when the whole batch returns (none
+	// when it fails), so a crash mid-batch re-runs them all on resume.
 	sort.Ints(missing)
 	local := p
 	local.RunPoints = nil
@@ -359,8 +354,8 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 	return results, nil
 }
 
-// putPoint stores one computed result in the cache and journals the
-// cacheref that lets a restarted coordinator skip the point.
+// putPoint stores one computed result in the cache; a disk-backed cache
+// serves it again to a job re-run after a crash.
 func (d *Dispatcher) putPoint(jobID string, i int, key string, r sched.Result) {
 	data, err := encodeResult(r)
 	if err != nil {
@@ -369,9 +364,6 @@ func (d *Dispatcher) putPoint(jobID string, i int, key string, r sched.Result) {
 	}
 	if err := d.cache.Put(key, data); err != nil {
 		d.log.Warn("cluster: cache put failed", "job", jobID, "point", i, "error", err.Error())
-	}
-	if d.jn != nil {
-		d.jn(journal.Record{Op: journal.OpCacheRef, ID: jobID, Point: i, Key: key, Result: data})
 	}
 }
 
@@ -545,7 +537,7 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 				mu.Lock()
 				fl.cancels = append(fl.cancels, lcancel)
 				mu.Unlock()
-				res, lerr := d.leasePoint(lctx, url, meta, p, specs[fl.idx], fl.idx, keys[fl.idx], lsp)
+				res, lerr := d.leasePoint(lctx, url, meta, p, specs[fl.idx], fl.idx, lsp)
 				lcancel()
 				leaseSecs := time.Since(leaseStart).Seconds()
 				if lerr == nil {
@@ -669,17 +661,14 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 	return left, nil
 }
 
-// leasePoint runs one point on one worker: journal the lease, submit a
-// single-point keep_results job, wait for it to settle, fetch the full
-// result. On a span-traced campaign the submit carries a traceparent
-// naming this attempt's span as the remote parent, and the worker's own
+// leasePoint runs one point on one worker: submit a single-point
+// keep_results job, wait for it to settle, fetch the full result. On a
+// span-traced campaign the submit carries a traceparent naming this
+// attempt's span as the remote parent, and the worker's own
 // spans are fetched and folded into the campaign trace afterwards — so
 // the worker-side job.run / engine.run timeline stitches under the
 // lease attempt that caused it.
-func (d *Dispatcher) leasePoint(ctx context.Context, url string, meta JobMeta, p experiments.Profile, spec experiments.RunSpec, i int, key string, lsp *span.Span) (sched.Result, *leaseError) {
-	if d.jn != nil {
-		d.jn(journal.Record{Op: journal.OpLease, ID: meta.ID, Point: i, Worker: url, Key: key})
-	}
+func (d *Dispatcher) leasePoint(ctx context.Context, url string, meta JobMeta, p experiments.Profile, spec experiments.RunSpec, i int, lsp *span.Span) (sched.Result, *leaseError) {
 	d.leasesActive.Add(1)
 	defer d.leasesActive.Add(-1)
 

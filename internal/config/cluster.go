@@ -10,8 +10,8 @@ import (
 // zero value is valid: a memory-only cache with the cache package's
 // default capacity.
 type CacheSpec struct {
-	// Dir is the on-disk spool for cache entries; empty keeps the cache
-	// memory-only (entries die with the process).
+	// Dir is the on-disk spool for cache entries; empty falls back to the
+	// daemon's job spool (see server.Options.Cache), else memory-only.
 	Dir string `json:"dir,omitempty"`
 	// MaxEntries bounds the in-memory LRU tier; 0 selects the cache
 	// package's default.

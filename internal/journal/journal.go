@@ -1,31 +1,27 @@
 // Package journal persists the rlsimd daemon's job lifecycle to an
 // append-only spool directory so a crashed or SIGKILLed server can pick
-// up exactly where it left off. Four record kinds are written, one JSON
+// up exactly where it left off. Two record kinds are written, one JSON
 // object per line:
 //
 //   - accepted: a job entered the queue (id + full spec)
 //   - terminal: a job settled (id + state, plus the error or the result)
-//   - lease:    the cluster coordinator assigned one campaign point to a
-//     worker (id + point index + worker URL + cache key)
-//   - cacheref: one campaign point's result entered the content-
-//     addressed cache (id + point index + cache key + result bytes)
 //
 // A job whose journal holds an accepted record with no terminal record
 // was queued or running when the process died; because every simulation
 // point derives all of its randomness from its spec, re-running such a
-// job after restart reproduces its result byte for byte. The cacheref
-// records make that re-run cheap: the coordinator replays them into its
-// result cache, so a resumed fan-out re-leases only the points that
-// never finished. Each append is fsynced before the daemon acknowledges
-// the event it records, and replay tolerates a torn final line (a write
-// cut short by the crash).
+// job after restart reproduces its result byte for byte. The journal
+// holds no per-point results: the daemon's content-addressed result
+// cache spools beside it, so a re-run job takes the points that finished
+// before the crash from the cache. Each append is fsynced before the
+// daemon acknowledges the event it records, and replay tolerates a torn
+// final line (a write cut short by the crash).
 //
 // Replay also tolerates record kinds it does not know: a line whose op
 // is none of the above parses into a Record and is carried through
 // untouched (Reduce skips it, KnownOp reports it), so a journal written
-// by a newer daemon — a rolling upgrade of mixed-version peers — never
-// blocks an older one from starting. Callers log such records instead
-// of failing.
+// by another version — a newer peer in a rolling upgrade, or an older
+// daemon that wrote per-point records — never blocks this one from
+// starting. Callers log such records instead of failing.
 package journal
 
 import (
@@ -50,16 +46,6 @@ const (
 	OpAccepted = "accepted"
 	// OpTerminal records a job settling in a terminal state.
 	OpTerminal = "terminal"
-	// OpLease records the cluster coordinator assigning one campaign
-	// point to a worker. Leases are advisory history — a point is
-	// deterministic, so a lost lease is simply re-issued — but they make
-	// a crashed coordinator's spool tell the whole fan-out story.
-	OpLease = "lease"
-	// OpCacheRef records one campaign point's result entering the
-	// content-addressed cache, result bytes included, so a restarted
-	// coordinator can reseed its cache and resume fan-out without
-	// re-running finished points.
-	OpCacheRef = "cacheref"
 )
 
 // KnownOp reports whether op is a record kind this version understands.
@@ -67,11 +53,7 @@ const (
 // warning, which is what makes rolling upgrades of mixed-version peers
 // safe: a newer peer's journal never blocks an older one from starting.
 func KnownOp(op string) bool {
-	switch op {
-	case OpAccepted, OpTerminal, OpLease, OpCacheRef:
-		return true
-	}
-	return false
+	return op == OpAccepted || op == OpTerminal
 }
 
 // Record is one journal line.
@@ -85,17 +67,9 @@ type Record struct {
 	State string `json:"state,omitempty"`
 	// Error carries the failure message of failed/timeout jobs.
 	Error string `json:"error,omitempty"`
-	// Result is the marshalled result payload: the job's full result for
-	// OpTerminal done records, one point's result for OpCacheRef.
+	// Result is the job's marshalled result payload (OpTerminal done
+	// records only).
 	Result json.RawMessage `json:"result,omitempty"`
-	// Point is the campaign point index within the job (OpLease and
-	// OpCacheRef only).
-	Point int `json:"point,omitempty"`
-	// Worker is the URL of the worker holding the lease (OpLease only).
-	Worker string `json:"worker,omitempty"`
-	// Key is the point's content-addressed cache key (OpLease and
-	// OpCacheRef only).
-	Key string `json:"key,omitempty"`
 }
 
 // Entry is the folded per-job view of a journal: the accepted spec plus
@@ -237,40 +211,11 @@ func Reduce(recs []Record) []Entry {
 				continue
 			}
 			e.State, e.Error, e.Result = r.State, r.Error, r.Result
-		case OpLease, OpCacheRef:
-			// Point-level fan-out history: folded by CacheRefs, not into
-			// the per-job entries.
 		}
 	}
 	out := make([]Entry, len(order))
 	for i, id := range order {
 		out[i] = *byID[id]
-	}
-	return out
-}
-
-// CacheRefs returns the cacheref records of jobs that were accepted but
-// never settled — the per-point results a restarted coordinator seeds
-// its cache with so a resumed fan-out re-leases only unfinished points.
-// Settled jobs carry their full result in the terminal record, so their
-// refs are not needed; refs of unknown jobs (the accepted line was torn
-// away) cannot be re-run and are dropped with them.
-func CacheRefs(recs []Record) []Record {
-	accepted := make(map[string]bool)
-	settled := make(map[string]bool)
-	for _, r := range recs {
-		switch r.Op {
-		case OpAccepted:
-			accepted[r.ID] = true
-		case OpTerminal:
-			settled[r.ID] = true
-		}
-	}
-	var out []Record
-	for _, r := range recs {
-		if r.Op == OpCacheRef && accepted[r.ID] && !settled[r.ID] {
-			out = append(out, r)
-		}
 	}
 	return out
 }

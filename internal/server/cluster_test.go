@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -425,10 +426,12 @@ func TestResultViewFull(t *testing.T) {
 	}
 }
 
-// TestSpoolReseedsCacheFromCacheRefs crafts a journal describing a job
-// that died mid-campaign with one point already cached, and checks the
-// restarted daemon re-runs only the missing point.
-func TestSpoolReseedsCacheFromCacheRefs(t *testing.T) {
+// TestSpoolResumesFromCache stands in for a daemon that died
+// mid-campaign with one point finished: the spool holds the job's
+// accepted record and, in <spool>/cache, that point's cache entry. The
+// restarted daemon must take the point from the cache, re-run only the
+// missing one, and spool the new entry beside the first.
+func TestSpoolResumesFromCache(t *testing.T) {
 	dir := t.TempDir()
 	specJSON := []byte(`{"kind": "points", "points": [
 		{"Policy": "greedy", "NumTasks": 25, "Seed": 1},
@@ -438,7 +441,7 @@ func TestSpoolReseedsCacheFromCacheRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// What the dead incarnation would have computed and journaled.
+	// What the dead incarnation would have computed and cached.
 	direct, err := experiments.RunManyCtx(context.Background(), spec.Profile, spec.Points)
 	if err != nil {
 		t.Fatal(err)
@@ -453,18 +456,19 @@ func TestSpoolReseedsCacheFromCacheRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seed, err := cache.OpenStore(cache.Options{Dir: filepath.Join(dir, "cache")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Put(key0, data0); err != nil {
+		t.Fatal(err)
+	}
 	jn, _, err := journal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []journal.Record{
-		{Op: journal.OpAccepted, ID: "job-000001", Spec: specJSON},
-		{Op: journal.OpLease, ID: "job-000001", Point: 0, Worker: "http://gone:1", Key: key0},
-		{Op: journal.OpCacheRef, ID: "job-000001", Point: 0, Key: key0, Result: data0},
-	} {
-		if err := jn.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := jn.Append(journal.Record{Op: journal.OpAccepted, ID: "job-000001", Spec: specJSON}); err != nil {
+		t.Fatal(err)
 	}
 	if err := jn.Close(); err != nil {
 		t.Fatal(err)
@@ -473,9 +477,10 @@ func TestSpoolReseedsCacheFromCacheRefs(t *testing.T) {
 	s, ts := newTestServer(t, Options{SpoolDir: dir})
 	waitState(t, ts, "job-000001", StateDone)
 
-	// Point 0 came from the reseeded cache, point 1 was recomputed.
-	if cs := s.cache.Stats(); cs.Hits != 1 || cs.Misses != 1 {
-		t.Fatalf("cache stats after resume = %+v, want 1 hit / 1 miss", cs)
+	// Point 0 came from the spooled cache, point 1 was recomputed and
+	// spooled next to it.
+	if cs := s.cache.Stats(); cs.Hits != 1 || cs.Misses != 1 || cs.DiskEntries != 2 {
+		t.Fatalf("cache stats after resume = %+v, want 1 hit / 1 miss / 2 disk entries", cs)
 	}
 	// The resumed job's result is byte-identical to an uninterrupted run.
 	code, raw := getJSON(t, ts.URL+"/v1/jobs/job-000001/result")

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"rlsched/internal/obs"
 )
 
 // startSpooled boots a server with a journal in dir. The caller owns the
@@ -194,5 +199,66 @@ func TestRecoveryClientCancelSticks(t *testing.T) {
 	}
 	if st := waitTerminal(t, ts2.URL, blockerID); st.State != StateDone {
 		t.Fatalf("finished blocker after restart = %s, want done", st.State)
+	}
+}
+
+// TestRecoveryOldSpoolRecordKinds restarts on a spool that also holds
+// the per-point lease and cacheref lines earlier daemons wrote between a
+// job's accepted and terminal records. They replay as unknown kinds: the
+// job comes back done with its result, and each kind is logged once
+// with its count rather than once per line.
+func TestRecoveryOldSpoolRecordKinds(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := startSpooled(t, Options{}, dir)
+	code, m := postJob(t, ts1, `{"kind": "points", "points": [
+		{"Policy": "greedy", "NumTasks": 20, "Seed": 1},
+		{"Policy": "greedy", "NumTasks": 20, "Seed": 2}
+	], "profile": `+tinyProfile+`}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %v", code, m)
+	}
+	id := m["id"].(string)
+	waitState(t, ts1, id, StateDone)
+	_, want := getJSON(t, ts1.URL+"/v1/jobs/"+id+"/result")
+	stopServer(t, s1, ts1)
+
+	// Splice the old per-point lines in after the accepted record.
+	path := filepath.Join(dir, "jobs.journal")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("journal holds %d lines, want accepted + terminal:\n%s", len(lines), data)
+	}
+	var old strings.Builder
+	for i := 0; i < 2; i++ {
+		fmt.Fprintf(&old, `{"op":"lease","id":%q,"point":%d,"worker":"http://127.0.0.1:9001","key":"sha256:%02d"}`+"\n", id, i, i)
+		fmt.Fprintf(&old, `{"op":"cacheref","id":%q,"point":%d,"key":"sha256:%02d","result":{"Completed":20}}`+"\n", id, i, i)
+	}
+	spliced := lines[0] + old.String() + lines[1] + "\n"
+	if err := os.WriteFile(path, []byte(spliced), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logBuf syncBuffer
+	s2, ts2 := startSpooled(t, Options{Logger: obs.NewLogger(&logBuf, slog.LevelWarn)}, dir)
+	defer stopServer(t, s2, ts2)
+	if st := waitTerminal(t, ts2.URL, id); st.State != StateDone {
+		t.Fatalf("restored job = %s, want done", st.State)
+	}
+	code, got := getJSON(t, ts2.URL+"/v1/jobs/"+id+"/result")
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("restored result: HTTP %d\nnow: %s\nwas: %s", code, got, want)
+	}
+	logs := logBuf.String()
+	if n := strings.Count(logs, "skipping unknown record kind"); n != 2 {
+		t.Fatalf("logged %d unknown-kind warnings, want 2 (one per kind):\n%s", n, logs)
+	}
+	for _, op := range []string{"lease", "cacheref"} {
+		if !strings.Contains(logs, `"op":"`+op+`","records":2`) {
+			t.Fatalf("no warning for %s with its count of 2:\n%s", op, logs)
+		}
 	}
 }

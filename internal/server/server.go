@@ -87,7 +87,9 @@
 // journaled with its result, so a restart replays the spool, restores
 // finished jobs byte for byte and re-enqueues whatever was queued or
 // running when the process died (determinism makes the re-run results
-// identical to what the crashed run would have produced).
+// identical to what the crashed run would have produced). The result
+// cache spools beside the journal unless Options.Cache.Dir is set, so a
+// re-run job takes the points it finished before the crash from it.
 package server
 
 import (
@@ -100,6 +102,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"path/filepath"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -150,8 +153,10 @@ type Options struct {
 	// memory, so they are opt-in.
 	Pprof bool
 	// Cache configures the content-addressed result cache every campaign
-	// point flows through. The zero value is a memory-only cache with
-	// the default capacity; set Dir to persist entries across restarts.
+	// point flows through. It spools to Dir, else to SpoolDir/cache, else
+	// stays in memory; a job re-run after a crash resumes from a spooled
+	// cache, the only durable home of point results. MaxEntries 0 selects
+	// the default in-memory capacity.
 	Cache config.CacheSpec
 	// Cluster configures the daemon's cluster role: peers to fan
 	// campaign points out to (coordinator), or worker mode (serve leases,
@@ -398,11 +403,15 @@ func New(opts Options) (*Server, error) {
 		seriesPoll: time.Second,
 		retryBase:  time.Second,
 	}
-	// The result cache is always on: memory-only by default, spooled to
-	// disk when Options.Cache.Dir is set. Persistent spool faults degrade
-	// it to memory-only rather than failing campaigns.
+	// The result cache is always on: spooled to Options.Cache.Dir, else
+	// beside the job journal, else memory-only. Persistent spool faults
+	// degrade it to memory-only rather than failing campaigns.
+	cacheDir := opts.Cache.Dir
+	if cacheDir == "" && opts.SpoolDir != "" {
+		cacheDir = filepath.Join(opts.SpoolDir, "cache")
+	}
 	store, err := cache.OpenStore(cache.Options{
-		Dir: opts.Cache.Dir, MaxMem: opts.Cache.MaxEntries,
+		Dir: cacheDir, MaxMem: opts.Cache.MaxEntries,
 		FS: opts.CacheFS, Logger: log,
 	})
 	if err != nil {
@@ -419,21 +428,20 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.jn = jn
-		// Forward compatibility: record kinds from a newer daemon are
-		// carried through and skipped with a warning, never a startup
-		// failure.
+		// Record kinds from another version (a newer peer's, or the
+		// lease and cacheref lines older daemons wrote) are skipped with
+		// one warning per kind, never a startup failure.
+		unknown := make(map[string]int)
+		var kinds []string // first-seen order
 		for _, r := range recs {
 			if !journal.KnownOp(r.Op) {
-				log.Warn("journal: skipping unknown record kind", "op", r.Op, "job", r.ID)
+				if unknown[r.Op]++; unknown[r.Op] == 1 {
+					kinds = append(kinds, r.Op)
+				}
 			}
 		}
-		// Cacherefs of unsettled jobs reseed the cache before the jobs
-		// re-enqueue, so a resumed fan-out re-runs only the points that
-		// never finished.
-		for _, r := range journal.CacheRefs(recs) {
-			if err := s.cache.Put(r.Key, r.Result); err != nil {
-				log.Warn("journal: cacheref not restored", "job", r.ID, "point", r.Point, "error", err.Error())
-			}
+		for _, op := range kinds {
+			log.Warn("journal: skipping unknown record kind", "op", op, "records", unknown[op])
 		}
 		for _, e := range journal.Reduce(recs) {
 			// Continue the id sequence where the previous incarnation
@@ -514,16 +522,12 @@ func New(opts Options) (*Server, error) {
 		}
 		return s.pool.AliveCount()
 	}
-	var jfn func(journal.Record)
-	if s.jn != nil {
-		jfn = func(r journal.Record) { _ = s.jn.Append(r) }
-	}
 	var leaseClient *http.Client
 	if opts.ClusterTransport != nil {
 		leaseClient = &http.Client{Transport: opts.ClusterTransport}
 	}
 	s.dispatcher = cluster.NewDispatcher(cluster.Options{
-		Cache: s.cache, Pool: s.pool, Journal: jfn, Registry: s.reg, Logger: log,
+		Cache: s.cache, Pool: s.pool, Registry: s.reg, Logger: log,
 		Client:     leaseClient,
 		HedgeAfter: time.Duration(opts.Cluster.HedgeAfterSec * float64(time.Second)),
 	})
@@ -1207,19 +1211,16 @@ func (s *Server) runJob(j *job) {
 		j.mu.Unlock()
 		return
 	}
-	if j.cancelled || s.baseCtx.Err() != nil {
-		// Cancelled or force-shutdown before starting. The counters move
+	if s.baseCtx.Err() != nil {
+		// Force-shutdown before starting: cancelled, with no terminal
+		// record, so a restart picks the job back up. The counters move
 		// before the state is published, so a client that sees the job
 		// settled and scrapes /metrics at once finds it counted.
 		s.m.queued.Add(-1)
 		s.m.settled[StateCancelled].Inc()
 		j.state = StateCancelled
-		wasClient := j.cancelled
 		close(j.doneCh)
 		j.mu.Unlock()
-		if wasClient {
-			s.journalTerminal(j, StateCancelled, "", nil)
-		}
 		s.noteSettled(j)
 		j.notify()
 		return
