@@ -91,11 +91,12 @@ func TestClusterEndToEnd(t *testing.T) {
 	// whole result payloads) are directly comparable.
 	figure := `{"kind": "figure", "figure": "10",
 		"profile": {"Replications": 1, "ObservationPeriod": 300, "LightTasks": 20, "HeavyTasks": 30, "Workers": 2}}`
-	// Heavy enough per point (hundreds of tasks) that the SIGKILL below
-	// reliably lands while the victim still holds an in-flight lease.
+	// About 25 ms of simulation per point (20,000 tasks), so the SIGKILL
+	// below lands while the victim is simulating a leased point, not
+	// between two lease round trips.
 	var pts []string
 	for i := 0; i < 24; i++ {
-		pts = append(pts, fmt.Sprintf(`{"Policy": "greedy", "NumTasks": 400, "Seed": %d}`, i+1))
+		pts = append(pts, fmt.Sprintf(`{"Policy": "greedy", "NumTasks": 20000, "Seed": %d}`, i+1))
 	}
 	campaign := `{"kind": "points", "points": [` + strings.Join(pts, ",") + `],
 		"profile": {"Replications": 1, "ObservationPeriod": 300, "LightTasks": 20, "HeavyTasks": 30, "Workers": 2}}`

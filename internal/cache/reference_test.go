@@ -5,18 +5,42 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"rlsched/internal/experiments"
 )
 
-// The encoder and decoder below are the whole-document forms the fast
-// paths replace: a key canonicalises its entire {engine, profile, spec}
-// envelope in one CanonicalJSON call, and a disk entry is decoded with
-// json.Unmarshal and then checked for its key, its checksum and its
-// byte-for-byte canonical layout. The tests hold Keyer and entryValue to
-// them exactly.
+// The encoders and decoder below are the whole-document forms the fast
+// paths replace: canonical JSON is Marshal's output decoded into an
+// interface{} tree and marshalled again, a key canonicalises its entire
+// {engine, profile, spec} envelope in one call, and a disk entry is
+// decoded with json.Unmarshal and then checked for its key, its checksum
+// and its byte-for-byte canonical layout. The tests hold CanonicalJSON,
+// Keyer and entryValue to them exactly.
+
+// refCanonicalJSON canonicalises v through an interface{} tree:
+// json.Marshal sorts map keys, and UseNumber preserves numeric literals
+// exactly.
+func refCanonicalJSON(v any) ([]byte, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("cache: encoding value: %w", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var tree any
+	if err := dec.Decode(&tree); err != nil {
+		return nil, fmt.Errorf("cache: canonicalising value: %w", err)
+	}
+	out, err := json.Marshal(tree)
+	if err != nil {
+		return nil, fmt.Errorf("cache: canonicalising value: %w", err)
+	}
+	return out, nil
+}
 
 // refKeyEnvelope is the hashed document as one value. Field names are
 // part of the frozen hash format.
@@ -28,7 +52,7 @@ type refKeyEnvelope struct {
 
 // refPointKey hashes the canonical JSON of the whole envelope.
 func refPointKey(profile, spec any) (string, error) {
-	canon, err := CanonicalJSON(refKeyEnvelope{Engine: EngineVersion, Profile: profile, Spec: spec})
+	canon, err := refCanonicalJSON(refKeyEnvelope{Engine: EngineVersion, Profile: profile, Spec: spec})
 	if err != nil {
 		return "", err
 	}
@@ -167,6 +191,88 @@ func FuzzEntryValueMatchesDecode(f *testing.F) {
 			if ok != wok || !bytes.Equal(got, want) {
 				t.Fatalf("entry %q under key %q: one pass gives %q, %v; decoding gives %q, %v",
 					in.data, in.key, got, ok, want, wok)
+			}
+		}
+	})
+}
+
+// TestCanonicalJSONDepthLimit nests arrays to encoding/json's decoding
+// limit and one past it: at the limit both encoders agree, past it both
+// fail.
+func TestCanonicalJSONDepthLimit(t *testing.T) {
+	for _, depth := range []int{maxDepth, maxDepth + 1} {
+		var v any = 1
+		for i := 0; i < depth; i++ {
+			v = []any{v}
+		}
+		got, gerr := CanonicalJSON(v)
+		want, werr := refCanonicalJSON(v)
+		if (gerr != nil) != (werr != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("depth %d: one pass errs %v, the round trip %v; outputs equal: %v",
+				depth, gerr, werr, bytes.Equal(got, want))
+		}
+		if (gerr != nil) != (depth > maxDepth) {
+			t.Fatalf("depth %d: error %v", depth, gerr)
+		}
+	}
+}
+
+// FuzzCanonicalJSONMatchesReference holds the one-pass canonicaliser to
+// the interface{} round trip. Fuzzed bytes are canonicalised as a raw
+// message (any whitespace, escapes, member order and repeated names),
+// decoded into interface{} values with and without UseNumber, and into a
+// RunSpec and a Profile when they decode as one; a RunSpec and a map are
+// also built from the fuzzed fields directly, so strings with invalid
+// UTF-8 and floats like −0 reach Marshal as Go values. Both encoders
+// must return the same bytes, or both an error.
+func FuzzCanonicalJSONMatchesReference(f *testing.F) {
+	add := func(v any, spec experiments.RunSpec) {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, string(spec.Policy), spec.NumTasks, spec.HeterogeneityCV, spec.Seed)
+	}
+	for _, cv := range []float64{math.Copysign(0, -1), 0, 1e-7, 1e21} {
+		spec := experiments.RunSpec{Policy: experiments.AdaptiveRL, NumTasks: 500, HeterogeneityCV: cv, Seed: 1}
+		add(spec, spec)
+	}
+	for _, pol := range []string{"a<b>", "q&a", "line\u2028sep", "\xff\xfeinvalid", "\ufffd", `back\slash"quote`} {
+		spec := experiments.RunSpec{Policy: experiments.PolicyName(pol), NumTasks: 1, Seed: math.MaxUint64}
+		add(spec, spec)
+	}
+	fp := experiments.DefaultProfile().CacheFingerprint()
+	add(fp, experiments.RunSpec{})
+	add(map[string]any{"b": 1, "a": []any{true, nil, "x"}}, experiments.RunSpec{Policy: "b"})
+	for _, raw := range []string{` { "b" : 1 , "a" : [ ] , "b" : 2 } `, `{"\u0062":1,"a\/":"\u00e9\ud800"}`,
+		`[1E+2,-0,0.10,{}]`, "\"\xff\u2028<\"", strings.Repeat("[", 40) + strings.Repeat("]", 40)} {
+		f.Add([]byte(raw), "", 0, 0.0, uint64(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, policy string, tasks int, cv float64, seed uint64) {
+		spec := experiments.RunSpec{Policy: experiments.PolicyName(policy), NumTasks: tasks, HeterogeneityCV: cv, Seed: seed}
+		values := []any{json.RawMessage(data), spec, map[string]string{policy: string(data)}}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.UseNumber()
+		var numbers, floats any
+		if dec.Decode(&numbers) == nil {
+			values = append(values, numbers)
+		}
+		if json.Unmarshal(data, &floats) == nil {
+			values = append(values, floats)
+		}
+		var decoded experiments.RunSpec
+		if json.Unmarshal(data, &decoded) == nil {
+			values = append(values, decoded)
+		}
+		var prof experiments.Profile
+		if json.Unmarshal(data, &prof) == nil {
+			values = append(values, prof)
+		}
+		for _, v := range values {
+			got, gerr := CanonicalJSON(v)
+			want, werr := refCanonicalJSON(v)
+			if (gerr != nil) != (werr != nil) || !bytes.Equal(got, want) {
+				t.Fatalf("%#v: one pass gives %q (%v); the round trip gives %q (%v)", v, got, gerr, want, werr)
 			}
 		}
 	})

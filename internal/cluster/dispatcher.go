@@ -3,11 +3,14 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rlsched/internal/cache"
@@ -238,6 +241,12 @@ func finishPoint(p experiments.Profile, r sched.Result) {
 // spec, with cache.lookup / lease.attempt / hedge / breaker /
 // local.fallback children — none of which exist (or allocate) on an
 // untraced run.
+//
+// The cache pass keys each point, looks it up and decodes a hit on up to
+// GOMAXPROCS goroutines, so a warm campaign's reads, checksums and
+// decodes use every core. Point spans are started in index order before
+// it, so their IDs follow the spec list whatever order the lookups finish
+// in.
 func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profile, specs []experiments.RunSpec) ([]sched.Result, error) {
 	camp := meta.Trace.Start(meta.Parent, "campaign")
 	camp.SetInt("points", int64(len(specs)))
@@ -245,6 +254,20 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 	var pointSpans []*span.Span
 	if meta.Trace != nil {
 		pointSpans = make([]*span.Span, len(specs))
+		for i, spec := range specs {
+			sp := meta.Trace.Start(camp.ID(), "point")
+			sp.SetInt("index", int64(i))
+			sp.SetStr("policy", string(spec.Policy))
+			sp.SetInt("tasks", int64(spec.NumTasks))
+			pointSpans[i] = sp
+		}
+	}
+	// psp resolves a point's span (nil when the campaign is untraced).
+	psp := func(i int) *span.Span {
+		if pointSpans == nil {
+			return nil
+		}
+		return pointSpans[i]
 	}
 
 	// One keyer per campaign: the profile is canonicalised here once, and
@@ -255,47 +278,52 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 	}
 	results := make([]sched.Result, len(specs))
 	keys := make([]string, len(specs))
-	var missing []int
-	for i, spec := range specs {
-		sp := meta.Trace.Start(camp.ID(), "point")
-		if pointSpans != nil {
-			pointSpans[i] = sp
-			sp.SetInt("index", int64(i))
-			sp.SetStr("policy", string(spec.Policy))
-			sp.SetInt("tasks", int64(spec.NumTasks))
-		}
-		key, err := keyer.Key(spec)
+	hit := make([]bool, len(specs))
+	err = forEachIndex(runtime.GOMAXPROCS(0), len(specs), func(i int) error {
+		key, err := keyer.Key(specs[i])
 		if err != nil {
-			return nil, fmt.Errorf("cluster: keying point %d: %w", i, err)
+			return fmt.Errorf("cluster: keying point %d: %w", i, err)
 		}
 		keys[i] = key
+		sp := psp(i)
 		cl := meta.Trace.Start(sp.ID(), "cache.lookup")
 		raw, tier := d.cache.GetTier(key)
 		cl.SetStr("tier", string(tier))
-		if tier != cache.TierMiss {
-			var r sched.Result
-			if err := json.Unmarshal(raw, &r); err == nil {
-				cl.End()
-				results[i] = r
-				d.cached.Inc()
-				sp.SetStr("outcome", "cached")
-				sp.End()
-				finishPoint(p, r)
-				continue
-			}
+		if tier == cache.TierMiss {
+			cl.End()
+			return nil
+		}
+		var r sched.Result
+		if err := json.Unmarshal(raw, &r); err != nil {
 			// An undecodable value under a good envelope: treat as a miss
-			// and recompute; the Put below overwrites it.
+			// and recompute; the Put after the run overwrites it.
 			cl.SetBool("undecodable", true)
+			cl.End()
+			return nil
 		}
 		cl.End()
-		missing = append(missing, i)
+		results[i], hit[i] = r, true
+		d.cached.Inc()
+		sp.SetStr("outcome", "cached")
+		sp.End()
+		finishPoint(p, r)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var missing []int
+	for i, ok := range hit {
+		if !ok {
+			missing = append(missing, i)
+		}
 	}
 	if len(missing) == 0 {
 		return results, nil
 	}
 
 	if d.pool != nil {
-		missing, err = d.fanOut(ctx, meta, p, specs, keys, results, missing, pointSpans)
+		missing, err = d.fanOut(ctx, meta, p, specs, keys, results, missing, psp)
 		if err != nil {
 			return nil, err
 		}
@@ -304,54 +332,142 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 		return results, nil
 	}
 
-	// Local remainder: no workers (or none left alive). One batched run
-	// preserves the profile's own point parallelism; the profile copy
-	// drops RunPoints so the batch cannot recurse into the dispatcher.
-	// Its points reach the cache only when the whole batch returns (none
-	// when it fails), so a crash mid-batch re-runs them all on resume.
+	// Local remainder: no workers (or none left alive). Each point runs
+	// as a one-spec campaign on up to the profile's Workers goroutines,
+	// and reaches the cache before it ticks Progress, so a point reported
+	// done survives a crash. The profile copy drops RunPoints so a run
+	// cannot recurse into the dispatcher, and Progress, which the loop
+	// ticks itself after the put.
 	sort.Ints(missing)
 	local := p
 	local.RunPoints = nil
-	batch := make([]experiments.RunSpec, len(missing))
-	for k, i := range missing {
-		batch[k] = specs[i]
+	local.Progress = nil
+	// Bracket each locally run point with a span under its point span:
+	// local.fallback when a cluster fan-out left this point behind,
+	// engine.run when the run was always going to be local (worker
+	// daemons have no pool; standalone daemons keep an empty one for
+	// runtime registration).
+	spanName := "engine.run"
+	if d.pool != nil && d.pool.AliveCount() > 0 {
+		spanName = "local.fallback"
 	}
-	if meta.Trace != nil {
-		// Bracket each locally run point with a span under its point
-		// span: local.fallback when a cluster fan-out left this point
-		// behind, engine.run when the run was always going to be local
-		// (worker daemons have no pool; standalone daemons keep an empty
-		// one for runtime registration). Batch index k maps back through
-		// missing.
-		name := "engine.run"
-		if d.pool != nil && d.pool.AliveCount() > 0 {
-			name = "local.fallback"
-		}
-		remainder := append([]int(nil), missing...)
-		local.PointSpan = func(k int, _ experiments.RunSpec) func(error) {
-			ls := meta.Trace.Start(pointSpans[remainder[k]].ID(), name)
-			return func(err error) {
-				if err != nil {
-					ls.SetStr("error", err.Error())
+	workers := p.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	err = forEachIndex(workers, len(missing), func(k int) error {
+		i := missing[k]
+		one := local
+		if meta.Trace != nil {
+			one.PointSpan = func(int, experiments.RunSpec) func(error) {
+				ls := meta.Trace.Start(psp(i).ID(), spanName)
+				return func(err error) {
+					if err != nil {
+						ls.SetStr("error", err.Error())
+					}
+					ls.End()
 				}
-				ls.End()
 			}
 		}
-	}
-	out, err := experiments.RunManyCtx(ctx, local, batch)
+		out, err := experiments.RunManyCtx(ctx, one, specs[i:i+1])
+		if err != nil {
+			return campaignError(err, i, specs[i])
+		}
+		results[i] = out[0]
+		d.local.Inc()
+		d.putPoint(meta.ID, i, keys[i], out[0])
+		if sp := psp(i); sp != nil {
+			sp.SetStr("outcome", "local")
+			sp.End()
+		}
+		finishPoint(p, out[0])
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for k, i := range missing {
-		results[i] = out[k]
-		d.local.Inc()
-		d.putPoint(meta.ID, i, keys[i], out[k])
-		if pointSpans != nil {
-			pointSpans[i].SetStr("outcome", "local")
-			pointSpans[i].End()
+	return results, nil
+}
+
+// campaignError renames the failure of a one-spec run of spec, which
+// calls it point 0, after the spec's index i in its campaign, as a run
+// of the whole campaign would. A context error names no point and is
+// returned as it is.
+func campaignError(err error, i int, spec experiments.RunSpec) error {
+	var pe *experiments.PointError
+	if errors.As(err, &pe) {
+		pe.Index = i
+		return pe
+	}
+	if cause := errors.Unwrap(err); cause != nil {
+		return fmt.Errorf("point %d (%s n=%d cv=%g seed=%d): %w",
+			i, spec.Policy, spec.NumTasks, spec.HeterogeneityCV, spec.Seed, cause)
+	}
+	return err
+}
+
+// forEachIndex calls fn(i) for every i in [0, n) on up to width
+// goroutines (the calling one alone when width or n is 1), which claim
+// indices in order. Once fn fails no further index is claimed, and the
+// error of the lowest failing index is returned: every smaller index was
+// claimed before it, so none of their errors can be missed. A panic in
+// fn stops the claiming too and is raised again on the calling goroutine
+// once every claimer has returned, where the campaign runner recovers it
+// as it would a panic of the serial loop.
+func forEachIndex(width, n int, fn func(i int) error) error {
+	var (
+		next    atomic.Int64
+		failed  atomic.Bool
+		mu      sync.Mutex
+		errIdx  = n
+		firstEr error
+		panicV  any
+	)
+	claim := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if panicV == nil {
+					panicV = r
+				}
+				mu.Unlock()
+				failed.Store(true)
+			}
+		}()
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if i < errIdx {
+					errIdx, firstEr = i, err
+				}
+				mu.Unlock()
+				failed.Store(true)
+				return
+			}
 		}
 	}
-	return results, nil
+	width = min(width, n)
+	if width <= 1 {
+		claim()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(width)
+		for w := 0; w < width; w++ {
+			go func() {
+				defer wg.Done()
+				claim()
+			}()
+		}
+		wg.Wait()
+	}
+	if panicV != nil {
+		panic(panicV)
+	}
+	return firstEr
 }
 
 // putPoint stores one computed result in the cache; a disk-backed cache
@@ -397,17 +513,10 @@ const (
 // an idle worker, first valid result wins. A deterministic point
 // failure stops the fan-out and is returned for the lowest failing
 // index, exactly like the local runner's forEachPoint.
-func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Profile, specs []experiments.RunSpec, keys []string, results []sched.Result, missing []int, pointSpans []*span.Span) ([]int, error) {
+func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Profile, specs []experiments.RunSpec, keys []string, results []sched.Result, missing []int, psp func(int) *span.Span) ([]int, error) {
 	workers := d.pool.Alive()
 	if len(workers) == 0 {
 		return missing, nil
-	}
-	// psp resolves a point's span (nil when the campaign is untraced).
-	psp := func(i int) *span.Span {
-		if pointSpans == nil {
-			return nil
-		}
-		return pointSpans[i]
 	}
 
 	var (
