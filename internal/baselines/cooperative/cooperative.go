@@ -85,6 +85,8 @@ type Policy struct {
 	groupNode map[int]int
 	// enqueueAt remembers when, for the completion-time cost.
 	enqueueAt map[int]float64
+	// weights is PlaceGroup's scratch: the candidates' strategy weights.
+	weights []float64
 }
 
 // New creates the policy with the given configuration.
@@ -147,13 +149,15 @@ func nodeIndex(site *platform.Site, node *platform.Node) int {
 // strategy restricted to the offered (non-full) nodes.
 func (p *Policy) PlaceGroup(ctx *sched.Context, ag *sched.Agent, _ *grouping.Group, candidates []sched.NodeInfo) *platform.Node {
 	st := p.agents[ag.ID]
-	weights := make([]float64, len(candidates))
-	for i, c := range candidates {
-		idx := nodeIndex(ag.Site, c.Node)
-		if idx >= 0 {
-			weights[i] = st.weights[idx]
+	weights := p.weights[:0]
+	for _, c := range candidates {
+		w := 0.0
+		if idx := nodeIndex(ag.Site, c.Node); idx >= 0 {
+			w = st.weights[idx]
 		}
+		weights = append(weights, w)
 	}
+	p.weights = weights
 	return candidates[ctx.Rand.WeightedChoice(weights)].Node
 }
 

@@ -107,6 +107,8 @@ type nodeState struct {
 	// Interval baselines for the reward computation.
 	lastEnergy  float64
 	lastElapsed float64
+	// allowed is allowedActions' result, reused every decision interval.
+	allowed []int
 }
 
 // agentState tracks per-agent placement learning.
@@ -281,8 +283,9 @@ func (p *Policy) occupancyState(ctx *sched.Context, node *platform.Node) int {
 
 // allowedActions returns throttle indices whose busy power respects the
 // power cap; the lowest level is always allowed so the set is never empty.
+// The result is the node's scratch, valid until the next call.
 func (ns *nodeState) allowedActions(levels []float64, node *platform.Node) []int {
-	var out []int
+	out := ns.allowed[:0]
 	for i, l := range levels {
 		// Busy power fraction of peak at throttle l, for the node's mean
 		// power profile: (pmin + (pmax-pmin)·l)/pmax.
@@ -295,6 +298,7 @@ func (ns *nodeState) allowedActions(levels []float64, node *platform.Node) []int
 			out = append(out, i)
 		}
 	}
+	ns.allowed = out
 	return out
 }
 

@@ -75,9 +75,9 @@ type Policy struct {
 	// (group, node) features -> completion duration (in 100s of t units).
 	model *neural.Network
 	// pending holds the features captured at assignment, keyed by group.
-	pending map[int][]float64
+	pending map[int][numFeatures]float64
 	samples int
-	feat    []float64
+	feat    [numFeatures]float64
 	// order is PlaceGroup's scratch copy of the candidates.
 	order []sched.NodeInfo
 }
@@ -89,8 +89,7 @@ func New(cfg Config) (*Policy, error) {
 	}
 	return &Policy{
 		cfg:     cfg,
-		pending: make(map[int][]float64),
-		feat:    make([]float64, numFeatures),
+		pending: make(map[int][numFeatures]float64),
 	}, nil
 }
 
@@ -117,14 +116,15 @@ func (p *Policy) Init(ctx *sched.Context) {
 	p.model = neural.MustNew(cfg, ctx.Rand.Split("predictive-model"))
 }
 
-// features encodes a (group, node) pair.
+// features encodes a (group, node) pair into p.feat and returns it as a
+// slice, valid until the next call.
 func (p *Policy) features(g *grouping.Group, ni sched.NodeInfo) []float64 {
 	p.feat[0] = g.PW() / 100
 	p.feat[1] = float64(g.Len()) / 6
 	p.feat[2] = ni.Node.Capacity() / 1000
 	p.feat[3] = ni.QueuedWeight / 100
 	p.feat[4] = float64(ni.IdleProcs) / 6
-	return p.feat
+	return p.feat[:]
 }
 
 // predictDuration returns the model's completion-duration estimate
@@ -179,8 +179,8 @@ func (p *Policy) PlaceGroup(ctx *sched.Context, _ *sched.Agent, g *grouping.Grou
 
 // OnAssigned implements sched.Policy: capture the training features.
 func (p *Policy) OnAssigned(ctx *sched.Context, _ *sched.Agent, g *grouping.Group, node *platform.Node) {
-	ni := ctx.NodeInfo(node)
-	p.pending[g.ID] = append([]float64(nil), p.features(g, ni)...)
+	p.features(g, ctx.NodeInfo(node))
+	p.pending[g.ID] = p.feat
 }
 
 // OnGroupComplete implements sched.Policy: supervised update with the
@@ -192,7 +192,7 @@ func (p *Policy) OnGroupComplete(ctx *sched.Context, _ *sched.Agent, g *grouping
 	}
 	delete(p.pending, g.ID)
 	duration := ctx.Now() - g.EnqueuedAt
-	p.model.Train(x, []float64{duration / 100})
+	p.model.Train(x[:], []float64{duration / 100})
 	p.samples++
 }
 

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -220,5 +223,53 @@ func TestCachePassPanicReachesCaller(t *testing.T) {
 	var pe *experiments.PointError
 	if !errors.As(err, &pe) || pe.Panic != "progress bug" || pe.Index != -1 {
 		t.Fatalf("panicking Progress hook: error %v, want a PointError for the executor", err)
+	}
+}
+
+// recordHandler is an slog.Handler that keeps every record it handles.
+type recordHandler struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *recordHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *recordHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *recordHandler) WithGroup(string) slog.Handler            { return h }
+func (h *recordHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	h.recs = append(h.recs, r.Clone())
+	h.mu.Unlock()
+	return nil
+}
+
+// TestSlowPointLogNamesCampaignIndex runs a 3-point campaign on a
+// standalone dispatcher, where every point is a local cache miss, with a
+// slow-point threshold every point exceeds. Each warning must carry the
+// point's index in the campaign, not its index in the one-point run the
+// dispatcher makes of it.
+func TestSlowPointLogNamesCampaignIndex(t *testing.T) {
+	h := &recordHandler{}
+	p := testProfile()
+	p.Logger = slog.New(h)
+	p.SlowPointSec = 1e-9
+	d := NewDispatcher(Options{Cache: memCache(t)})
+	if _, err := d.Runner(JobMeta{ID: "slow"})(context.Background(), p, testSpecs()[:3]); err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for _, r := range h.recs {
+		if r.Message != "slow simulation point" {
+			continue
+		}
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "index" {
+				got = append(got, a.Value.Int64())
+			}
+			return true
+		})
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, []int64{0, 1, 2}) {
+		t.Fatalf("slow-point warnings carry indices %v, want [0 1 2]", got)
 	}
 }

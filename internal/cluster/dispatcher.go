@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -333,7 +332,8 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 	}
 
 	// Local remainder: no workers (or none left alive). Each point runs
-	// as a one-spec campaign on up to the profile's Workers goroutines,
+	// alone, under its campaign index (RunPointCtx names it in errors and
+	// the slow-point log), on up to the profile's Workers goroutines,
 	// and reaches the cache before it ticks Progress, so a point reported
 	// done survives a crash. The profile copy drops RunPoints so a run
 	// cannot recurse into the dispatcher, and Progress, which the loop
@@ -369,41 +369,24 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 				}
 			}
 		}
-		out, err := experiments.RunManyCtx(ctx, one, specs[i:i+1])
+		res, err := experiments.RunPointCtx(ctx, one, i, specs[i])
 		if err != nil {
-			return campaignError(err, i, specs[i])
+			return err
 		}
-		results[i] = out[0]
+		results[i] = res
 		d.local.Inc()
-		d.putPoint(meta.ID, i, keys[i], out[0])
+		d.putPoint(meta.ID, i, keys[i], res)
 		if sp := psp(i); sp != nil {
 			sp.SetStr("outcome", "local")
 			sp.End()
 		}
-		finishPoint(p, out[0])
+		finishPoint(p, res)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return results, nil
-}
-
-// campaignError renames the failure of a one-spec run of spec, which
-// calls it point 0, after the spec's index i in its campaign, as a run
-// of the whole campaign would. A context error names no point and is
-// returned as it is.
-func campaignError(err error, i int, spec experiments.RunSpec) error {
-	var pe *experiments.PointError
-	if errors.As(err, &pe) {
-		pe.Index = i
-		return pe
-	}
-	if cause := errors.Unwrap(err); cause != nil {
-		return fmt.Errorf("point %d (%s n=%d cv=%g seed=%d): %w",
-			i, spec.Policy, spec.NumTasks, spec.HeterogeneityCV, spec.Seed, cause)
-	}
-	return err
 }
 
 // forEachIndex calls fn(i) for every i in [0, n) on up to width

@@ -47,6 +47,10 @@ type calendar struct {
 	// after at least total pops since the previous rebuild, so
 	// pathological spacings cost amortised O(1) extra per pop.
 	sincePopResample int
+
+	// spill holds the items while redistribute re-files them; it is
+	// emptied afterwards and kept for the next rebuild.
+	spill []*item
 }
 
 const (
@@ -270,27 +274,43 @@ func (c *calendar) resize(nb int) {
 
 // redistribute rebuilds the bucket array at the given size and width,
 // re-filing every item. Cost O(total), amortised by the triggering
-// thresholds.
+// thresholds. It reuses storage: the bucket arrays are emptied in place
+// and kept, including those beyond nb after a shrink (the bucket slice is
+// only resliced), so a calendar that grows and shrinks repeatedly
+// allocates nothing once its arrays have reached their peak sizes. Bucket
+// order is exact (at, seq), so the order items are re-filed in does not
+// matter.
 func (c *calendar) redistribute(nb int, width float64) {
-	old := c.buckets
-	c.buckets = make([][]*item, nb)
+	items := c.spill[:0]
+	for idx, b := range c.buckets {
+		items = append(items, b...)
+		clear(b)
+		c.buckets[idx] = b[:0]
+	}
+	if nb <= cap(c.buckets) {
+		c.buckets = c.buckets[:nb]
+	} else {
+		grown := make([][]*item, nb)
+		copy(grown, c.buckets[:cap(c.buckets)])
+		c.buckets = grown
+	}
 	c.mask = int64(nb) - 1
 	c.perWidth = 1 / width
 	c.vbCur = c.vbOf(c.startAt)
 	total, live, cancelled := c.total, c.live, c.cancelled
 	c.total, c.live, c.cancelled = 0, 0, 0
-	for _, b := range old {
-		for _, it := range b {
-			wasCancelled := it.cancelled
-			c.insert(it)
-			if wasCancelled {
-				c.noteCancelled()
-			}
+	for _, it := range items {
+		wasCancelled := it.cancelled
+		c.insert(it)
+		if wasCancelled {
+			c.noteCancelled()
 		}
 	}
 	// insert() recounts as it re-files; the tallies must round-trip.
 	if c.total != total || c.live != live || c.cancelled != cancelled {
 		panic("des: calendar redistribute lost items")
 	}
+	clear(items)
+	c.spill = items[:0]
 	c.sincePopResample = 0
 }

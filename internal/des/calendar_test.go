@@ -2,6 +2,7 @@ package des
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,123 +32,170 @@ func (h *refHeap) Pop() any         { old := *h; n := len(old); it := old[n-1]; 
 func (h *refHeap) popMin() *refItem { return heap.Pop(h).(*refItem) }
 func (h *refHeap) push(it *refItem) { heap.Push(h, it) }
 
+// heapDiff drives a Simulator and the reference heap through the same
+// schedule, cancel and pop operations and fails the test at the first
+// pop where the two disagree on (at, seq) order.
+type heapDiff struct {
+	t    testing.TB
+	s    *Simulator
+	ref  refHeap
+	live []scheduled
+	// fired is the (at, seq) of the event the simulator fired last.
+	fired refItem
+	// last is the time of the latest scheduled event, for exact ties.
+	last Time
+	pops int
+}
+
+type scheduled struct {
+	h  Handle
+	ri *refItem
+}
+
+func newHeapDiff(t testing.TB) *heapDiff { return &heapDiff{t: t, s: New()} }
+
+func (d *heapDiff) schedule(at Time) {
+	ri := &refItem{at: at, seq: d.s.seq}
+	h := atFunc(d.s, at, func(sim *Simulator) { d.fired = refItem{at: sim.Now(), seq: ri.seq} })
+	d.ref.push(ri)
+	d.live = append(d.live, scheduled{h, ri})
+	d.last = at
+}
+
+// cancel cancels the k-th still-listed event (a no-op if it already
+// fired) and drops it from the list.
+func (d *heapDiff) cancel(k int) {
+	if len(d.live) == 0 {
+		return
+	}
+	k %= len(d.live)
+	if sc := d.live[k]; d.s.Cancel(sc.h) {
+		sc.ri.cancelled = true
+	}
+	d.live = append(d.live[:k], d.live[k+1:]...)
+}
+
+// pop fires one event on each side and compares them; it returns false
+// once both are empty.
+func (d *heapDiff) pop() bool {
+	var want *refItem
+	for d.ref.Len() > 0 {
+		if it := d.ref.popMin(); !it.cancelled {
+			want = it
+			break
+		}
+	}
+	if want == nil {
+		if d.s.Step() {
+			d.t.Fatalf("pop %d: simulator fired (at=%g seq=%d), the reference heap is empty", d.pops, d.fired.at, d.fired.seq)
+		}
+		return false
+	}
+	if !d.s.Step() {
+		d.t.Fatalf("pop %d: simulator empty, the reference heap has (at=%g seq=%d)", d.pops, want.at, want.seq)
+	}
+	if d.fired.at != want.at || d.fired.seq != want.seq {
+		d.t.Fatalf("pop %d diverged: got (at=%g seq=%d), want (at=%g seq=%d)",
+			d.pops, d.fired.at, d.fired.seq, want.at, want.seq)
+	}
+	d.pops++
+	return true
+}
+
+func (d *heapDiff) drain() {
+	for d.pop() {
+	}
+}
+
 // TestCalendarVsHeapDifferential drives a Simulator and a reference heap
 // through the same randomized event sequence — bursty inserts, heavy
 // same-timestamp ties, random cancellations, interleaved pops — and
 // asserts the pop order is identical, including FIFO order at ties.
 func TestCalendarVsHeapDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 7, 42, 1234} {
-		seed := seed
-		r := rand.New(rand.NewSource(seed))
-		s := New()
-		ref := &refHeap{}
-
-		type scheduled struct {
-			h  Handle
-			ri *refItem
-		}
-		var live []scheduled
-		var got, want []Time
-		var gotSeq, wantSeq []uint64
-		now := 0.0
-
-		schedule := func(at Time) {
-			ri := &refItem{at: at, seq: s.seq}
-			h := atFunc(s, at, func(sim *Simulator) {
-				got = append(got, sim.Now())
-				gotSeq = append(gotSeq, ri.seq)
-			})
-			ref.push(ri)
-			live = append(live, scheduled{h, ri})
-		}
-
-		for round := 0; round < 200; round++ {
-			// Insert a burst: mixture of spread-out, clustered and exactly
-			// tied timestamps (ties exercise FIFO ordering).
-			n := 1 + r.Intn(20)
-			base := now + r.Float64()*50
-			for i := 0; i < n; i++ {
-				at := base
-				switch r.Intn(3) {
-				case 0:
-					at = now + r.Float64()*200
-				case 1:
-					at = base + float64(r.Intn(3)) // exact ties
-				}
-				if at < now {
-					at = now
-				}
-				schedule(at)
-			}
-			// Cancel a random subset of still-live events.
-			for i := 0; i < len(live); i++ {
-				if r.Intn(10) == 0 {
-					sc := live[i]
-					if s.Cancel(sc.h) {
-						sc.ri.cancelled = true
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			d := newHeapDiff(t)
+			for round := 0; round < 200; round++ {
+				// Insert a burst: mixture of spread-out, clustered and
+				// exactly tied timestamps (ties exercise FIFO ordering).
+				now := d.s.Now()
+				n := 1 + r.Intn(20)
+				base := now + r.Float64()*50
+				for i := 0; i < n; i++ {
+					at := base
+					switch r.Intn(3) {
+					case 0:
+						at = now + r.Float64()*200
+					case 1:
+						at = base + float64(r.Intn(3)) // exact ties
 					}
-					live = append(live[:i], live[i+1:]...)
-					i--
+					d.schedule(at)
 				}
-			}
-			// Pop a random number of events from both structures.
-			pops := r.Intn(15)
-			for i := 0; i < pops; i++ {
-				var r1 *refItem
-				for ref.Len() > 0 {
-					it := ref.popMin()
-					if !it.cancelled {
-						r1 = it
-						break
+				// Cancel a random subset of still-live events.
+				for i := 0; i < len(d.live); i++ {
+					if r.Intn(10) == 0 {
+						d.cancel(i)
+						i--
 					}
 				}
-				if r1 == nil {
-					if s.Step() {
-						t.Fatalf("seed %d: simulator fired an event the reference heap did not have", seed)
-					}
-					break
-				}
-				want = append(want, r1.at)
-				wantSeq = append(wantSeq, r1.seq)
-				if !s.Step() {
-					t.Fatalf("seed %d: simulator empty but reference heap has event at %g", seed, r1.at)
-				}
-				now = s.Now()
-			}
-		}
-		// Drain both.
-		for {
-			var r1 *refItem
-			for ref.Len() > 0 {
-				it := ref.popMin()
-				if !it.cancelled {
-					r1 = it
-					break
+				// Pop a random number of events from both structures.
+				for pops := r.Intn(15); pops > 0 && d.pop(); pops-- {
 				}
 			}
-			if r1 == nil {
-				break
-			}
-			want = append(want, r1.at)
-			wantSeq = append(wantSeq, r1.seq)
-			if !s.Step() {
-				t.Fatalf("seed %d: simulator drained early", seed)
-			}
-		}
-		if s.Step() {
-			t.Fatalf("seed %d: simulator fired extra events after reference drained", seed)
-		}
-
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, reference expected %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] || gotSeq[i] != wantSeq[i] {
-				t.Fatalf("seed %d: pop %d diverged: got (at=%g seq=%d), want (at=%g seq=%d)",
-					seed, i, got[i], gotSeq[i], want[i], wantSeq[i])
-			}
-		}
+			d.drain()
+		})
 	}
+}
+
+// FuzzCalendarMatchesHeap decodes a sequence of operations from bytes
+// and requires the calendar's pop order to equal the reference heap's.
+// Each operation takes two bytes, an opcode and an argument: schedule
+// near the clock, schedule at the exact time of the latest event (a
+// tie), schedule far ahead (up to 1e300 and +Inf), a burst of up to 64
+// events (grow swings), cancel, pop a few, and pop everything (shrink
+// swings). Whatever is left is drained at the end.
+func FuzzCalendarMatchesHeap(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 3, 2, 0, 6, 1, 1, 40, 5, 1, 6, 3})
+	f.Add([]byte{4, 63, 4, 200, 5, 7, 6, 15, 7, 0, 4, 63, 6, 2})
+	f.Add([]byte{3, 0, 3, 1, 3, 2, 0, 9, 6, 0, 4, 33, 7, 0, 3, 3, 6, 5})
+	f.Add([]byte{4, 255, 4, 254, 4, 253, 4, 252, 5, 0, 5, 9, 7, 0, 4, 17, 2, 0, 7, 0})
+	f.Add([]byte("calendar queue against container/heap"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := newHeapDiff(t)
+		for ; len(data) >= 2; data = data[2:] {
+			now, arg := d.s.Now(), data[1]
+			switch data[0] % 8 {
+			case 0, 1:
+				d.schedule(now + float64(arg)/8)
+			case 2:
+				d.schedule(math.Max(d.last, now))
+			case 3:
+				switch arg % 4 {
+				case 0:
+					d.schedule(now + float64(arg)*1e6)
+				case 1:
+					d.schedule(math.Max(now, 1e300))
+				case 2:
+					d.schedule(math.Inf(1))
+				default:
+					d.schedule(now + 1e9 + float64(arg)/64)
+				}
+			case 4:
+				for j := 0; j <= int(arg%64); j++ {
+					d.schedule(now + float64((j*int(arg))%17)/4)
+				}
+			case 5:
+				d.cancel(int(arg))
+			case 6:
+				for pops := int(arg%16) + 1; pops > 0 && d.pop(); pops-- {
+				}
+			case 7:
+				d.drain()
+			}
+		}
+		d.drain()
+	})
 }
 
 // TestCalendarSparseAndDense pushes the two width failure modes: events
@@ -276,5 +324,37 @@ func TestSteadyStateAllocationCeiling(t *testing.T) {
 	// slack for rare resizes.
 	if allocs > 9 {
 		t.Fatalf("steady-state schedule/pop allocates %.1f objects per cycle, want <= 9 (1 per closure + slack)", allocs)
+	}
+
+	// A cycle that grows the calendar from its minimum size to 256
+	// buckets and drains it back, shrinking at every quarter. Driven on
+	// the calendar itself with the position held at zero, each cycle
+	// files the same items at the same times, so after the first two
+	// cycles (the second starts from the width the first ended with)
+	// every bucket array has its peak size. A resize re-files into the
+	// arrays it already has, so the cycle allocates nothing; there are no
+	// closures here to pay for.
+	var c calendar
+	items := make([]*item, 300)
+	for i := range items {
+		items[i] = &item{at: float64(i%97) + float64(i)/300, seq: uint64(i)}
+	}
+	resizeCycle := func() {
+		for _, it := range items {
+			c.insert(it)
+		}
+		if len(c.buckets) != 256 {
+			t.Fatalf("calendar grew to %d buckets, want 256", len(c.buckets))
+		}
+		for c.popMin() != nil {
+		}
+		if len(c.buckets) != minBuckets {
+			t.Fatalf("drained calendar holds %d buckets, want %d", len(c.buckets), minBuckets)
+		}
+	}
+	resizeCycle()
+	resizeCycle()
+	if allocs := testing.AllocsPerRun(100, resizeCycle); allocs != 0 {
+		t.Fatalf("grow/shrink cycle allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -162,6 +162,17 @@ func RunManyCtx(ctx context.Context, p Profile, specs []RunSpec) ([]sched.Result
 	return runMany(ctx, p, specs, nil, 0)
 }
 
+// RunPointCtx is RunManyCtx of spec alone as point i of a larger
+// campaign: its PointSpan call, RecordersFor lookup, slow-point warning
+// and errors name index i, as a RunManyCtx of the whole campaign would.
+func RunPointCtx(ctx context.Context, p Profile, i int, spec RunSpec) (sched.Result, error) {
+	res, err := runMany(ctx, p, []RunSpec{spec}, nil, i)
+	if err != nil {
+		return sched.Result{}, err
+	}
+	return res[0], nil
+}
+
 // runMany is RunManyCtx with the workload generator gen (nil means
 // workload.Generate) and the spec list numbered from base: spec i is
 // point base+i to PointSpan, RecordersFor and errors. Every result is a

@@ -158,12 +158,60 @@ func (g *Group) NextUndispatched() *workload.Task {
 	return nil
 }
 
+// Groups issues the groups of one simulation run: unique IDs in closing
+// order, and the free list that recycles closed groups and their task
+// buffers. Every Merger of a run shares one, so a run's group and buffer
+// allocations stop growing once its peak of live groups is reached.
+type Groups struct {
+	nextID int
+	free   []*Group
+	bufs   [][]*workload.Task
+	bufCap int
+}
+
+// NewGroups creates the run's group source. bufCap sizes every task
+// buffer it allocates; the scheduler passes the largest opnum it allows
+// (MaxOpnum), so any recycled buffer fits any group.
+func NewGroups(bufCap int) *Groups { return &Groups{bufCap: bufCap} }
+
+// Release hands a completed group back for reuse. The caller must hold no
+// reference to g or its Tasks afterwards. The task buffer is cleared so it
+// pins no task while it waits on the free list.
+func (gs *Groups) Release(g *Group) {
+	clear(g.Tasks)
+	gs.bufs = append(gs.bufs, g.Tasks[:0])
+	g.Tasks = nil
+	gs.free = append(gs.free, g)
+}
+
+// buffer returns an empty task buffer for a new merge buffer: a released
+// one when there is one, else a fresh one with room for opnum tasks.
+func (gs *Groups) buffer(opnum int) []*workload.Task {
+	if n := len(gs.bufs); n > 0 {
+		b := gs.bufs[n-1]
+		gs.bufs = gs.bufs[:n-1]
+		return b
+	}
+	return make([]*workload.Task, 0, max(opnum, gs.bufCap))
+}
+
+// group returns a released group, or a new one, for the caller to
+// overwrite whole.
+func (gs *Groups) group() *Group {
+	if n := len(gs.free); n > 0 {
+		g := gs.free[n-1]
+		gs.free = gs.free[:n-1]
+		return g
+	}
+	return new(Group)
+}
+
 // Merger performs the merge process (§IV.D.1): it accumulates arriving
 // tasks into open groups and closes a group when it reaches the opnum the
 // agent chose. One Merger serves one agent.
 type Merger struct {
 	mode   Mode
-	nextID func() int
+	groups *Groups
 
 	// open groups: a single buffer in mixed mode, one per priority class
 	// in identical mode.
@@ -172,10 +220,11 @@ type Merger struct {
 	openSince [4]float64 // arrival time of the oldest open task per buffer
 }
 
-// NewMerger creates a merger in the given mode. nextID must return unique
-// group IDs (the scheduler owns the counter so IDs are global).
-func NewMerger(mode Mode, nextID func() int) *Merger {
-	return &Merger{mode: mode, nextID: nextID}
+// NewMerger creates a merger in the given mode that draws its groups, IDs
+// and task buffers from groups (the scheduler shares one across its
+// agents so IDs are global).
+func NewMerger(mode Mode, groups *Groups) *Merger {
+	return &Merger{mode: mode, groups: groups}
 }
 
 // SetMode switches the merge policy. Open buffers are retained; tasks
@@ -194,7 +243,7 @@ func (m *Merger) Add(t *workload.Task, opnum int, now float64) *Group {
 	if m.mode == ModeMixed {
 		if len(m.mixed) == 0 {
 			m.openSince[3] = now
-			m.mixed = make([]*workload.Task, 0, opnum)
+			m.mixed = m.groups.buffer(opnum)
 		}
 		m.mixed = append(m.mixed, t)
 		if len(m.mixed) >= opnum {
@@ -205,7 +254,7 @@ func (m *Merger) Add(t *workload.Task, opnum int, now float64) *Group {
 	p := t.Priority
 	if len(m.byPrio[p]) == 0 {
 		m.openSince[p] = now
-		m.byPrio[p] = make([]*workload.Task, 0, opnum)
+		m.byPrio[p] = m.groups.buffer(opnum)
 	}
 	m.byPrio[p] = append(m.byPrio[p], t)
 	if len(m.byPrio[p]) >= opnum {
@@ -261,20 +310,23 @@ func (m *Merger) closePrio(p workload.Priority, now float64) *Group {
 
 func (m *Merger) finish(tasks []*workload.Task, mode Mode, now float64) *Group {
 	workload.SortEDF(tasks)
-	g := &Group{
-		ID:        m.nextID(),
+	prio := workload.PriorityLow
+	for _, t := range tasks {
+		if t.Priority > prio {
+			prio = t.Priority
+		}
+	}
+	g := m.groups.group()
+	*g = Group{
+		ID:        m.groups.nextID,
 		Tasks:     tasks,
 		Mode:      mode,
+		Priority:  prio,
 		CreatedAt: now,
 		NodeID:    -1,
 		pw:        PW(tasks),
 		pwCached:  true,
 	}
-	g.Priority = workload.PriorityLow
-	for _, t := range tasks {
-		if t.Priority > g.Priority {
-			g.Priority = t.Priority
-		}
-	}
+	m.groups.nextID++
 	return g
 }

@@ -3,17 +3,13 @@ package grouping
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"rlsched/internal/rng"
 	"rlsched/internal/workload"
 )
-
-func counter() func() int {
-	n := 0
-	return func() int { n++; return n - 1 }
-}
 
 func task(id int, prio workload.Priority, size, deadline, arrival float64) *workload.Task {
 	return &workload.Task{
@@ -66,7 +62,7 @@ func TestProcFitnessPanicsOnZeroCapacity(t *testing.T) {
 }
 
 func TestMixedMergeClosesAtOpnum(t *testing.T) {
-	m := NewMerger(ModeMixed, counter())
+	m := NewMerger(ModeMixed, NewGroups(0))
 	var g *Group
 	for i := 0; i < 3; i++ {
 		g = m.Add(task(i, workload.PriorityMedium, 1000, 5, float64(i)), 3, float64(i))
@@ -89,7 +85,7 @@ func TestMixedMergeClosesAtOpnum(t *testing.T) {
 }
 
 func TestMixedMergeMixesPriorities(t *testing.T) {
-	m := NewMerger(ModeMixed, counter())
+	m := NewMerger(ModeMixed, NewGroups(0))
 	m.Add(task(0, workload.PriorityLow, 1000, 20, 0), 2, 0)
 	g := m.Add(task(1, workload.PriorityHigh, 1000, 2, 1), 2, 1)
 	if g == nil {
@@ -104,7 +100,7 @@ func TestMixedMergeMixesPriorities(t *testing.T) {
 }
 
 func TestIdenticalMergeSeparatesPriorities(t *testing.T) {
-	m := NewMerger(ModeIdentical, counter())
+	m := NewMerger(ModeIdentical, NewGroups(0))
 	if g := m.Add(task(0, workload.PriorityLow, 1000, 20, 0), 2, 0); g != nil {
 		t.Fatal("low buffer closed early")
 	}
@@ -129,7 +125,7 @@ func TestIdenticalMergeSeparatesPriorities(t *testing.T) {
 }
 
 func TestGroupEDFOrder(t *testing.T) {
-	m := NewMerger(ModeMixed, counter())
+	m := NewMerger(ModeMixed, NewGroups(0))
 	m.Add(task(0, workload.PriorityMedium, 1000, 50, 0), 3, 0)
 	m.Add(task(1, workload.PriorityMedium, 1000, 5, 1), 3, 1)
 	g := m.Add(task(2, workload.PriorityMedium, 1000, 20, 2), 3, 2)
@@ -147,7 +143,7 @@ func TestGroupEDFOrder(t *testing.T) {
 }
 
 func TestOpnumBelowOneClamped(t *testing.T) {
-	m := NewMerger(ModeMixed, counter())
+	m := NewMerger(ModeMixed, NewGroups(0))
 	g := m.Add(task(0, workload.PriorityMedium, 1000, 5, 0), 0, 0)
 	if g == nil || g.Len() != 1 {
 		t.Fatal("opnum<1 must behave as 1")
@@ -155,7 +151,7 @@ func TestOpnumBelowOneClamped(t *testing.T) {
 }
 
 func TestFlushAll(t *testing.T) {
-	m := NewMerger(ModeIdentical, counter())
+	m := NewMerger(ModeIdentical, NewGroups(0))
 	m.Add(task(0, workload.PriorityLow, 1000, 20, 0), 10, 0)
 	m.Add(task(1, workload.PriorityMedium, 1000, 10, 1), 10, 1)
 	m.Add(task(2, workload.PriorityHigh, 1000, 2, 2), 10, 2)
@@ -241,7 +237,7 @@ func TestValidateIdenticalPriorityMembership(t *testing.T) {
 }
 
 func TestSetMode(t *testing.T) {
-	m := NewMerger(ModeMixed, counter())
+	m := NewMerger(ModeMixed, NewGroups(0))
 	m.SetMode(ModeIdentical)
 	if m.mode != ModeIdentical {
 		t.Fatal("SetMode did not switch")
@@ -257,7 +253,7 @@ func TestQuickMergeConservation(t *testing.T) {
 		if identical {
 			mode = ModeIdentical
 		}
-		m := NewMerger(mode, counter())
+		m := NewMerger(mode, NewGroups(0))
 		opnum := int(opnumRaw)%6 + 1
 		total := int(n) % 60
 		seen := map[int]int{}
@@ -316,7 +312,7 @@ func TestQuickErrTGProperties(t *testing.T) {
 
 func BenchmarkMerge(b *testing.B) {
 	r := rng.NewStream(1, "bench")
-	m := NewMerger(ModeIdentical, counter())
+	m := NewMerger(ModeIdentical, NewGroups(0))
 	for i := 0; i < b.N; i++ {
 		prio := workload.Priorities[r.Intn(3)]
 		m.Add(task(i, prio, 1000, r.Uniform(1, 50), float64(i)), 5, float64(i))
@@ -324,7 +320,7 @@ func BenchmarkMerge(b *testing.B) {
 }
 
 func TestFlushExpiredPerClassTimeouts(t *testing.T) {
-	m := NewMerger(ModeIdentical, counter())
+	m := NewMerger(ModeIdentical, NewGroups(0))
 	// High-priority task waits since t=0, low-priority since t=2.
 	m.Add(task(0, workload.PriorityHigh, 1000, 2, 0), 10, 0)
 	m.Add(task(1, workload.PriorityLow, 1000, 50, 2), 10, 2)
@@ -349,7 +345,7 @@ func TestFlushExpiredPerClassTimeouts(t *testing.T) {
 }
 
 func TestFlushExpiredMixedBuffer(t *testing.T) {
-	m := NewMerger(ModeMixed, counter())
+	m := NewMerger(ModeMixed, NewGroups(0))
 	m.Add(task(0, workload.PriorityMedium, 1000, 5, 1), 10, 1)
 	timeouts := [4]float64{40, 20, 5, 10}
 	if got := m.FlushExpired(nil, 10, timeouts); len(got) != 0 {
@@ -362,14 +358,14 @@ func TestFlushExpiredMixedBuffer(t *testing.T) {
 }
 
 func TestFlushExpiredEmpty(t *testing.T) {
-	m := NewMerger(ModeMixed, counter())
+	m := NewMerger(ModeMixed, NewGroups(0))
 	if got := m.FlushExpired(nil, 100, [4]float64{1, 1, 1, 1}); got != nil {
 		t.Fatalf("empty merger flushed %d groups", len(got))
 	}
 }
 
 func TestFlushExpiredAppendsToDst(t *testing.T) {
-	m := NewMerger(ModeMixed, counter())
+	m := NewMerger(ModeMixed, NewGroups(0))
 	m.Add(task(0, workload.PriorityMedium, 1000, 5, 1), 10, 1)
 	prior := &Group{ID: -7}
 	got := m.FlushExpired([]*Group{prior}, 20, [4]float64{1, 1, 1, 1})
@@ -387,7 +383,7 @@ func TestClosedGroupPWMatchesRecomputed(t *testing.T) {
 		if identical {
 			mode = ModeIdentical
 		}
-		m := NewMerger(mode, counter())
+		m := NewMerger(mode, NewGroups(0))
 		var groups []*Group
 		opnum := int(op)%6 + 1
 		for i := 0; i < int(n)%40+1; i++ {
@@ -432,4 +428,65 @@ func validateGroup(g *Group) error {
 		}
 	}
 	return nil
+}
+
+// TestReleasedGroupIsReusedWhole closes, runs and releases a group, then
+// closes the next one: it must reuse the released struct and task buffer
+// under a fresh ID with every per-group field reset, and the released
+// buffer must pin no task while it waits.
+func TestReleasedGroupIsReusedWhole(t *testing.T) {
+	gs := NewGroups(4)
+	m := NewMerger(ModeMixed, gs)
+	m.Add(task(0, workload.PriorityHigh, 1000, 2, 0), 2, 0)
+	g := m.Add(task(1, workload.PriorityLow, 1000, 9, 1), 2, 1)
+	if g == nil || cap(g.Tasks) != 4 {
+		t.Fatalf("closed group %v: want a buffer of capacity 4", g)
+	}
+	g.NodeID, g.EnqueuedAt, g.ErrTG = 3, 1, 0.5
+	for range g.Tasks {
+		g.NoteDispatched()
+		g.NoteFinished(true)
+	}
+	buf := g.Tasks[:cap(g.Tasks)]
+	gs.Release(g)
+	for i, tk := range buf {
+		if tk != nil {
+			t.Fatalf("released buffer still pins task %d at slot %d", tk.ID, i)
+		}
+	}
+
+	got := m.Add(task(2, workload.PriorityMedium, 3000, 6, 5), 1, 5)
+	if got != g || &got.Tasks[:1][0] != &buf[0] {
+		t.Fatal("the next group did not reuse the released group and its buffer")
+	}
+	fields := *got
+	fields.Tasks = nil
+	want := Group{ID: 1, Mode: ModeMixed, Priority: workload.PriorityMedium,
+		CreatedAt: 5, NodeID: -1, pw: 500, pwCached: true}
+	if got.Len() != 1 || got.Tasks[0].ID != 2 || !reflect.DeepEqual(fields, want) {
+		t.Fatalf("reused group %+v, want %+v", fields, want)
+	}
+}
+
+// TestMergeReleaseCycleAllocatesNothing checks that once a group and its
+// buffer are on the free list, a close/release cycle allocates nothing.
+func TestMergeReleaseCycleAllocatesNothing(t *testing.T) {
+	gs := NewGroups(3)
+	m := NewMerger(ModeIdentical, gs)
+	tasks := []*workload.Task{
+		task(0, workload.PriorityLow, 1000, 20, 0),
+		task(1, workload.PriorityLow, 2000, 10, 0),
+		task(2, workload.PriorityLow, 1500, 30, 0),
+	}
+	cycle := func() {
+		var g *Group
+		for _, tk := range tasks {
+			g = m.Add(tk, 3, 0)
+		}
+		gs.Release(g)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("close/release cycle allocates %.1f objects, want 0", allocs)
+	}
 }

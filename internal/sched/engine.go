@@ -186,6 +186,10 @@ type Engine struct {
 	col      *metrics.Collector
 	ctx      *Context
 	maxOpnum int
+	// groups issues every agent's groups and takes each back once its
+	// completion has been delivered (completeGroup), so closing a group
+	// reuses a finished one and its task buffer.
+	groups *grouping.Groups
 
 	queues     [][]*grouping.Group // by node ID
 	accts      []nodeAcct          // by node ID
@@ -229,7 +233,6 @@ type Engine struct {
 	// incrementally so a learning cycle costs O(1).
 	lite *liteUtil
 
-	nextGroupID int
 	submitted   int
 	srcDone     bool
 	completed   int
@@ -300,6 +303,7 @@ func NewFromSource(cfg Config, pl *platform.Platform, src workload.Source, polic
 		src:        src,
 		mem:        memory.NewShared(),
 		maxOpnum:   pl.MaxProcsPerNode(),
+		groups:     grouping.NewGroups(pl.MaxProcsPerNode()),
 		groupAgent: make(map[int]*Agent),
 		rngRoute:   r.Split("route"),
 		rngFail:    r.Split("failures"),
@@ -331,7 +335,7 @@ func NewFromSource(cfg Config, pl *platform.Platform, src workload.Source, polic
 	}
 	for _, site := range pl.Sites {
 		ag := &Agent{ID: site.ID, Site: site}
-		ag.Merger = grouping.NewMerger(grouping.ModeMixed, e.nextGroup)
+		ag.Merger = grouping.NewMerger(grouping.ModeMixed, e.groups)
 		e.agents = append(e.agents, ag)
 	}
 	// Arrivals are routed to sites proportionally to their aggregate
@@ -386,12 +390,6 @@ func (e *Engine) tracing(level trace.Level) bool {
 // emit sends a trace event; every call site is guarded by tracing.
 func (e *Engine) emit(level trace.Level, kind string, fields ...trace.Field) {
 	e.cfg.Tracer.Emit(trace.Event{At: e.sim.Now(), Level: level, Kind: kind, Fields: fields})
-}
-
-func (e *Engine) nextGroup() int {
-	id := e.nextGroupID
-	e.nextGroupID++
-	return id
 }
 
 // Agents returns the engine's agents.
@@ -1134,7 +1132,8 @@ func (e *Engine) finishTask(node *platform.Node, proc *platform.Processor) {
 }
 
 // completeGroup removes the group from its queue, records the learning
-// cycle and delivers the reward feedback.
+// cycle, delivers the reward feedback and releases the group for reuse:
+// nothing may touch g once this returns.
 func (e *Engine) completeGroup(g *grouping.Group, node *platform.Node) {
 	q := e.queues[node.ID]
 	removed := false
@@ -1172,6 +1171,7 @@ func (e *Engine) completeGroup(g *grouping.Group, node *platform.Node) {
 		e.cfg.Audit.Feedback(g.ID, now, float64(g.Reward()), g.ErrTG)
 	}
 	ag.LastReward = float64(g.Reward())
+	e.groups.Release(g)
 	e.placeBacklog(ag)
 	e.tryDispatch(node)
 }

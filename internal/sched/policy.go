@@ -108,6 +108,12 @@ func (a *Agent) BacklogLen() int { return len(a.backlog) }
 
 // Policy is the decision surface distinguishing the learning approaches.
 // All methods run inside the single-threaded simulation loop.
+//
+// The *grouping.Group passed to PlaceGroup, OnAssigned and
+// OnGroupComplete is engine-owned: the engine reuses the struct and its
+// Tasks slice for a later group once OnGroupComplete returns. A policy
+// keeps no pointer to a group or its Tasks past that call, and keys any
+// per-group state it keeps by g.ID.
 type Policy interface {
 	// Name identifies the policy in results.
 	Name() string

@@ -1385,8 +1385,10 @@ func (s *Server) runJob(j *job) {
 	if j.decisions != nil {
 		s.foldDecisionMetrics(j.decisions)
 	}
+	// Only a journal reads the terminal record's result: without one
+	// (a worker, or a daemon without -spool) there is nothing to marshal.
 	var termResult json.RawMessage
-	if state == StateDone {
+	if state == StateDone && s.jn != nil {
 		termResult, _ = json.Marshal(JobResult{ID: j.id, Figures: figures, Points: points})
 	}
 
