@@ -221,8 +221,36 @@ func TestCachePassPanicReachesCaller(t *testing.T) {
 	p.Progress = func(sched.RunStats) { panic("progress bug") }
 	_, err := experiments.RunManyCtx(context.Background(), p, specs)
 	var pe *experiments.PointError
-	if !errors.As(err, &pe) || pe.Panic != "progress bug" || pe.Index != -1 {
-		t.Fatalf("panicking Progress hook: error %v, want a PointError for the executor", err)
+	if !errors.As(err, &pe) || pe.Panic != "progress bug" || pe.Index != 0 {
+		t.Fatalf("panicking Progress hook: error %v, want a PointError for point 0", err)
+	}
+}
+
+// TestDispatcherHookPanicNamesCallWideIndex runs specs [a, a, b]
+// through a standalone dispatcher twice, cold (every point a local run)
+// and warm (every point a cache hit), with a Progress hook that panics
+// on b's tick. The executor is handed [a, b]; on both passes the
+// PointError must name b by its call-wide index 2.
+func TestDispatcherHookPanicNamesCallWideIndex(t *testing.T) {
+	a := experiments.RunSpec{Policy: experiments.Greedy, NumTasks: 10, Seed: 1}
+	b := experiments.RunSpec{Policy: experiments.Greedy, NumTasks: 12, Seed: 2}
+	d := NewDispatcher(Options{Cache: memCache(t)})
+	p := testProfile()
+	p.RunPoints = d.Runner(JobMeta{ID: "job"})
+	p.Progress = func(s sched.RunStats) {
+		if s.TasksScheduled == uint64(b.NumTasks) {
+			panic("progress bug")
+		}
+	}
+	for _, pass := range []string{"cold", "warm"} {
+		_, err := experiments.RunManyCtx(context.Background(), p, []experiments.RunSpec{a, a, b})
+		var pe *experiments.PointError
+		if !errors.As(err, &pe) || pe.Panic != "progress bug" || pe.Index != 2 || pe.Point != b {
+			t.Fatalf("%s pass: error %v, want b's PointError at index 2", pass, err)
+		}
+	}
+	if hits := d.cache.Stats().Hits; hits != 2 {
+		t.Fatalf("%d cache hits, want the warm pass's 2", hits)
 	}
 }
 

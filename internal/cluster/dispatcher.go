@@ -3,13 +3,13 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rlsched/internal/cache"
@@ -235,17 +235,18 @@ func finishPoint(p experiments.Profile, r sched.Result) {
 // run executes one campaign: cache pass, worker fan-out, local
 // remainder. Results come back in spec order, bit-identical to a local
 // run; on failure the lowest-index failing point's error is returned,
-// mirroring the local runner. When meta carries a span trace, the whole
-// pipeline is recorded under a campaign root span: one point span per
-// spec, with cache.lookup / lease.attempt / hedge / breaker /
-// local.fallback children — none of which exist (or allocate) on an
-// untraced run.
+// mirroring the local runner. Every span, log line and error names a
+// point by its call-wide index, p.PointIndex of its list position. When
+// meta carries a span trace, the whole pipeline is recorded under a
+// campaign root span: one point span per spec, with cache.lookup /
+// lease.attempt / hedge / breaker / local.fallback children — none of
+// which exist (or allocate) on an untraced run.
 //
-// The cache pass keys each point, looks it up and decodes a hit on up to
-// GOMAXPROCS goroutines, so a warm campaign's reads, checksums and
-// decodes use every core. Point spans are started in index order before
-// it, so their IDs follow the spec list whatever order the lookups finish
-// in.
+// The cache pass keys each point, looks it up and decodes a hit on the
+// point pool with up to GOMAXPROCS goroutines, so a warm campaign's
+// reads, checksums and decodes use every core. Point spans are started
+// in index order before it, so their IDs follow the spec list whatever
+// order the lookups finish in.
 func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profile, specs []experiments.RunSpec) ([]sched.Result, error) {
 	camp := meta.Trace.Start(meta.Parent, "campaign")
 	camp.SetInt("points", int64(len(specs)))
@@ -255,7 +256,7 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 		pointSpans = make([]*span.Span, len(specs))
 		for i, spec := range specs {
 			sp := meta.Trace.Start(camp.ID(), "point")
-			sp.SetInt("index", int64(i))
+			sp.SetInt("index", int64(p.PointIndex(i)))
 			sp.SetStr("policy", string(spec.Policy))
 			sp.SetInt("tasks", int64(spec.NumTasks))
 			pointSpans[i] = sp
@@ -278,10 +279,10 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 	results := make([]sched.Result, len(specs))
 	keys := make([]string, len(specs))
 	hit := make([]bool, len(specs))
-	err = forEachIndex(runtime.GOMAXPROCS(0), len(specs), func(i int) error {
+	err = eachPoint(ctx, runtime.GOMAXPROCS(0), p, specs, nil, func(i int) error {
 		key, err := keyer.Key(specs[i])
 		if err != nil {
-			return fmt.Errorf("cluster: keying point %d: %w", i, err)
+			return fmt.Errorf("cluster: keying point %d: %w", p.PointIndex(i), err)
 		}
 		keys[i] = key
 		sp := psp(i)
@@ -331,16 +332,15 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 		return results, nil
 	}
 
-	// Local remainder: no workers (or none left alive). Each point runs
-	// alone, under its campaign index (RunPointCtx names it in errors and
-	// the slow-point log), on up to the profile's Workers goroutines,
-	// and reaches the cache before it ticks Progress, so a point reported
-	// done survives a crash. The profile copy drops RunPoints so a run
-	// cannot recurse into the dispatcher, and Progress, which the loop
-	// ticks itself after the put.
+	// Local remainder: no workers (or none left alive). The missing
+	// points run on the point pool with up to the profile's Workers
+	// goroutines, each through experiments.RunPoint under its call-wide
+	// index (which names it in errors and the slow-point log), and each
+	// reaches the cache before it ticks Progress, so a point reported
+	// done survives a crash. The profile copy drops Progress, which the
+	// loop ticks itself after the put.
 	sort.Ints(missing)
 	local := p
-	local.RunPoints = nil
 	local.Progress = nil
 	// Bracket each locally run point with a span under its point span:
 	// local.fallback when a cluster fan-out left this point behind,
@@ -355,8 +355,7 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	err = forEachIndex(workers, len(missing), func(k int) error {
-		i := missing[k]
+	err = eachPoint(ctx, workers, p, specs, missing, func(i int) error {
 		one := local
 		if meta.Trace != nil {
 			one.PointSpan = func(int, experiments.RunSpec) func(error) {
@@ -369,13 +368,13 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 				}
 			}
 		}
-		res, err := experiments.RunPointCtx(ctx, one, i, specs[i])
+		res, err := experiments.RunPoint(one, p.PointIndex(i), specs[i])
 		if err != nil {
 			return err
 		}
 		results[i] = res
 		d.local.Inc()
-		d.putPoint(meta.ID, i, keys[i], res)
+		d.putPoint(meta.ID, p.PointIndex(i), keys[i], res)
 		if sp := psp(i); sp != nil {
 			sp.SetStr("outcome", "local")
 			sp.End()
@@ -389,72 +388,34 @@ func (d *Dispatcher) run(ctx context.Context, meta JobMeta, p experiments.Profil
 	return results, nil
 }
 
-// forEachIndex calls fn(i) for every i in [0, n) on up to width
-// goroutines (the calling one alone when width or n is 1), which claim
-// indices in order. Once fn fails no further index is claimed, and the
-// error of the lowest failing index is returned: every smaller index was
-// claimed before it, so none of their errors can be missed. A panic in
-// fn stops the claiming too and is raised again on the calling goroutine
-// once every claimer has returned, where the campaign runner recovers it
-// as it would a panic of the serial loop.
-func forEachIndex(width, n int, fn func(i int) error) error {
-	var (
-		next    atomic.Int64
-		failed  atomic.Bool
-		mu      sync.Mutex
-		errIdx  = n
-		firstEr error
-		panicV  any
-	)
-	claim := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				mu.Lock()
-				if panicV == nil {
-					panicV = r
-				}
-				mu.Unlock()
-				failed.Store(true)
-			}
-		}()
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if i < errIdx {
-					errIdx, firstEr = i, err
-				}
-				mu.Unlock()
-				failed.Store(true)
-				return
-			}
+// eachPoint runs fn(i) on the point pool, up to width goroutines wide,
+// for every position i of specs, or for the positions in idx when idx is
+// non-nil, and returns the pool's error. A panic the pool recovers names
+// the pool's own counter and no spec; it is renamed to the spec and the
+// call-wide index of its point, as the dispatcher's other errors are.
+func eachPoint(ctx context.Context, width int, p experiments.Profile, specs []experiments.RunSpec, idx []int, fn func(i int) error) error {
+	n := len(specs)
+	if idx != nil {
+		n = len(idx)
+	}
+	pos := func(k int) int {
+		if idx != nil {
+			return idx[k]
 		}
+		return k
 	}
-	width = min(width, n)
-	if width <= 1 {
-		claim()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(width)
-		for w := 0; w < width; w++ {
-			go func() {
-				defer wg.Done()
-				claim()
-			}()
-		}
-		wg.Wait()
+	err := experiments.ForEachPoint(ctx, width, n, func(k int) error { return fn(pos(k)) })
+	var pe *experiments.PointError
+	if errors.As(err, &pe) && pe.Point == (experiments.RunSpec{}) {
+		i := pos(pe.Index)
+		pe.Point, pe.Index = specs[i], p.PointIndex(i)
 	}
-	if panicV != nil {
-		panic(panicV)
-	}
-	return firstEr
+	return err
 }
 
-// putPoint stores one computed result in the cache; a disk-backed cache
-// serves it again to a job re-run after a crash.
+// putPoint stores the result of the point with call-wide index i in the
+// cache; a disk-backed cache serves it again to a job re-run after a
+// crash.
 func (d *Dispatcher) putPoint(jobID string, i int, key string, r sched.Result) {
 	data, err := encodeResult(r)
 	if err != nil {
@@ -494,8 +455,9 @@ const (
 // backoff (capped exponential with deterministic jitter) and a breaker
 // strike; a straggling lease past the hedge deadline is duplicated to
 // an idle worker, first valid result wins. A deterministic point
-// failure stops the fan-out and is returned for the lowest failing
-// index, exactly like the local runner's forEachPoint.
+// failure stops the fan-out and is returned for the lowest failing list
+// position, which is the lowest failing call-wide index because
+// p.PointIndex increases with the position: the point pool's rule.
 func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Profile, specs []experiments.RunSpec, keys []string, results []sched.Result, missing []int, psp func(int) *span.Span) ([]int, error) {
 	workers := d.pool.Alive()
 	if len(workers) == 0 {
@@ -607,7 +569,7 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 				case modeHedge:
 					d.hedges.Inc()
 					d.log.Info("cluster: hedging straggling point",
-						"job", meta.ID, "point", fl.idx, "worker", url)
+						"job", meta.ID, "point", p.PointIndex(fl.idx), "worker", url)
 					// The hedge itself is a zero-width marker span; the
 					// duplicate lease below records like any other attempt.
 					h := meta.Trace.Start(psp(fl.idx).ID(), "hedge")
@@ -629,7 +591,7 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 				mu.Lock()
 				fl.cancels = append(fl.cancels, lcancel)
 				mu.Unlock()
-				res, lerr := d.leasePoint(lctx, url, meta, p, specs[fl.idx], fl.idx, lsp)
+				res, lerr := d.leasePoint(lctx, url, meta, p, specs[fl.idx], p.PointIndex(fl.idx), lsp)
 				lcancel()
 				leaseSecs := time.Since(leaseStart).Seconds()
 				if lerr == nil {
@@ -666,7 +628,7 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 					}
 					d.observeLease(time.Since(leaseStart))
 					d.pool.countLease(url)
-					d.putPoint(meta.ID, fl.idx, keys[fl.idx], res)
+					d.putPoint(meta.ID, p.PointIndex(fl.idx), keys[fl.idx], res)
 					finishPoint(p, res)
 					attempt = 0
 					continue
@@ -710,7 +672,7 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 						ps.End()
 					}
 					record(fl.idx, fmt.Errorf("point %d (%s n=%d cv=%g seed=%d): worker %s: %s",
-						fl.idx, specs[fl.idx].Policy, specs[fl.idx].NumTasks, specs[fl.idx].HeterogeneityCV,
+						p.PointIndex(fl.idx), specs[fl.idx].Policy, specs[fl.idx].NumTasks, specs[fl.idx].HeterogeneityCV,
 						specs[fl.idx].Seed, url, lerr.Error()))
 					return
 				}
@@ -720,7 +682,7 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 				d.leaseRetries.Inc()
 				d.pool.ReportFailure(url)
 				d.log.Warn("cluster: lease lost, re-issuing point",
-					"job", meta.ID, "point", fl.idx, "worker", url, "error", lerr.Error())
+					"job", meta.ID, "point", p.PointIndex(fl.idx), "worker", url, "error", lerr.Error())
 				if !d.pool.usable(url) {
 					// The strike opened the worker's breaker: a marker span
 					// records which point's failure tripped it.
@@ -753,13 +715,13 @@ func (d *Dispatcher) fanOut(ctx context.Context, meta JobMeta, p experiments.Pro
 	return left, nil
 }
 
-// leasePoint runs one point on one worker: submit a single-point
-// keep_results job, wait for it to settle, fetch the full result. On a
-// span-traced campaign the submit carries a traceparent naming this
-// attempt's span as the remote parent, and the worker's own
+// leasePoint runs the point with call-wide index i on one worker: submit
+// a single-point keep_results job, wait for it to settle, fetch the full
+// result. On a span-traced campaign the submit carries a traceparent
+// naming this attempt's span as the remote parent, and the worker's own
 // spans are fetched and folded into the campaign trace afterwards — so
-// the worker-side job.run / engine.run timeline stitches under the
-// lease attempt that caused it.
+// the worker-side job.run / engine.run timeline stitches under the lease
+// attempt that caused it.
 func (d *Dispatcher) leasePoint(ctx context.Context, url string, meta JobMeta, p experiments.Profile, spec experiments.RunSpec, i int, lsp *span.Span) (sched.Result, *leaseError) {
 	d.leasesActive.Add(1)
 	defer d.leasesActive.Add(-1)

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"rlsched/internal/cache"
 	"rlsched/internal/experiments"
+	"rlsched/internal/sched"
 )
 
 // warmPoints is the size of a daemon's warm job: that many points, every
@@ -75,6 +78,25 @@ func TestWarmCampaignAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per %d-point warm campaign", allocs, warmPoints)
 	if allocs > warmAllocCeiling {
 		t.Fatalf("%.0f allocations per %d-point warm campaign, ceiling %d", allocs, warmPoints, warmAllocCeiling)
+	}
+}
+
+// TestWarmCampaignPreCancelled runs the warm campaign under an
+// already-cancelled context. Like RunManyCtx on that context, the cache
+// pass must stop issuing points and return context.Canceled, not serve
+// the whole campaign from the cache.
+func TestWarmCampaignPreCancelled(t *testing.T) {
+	d, p, specs := warmCampaign(t)
+	var ticks atomic.Int32
+	p.Progress = func(sched.RunStats) { ticks.Add(1) }
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := d.Runner(JobMeta{ID: "warm"})(ctx, p, specs)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("pre-cancelled warm campaign: %d results, error %v; want none and context.Canceled", len(res), err)
+	}
+	if n := ticks.Load(); n >= warmPoints {
+		t.Fatalf("pre-cancelled warm campaign ticked Progress %d times: it drained the list", n)
 	}
 }
 

@@ -143,9 +143,10 @@ type Profile struct {
 	// mode, across peer workers. Implementations must honour the local
 	// contract: results in spec order, bit-identical to a local run (the
 	// spec carries all randomness), lowest-index error on failure, and
-	// the profile's Progress hook invoked once per completed point. An
-	// executor that calls PointSpan passes indices into the list it was
-	// handed, not the call-wide indices a local run reports.
+	// the profile's Progress hook invoked once per completed point. The
+	// profile it is handed numbers the list: PointIndex(k) is the
+	// call-wide index of spec k, which is what an executor passes to
+	// PointSpan and names in its errors and logs, as a local run does.
 	//
 	// The hook is bypassed — the campaign runs locally — whenever the
 	// profile carries in-process instrumentation that cannot follow a
@@ -171,13 +172,19 @@ type Profile struct {
 	// point's index (as for RecordersFor) and its spec, and calls the
 	// returned function with the run's error once the point finishes.
 	// Only simulated points are bracketed: a repeated spec is bracketed
-	// once, under the index of its first occurrence. The
+	// once, under the index of its first occurrence. A RunPoints executor
+	// that calls it passes PointIndex of the spec's list position. The
 	// rlsimd daemon uses it to time each local run into a job's span
 	// trace (as engine.run or local.fallback spans). Called from worker
 	// goroutines concurrently, so implementations must be safe for
 	// concurrent use. Runtime-only, never serialised, never affects
 	// results; a nil hook costs one nil check.
 	PointSpan func(index int, spec RunSpec) func(err error) `json:"-"`
+
+	// pointBase and pointOrig number the spec list runMany hands a
+	// RunPoints executor; see PointIndex.
+	pointBase int
+	pointOrig []int
 }
 
 // InProcess reports whether the profile carries in-process

@@ -368,7 +368,7 @@ func Figures(ctx context.Context, p Profile, id string) ([]Figure, error) {
 		camps[k].base = camps[k-1].base + len(camps[k-1].specs)
 	}
 	results := make([][]sched.Result, len(camps))
-	err = forEachPoint(ctx, p.workerCount(), len(camps), func(k int) error {
+	err = ForEachPoint(ctx, p.workerCount(), len(camps), func(k int) error {
 		c := camps[k]
 		res, err := runMany(ctx, c.p, c.specs, c.gen, c.base)
 		results[k] = res

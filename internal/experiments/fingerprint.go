@@ -24,5 +24,6 @@ func (p Profile) CacheFingerprint() Profile {
 	p.Progress, p.Metrics, p.Logger = nil, nil, nil
 	p.RunPoints, p.RecordersFor, p.PointSpan = nil, nil, nil
 	p.Engine.Recorders = sched.Recorders{}
+	p.pointBase, p.pointOrig = 0, nil
 	return p
 }

@@ -27,9 +27,9 @@ type PointError struct {
 	// Point is the spec of the panicking point (zero when the panic was
 	// recovered at a layer that had no spec context).
 	Point RunSpec
-	// Index is the point's position in the submitted spec list, or -1
-	// when no single point can be named: the panic escaped a single-point
-	// run, or a RunPoints executor that had taken the whole list.
+	// Index is the point's call-wide index (see Profile.PointIndex), or
+	// -1 when no point can be named: a direct Run or RunWith, or a
+	// RunPoints executor that panicked outside any point.
 	Index int
 	// Panic is the recovered panic value.
 	Panic any
@@ -78,16 +78,20 @@ func (p Profile) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachPoint invokes fn(i) for every i in [0, n) on up to workers
-// goroutines. With workers <= 1 it is a plain serial loop that stops at
-// the first error. In parallel it hands indices out in order, stops
-// issuing new work once any fn fails, and returns the error with the
-// lowest index — the same error the serial loop would surface, because
-// index i is always claimed before index i+1, so no failure with a
-// smaller index can be missed. Cancelling ctx stops issuing new points
-// (points already started run to completion); if no fn error occurred,
-// the context's error is returned.
-func forEachPoint(ctx context.Context, workers, n int, fn func(i int) error) error {
+// ForEachPoint is the point pool: it invokes fn(i) for every i in [0, n)
+// on up to workers goroutines. RunManyCtx, Figures and the cluster
+// dispatcher's cache pass and local remainder all fan out through it.
+// With workers <= 1 it is a plain serial loop that stops at the first
+// error. In parallel it hands indices out in order, stops issuing new
+// work once any fn fails, and returns the error with the lowest index —
+// the same error the serial loop would surface, because index i is always
+// claimed before index i+1, so no failure with a smaller index can be
+// missed. A panic in fn(i) is recovered on its worker goroutine into a
+// *PointError with Index i and the stack (a *PointError panic value is
+// returned as is) and fails the pool like an error. Cancelling ctx stops
+// issuing new points (points already started run to completion); if no
+// fn error occurred, the context's error is returned.
+func ForEachPoint(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n < 2 || workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -162,35 +166,27 @@ func RunManyCtx(ctx context.Context, p Profile, specs []RunSpec) ([]sched.Result
 	return runMany(ctx, p, specs, nil, 0)
 }
 
-// RunPointCtx is RunManyCtx of spec alone as point i of a larger
-// campaign: its PointSpan call, RecordersFor lookup, slow-point warning
-// and errors name index i, as a RunManyCtx of the whole campaign would.
-func RunPointCtx(ctx context.Context, p Profile, i int, spec RunSpec) (sched.Result, error) {
-	res, err := runMany(ctx, p, []RunSpec{spec}, nil, i)
-	if err != nil {
-		return sched.Result{}, err
-	}
-	return res[0], nil
-}
-
 // runMany is RunManyCtx with the workload generator gen (nil means
 // workload.Generate) and the spec list numbered from base: spec i is
 // point base+i to PointSpan, RecordersFor and errors. Every result is a
 // pure function of the profile and the spec, so the spec list is grouped
 // by bit-exact point first and each distinct point runs once, locally or
-// through RunPoints. Copies tick Progress with zero counters, so the hook
-// still fires once per index while the engine counters it sums count real
-// runs only. A profile with in-process recorders runs every index: its
-// recorders are per index.
+// through RunPoints; the profile handed down numbers the distinct list
+// by call-wide index (see PointIndex). Copies tick Progress with zero
+// counters, so the hook still fires once per index while the engine
+// counters it sums count real runs only. A profile with in-process
+// recorders runs every index: its recorders are per index.
 func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen, base int) ([]sched.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	p.pointBase, p.pointOrig = base, nil
 	if p.InProcess() {
-		return runPoints(ctx, p, specs, nil, base, gen)
+		return runPoints(ctx, p, specs, gen)
 	}
 	uniq, orig, slot := distinct(specs)
-	res, err := runPoints(ctx, p, uniq, orig, base, gen)
+	p.pointOrig = orig
+	res, err := runPoints(ctx, p, uniq, gen)
 	if err != nil || slot == nil {
 		return res, err
 	}
@@ -202,6 +198,18 @@ func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen, b
 		}
 	}
 	return out, nil
+}
+
+// PointIndex returns the call-wide index of spec k of the list a
+// RunPoints executor is handed: the spec's position in the call's point
+// list (the first occurrence's, for a repeated spec), which is what a
+// local run's PointSpan, RecordersFor, slow-point log and errors report.
+// Indices increase with k. On a profile no campaign handed down it is k.
+func (p Profile) PointIndex(k int) int {
+	if p.pointOrig != nil {
+		return p.pointBase + p.pointOrig[k]
+	}
+	return p.pointBase + k
 }
 
 // pointKey identifies a simulation point bit-exactly: −0 and +0 CV label
@@ -263,10 +271,9 @@ func hasRepeat(specs []RunSpec) bool {
 }
 
 // runPoints runs every spec once, through the RunPoints executor when the
-// profile has one (and gen is nil), else on the local worker pool. The
-// local pool's PointSpan calls, slow-point log and errors report spec k
-// as point base+orig[k] (base+k when orig is nil).
-func runPoints(ctx context.Context, p Profile, specs []RunSpec, orig []int, base int, gen workloadGen) ([]sched.Result, error) {
+// profile has one (and gen is nil), else on the local worker pool, which
+// reports spec k as point p.PointIndex(k).
+func runPoints(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen) ([]sched.Result, error) {
 	// A pluggable executor (cache lookup, cluster fan-out) takes the
 	// whole campaign — unless the profile carries in-process
 	// instrumentation (probes, audit recorders, tracers) that only a
@@ -278,59 +285,75 @@ func runPoints(ctx context.Context, p Profile, specs []RunSpec, orig []int, base
 		}
 		gen = workload.Generate
 	}
-	// Resolve instrumentation once, outside the hot loop: points pay a
-	// clock read only when someone is listening.
-	var pointHist *obs.Histogram
-	if p.Metrics != nil {
-		pointHist = p.Metrics.Histogram("point_run_seconds", "Wall-clock duration of one simulation point.", obs.DefBuckets)
-	}
-	timed := pointHist != nil || (p.Logger != nil && p.SlowPointSec > 0)
 	out := make([]sched.Result, len(specs))
-	err := forEachPoint(ctx, p.workerCount(), len(specs), func(k int) error {
-		i, s := base+k, specs[k]
-		if orig != nil {
-			i = base + orig[k]
-		}
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
-		var endSpan func(error)
-		if p.PointSpan != nil {
-			endSpan = p.PointSpan(i, s)
-		}
-		res, err := runGen(p, i, s, gen)
-		if endSpan != nil {
-			endSpan(err)
-		}
-		if timed {
-			el := time.Since(start).Seconds()
-			pointHist.Observe(el)
-			if p.Logger != nil && p.SlowPointSec > 0 && el > p.SlowPointSec {
-				p.Logger.Warn("slow simulation point",
-					"index", i, "policy", string(s.Policy), "tasks", s.NumTasks,
-					"cv", s.HeterogeneityCV, "seed", s.Seed, "seconds", el)
-			}
-		}
-		if err != nil {
-			var pe *PointError
-			if errors.As(err, &pe) {
-				pe.Index = i
-				return pe
-			}
-			return fmt.Errorf("point %d (%s n=%d cv=%g seed=%d): %w",
-				i, s.Policy, s.NumTasks, s.HeterogeneityCV, s.Seed, err)
-		}
+	err := ForEachPoint(ctx, p.workerCount(), len(specs), func(k int) error {
+		res, err := runPointGen(p, p.PointIndex(k), specs[k], gen)
 		out[k] = res
-		if p.Progress != nil {
-			p.Progress(res.Stats)
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// RunPoint simulates spec as point index of a campaign under p, exactly
+// as RunManyCtx's pool runs each of its points: PointSpan, RecordersFor,
+// the point_run_seconds histogram, the slow-point log, errors and panics
+// name index, and Progress ticks once the point succeeds. RunPoints is
+// not consulted; the caller fans points out (see ForEachPoint).
+func RunPoint(p Profile, index int, spec RunSpec) (sched.Result, error) {
+	return runPointGen(p, index, spec, workload.Generate)
+}
+
+// runPointGen is RunPoint with the workload generator gen. A panic
+// anywhere in it, the hooks' included, becomes a *PointError for point
+// i. The point pays a clock read only when someone is listening.
+func runPointGen(p Profile, i int, s RunSpec, gen workloadGen) (res sched.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = sched.Result{}, &PointError{Point: s, Index: i, Panic: v, Stack: string(debug.Stack())}
+		}
+	}()
+	var hist *obs.Histogram
+	if p.Metrics != nil {
+		hist = p.Metrics.Histogram("point_run_seconds", "Wall-clock duration of one simulation point.", obs.DefBuckets)
+	}
+	timed := hist != nil || (p.Logger != nil && p.SlowPointSec > 0)
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
+	var endSpan func(error)
+	if p.PointSpan != nil {
+		endSpan = p.PointSpan(i, s)
+	}
+	res, err = runGen(p, i, s, gen)
+	if endSpan != nil {
+		endSpan(err)
+	}
+	if timed {
+		el := time.Since(start).Seconds()
+		hist.Observe(el)
+		if p.Logger != nil && p.SlowPointSec > 0 && el > p.SlowPointSec {
+			p.Logger.Warn("slow simulation point",
+				"index", i, "policy", string(s.Policy), "tasks", s.NumTasks,
+				"cv", s.HeterogeneityCV, "seed", s.Seed, "seconds", el)
+		}
+	}
+	if err != nil {
+		var pe *PointError
+		if errors.As(err, &pe) {
+			pe.Index = i
+			return sched.Result{}, pe
+		}
+		return sched.Result{}, fmt.Errorf("point %d (%s n=%d cv=%g seed=%d): %w",
+			i, s.Policy, s.NumTasks, s.HeterogeneityCV, s.Seed, err)
+	}
+	if p.Progress != nil {
+		p.Progress(res.Stats)
+	}
+	return res, nil
 }
 
 // runExecutor hands specs to the profile's RunPoints executor. A panic

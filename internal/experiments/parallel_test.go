@@ -41,7 +41,7 @@ func TestForEachPointCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const n = 37
 		var hits [n]atomic.Int32
-		err := forEachPoint(context.Background(), workers, n, func(i int) error {
+		err := ForEachPoint(context.Background(), workers, n, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		})
@@ -63,7 +63,7 @@ func TestForEachPointCoversAllIndices(t *testing.T) {
 func TestForEachPointLowestIndexError(t *testing.T) {
 	const n, firstBad = 64, 10
 	for _, workers := range []int{1, 2, 8} {
-		err := forEachPoint(context.Background(), workers, n, func(i int) error {
+		err := ForEachPoint(context.Background(), workers, n, func(i int) error {
 			if i >= firstBad {
 				return fmt.Errorf("point %d failed", i)
 			}
@@ -84,7 +84,7 @@ func TestForEachPointLowestIndexError(t *testing.T) {
 func TestForEachPointStopsIssuingWork(t *testing.T) {
 	const n = 10_000
 	var ran atomic.Int32
-	err := forEachPoint(context.Background(), 4, n, func(i int) error {
+	err := ForEachPoint(context.Background(), 4, n, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return errors.New("boom")
@@ -230,7 +230,7 @@ func TestForEachPointCancellation(t *testing.T) {
 		const n, stopAfter = 10_000, 5
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		err := forEachPoint(ctx, workers, n, func(i int) error {
+		err := ForEachPoint(ctx, workers, n, func(i int) error {
 			if ran.Add(1) == stopAfter {
 				cancel()
 			}
@@ -252,7 +252,7 @@ func TestForEachPointPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
-	err := forEachPoint(ctx, 4, 100, func(i int) error {
+	err := ForEachPoint(ctx, 4, 100, func(i int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -503,7 +503,7 @@ func TestRunWithRecoversPanicIntoPointError(t *testing.T) {
 // instead of killing the process, at every worker count.
 func TestForEachPointRecoversWorkerPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := forEachPoint(context.Background(), workers, 16, func(i int) error {
+		err := ForEachPoint(context.Background(), workers, 16, func(i int) error {
 			if i == 3 {
 				panic("boom at 3")
 			}
@@ -515,6 +515,37 @@ func TestForEachPointRecoversWorkerPanic(t *testing.T) {
 		}
 		if pe.Index != 3 || fmt.Sprint(pe.Panic) != "boom at 3" {
 			t.Fatalf("workers=%d: recovered %+v", workers, pe)
+		}
+	}
+}
+
+// TestHookPanicNamesCallWideIndex runs specs [a, a, b] with a PointSpan
+// hook that panics for b. The list is de-duplicated to [a, b] before it
+// runs, but the PointError must name b by its call-wide index 2, the
+// index the hook itself was handed, at every worker count.
+func TestHookPanicNamesCallWideIndex(t *testing.T) {
+	a := RunSpec{Policy: Greedy, NumTasks: 10, Seed: 1}
+	b := RunSpec{Policy: Greedy, NumTasks: 12, Seed: 2}
+	for _, workers := range []int{1, 2} {
+		p := fastProfile()
+		p.Workers = workers
+		var handed atomic.Int64
+		handed.Store(-1)
+		p.PointSpan = func(i int, s RunSpec) func(error) {
+			if s == b {
+				handed.Store(int64(i))
+				panic("span bug")
+			}
+			return func(error) {}
+		}
+		_, err := RunManyCtx(context.Background(), p, []RunSpec{a, a, b})
+		var pe *PointError
+		if !errors.As(err, &pe) || pe.Panic != "span bug" {
+			t.Fatalf("workers=%d: got error %v, want the hook's PointError", workers, err)
+		}
+		if got := handed.Load(); got != 2 || pe.Index != 2 || pe.Point != b {
+			t.Fatalf("workers=%d: hook handed index %d, PointError names index %d spec %+v; want 2, 2, %+v",
+				workers, got, pe.Index, pe.Point, b)
 		}
 	}
 }

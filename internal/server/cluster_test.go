@@ -124,6 +124,60 @@ func TestClusterFigureMatchesSolo(t *testing.T) {
 	}
 }
 
+// TestClusterExtFigurePointIndices runs a span-traced figure "ext" job
+// on a coordinator with one worker. The group's merged campaigns each
+// reach the dispatcher with their own spec list, yet the coordinator's
+// point spans (the children of the campaign spans under its job.run,
+// not the worker-side spans imported under lease.attempt) must carry
+// the call-wide index of their point: pairwise distinct and inside the
+// group's point count.
+func TestClusterExtFigurePointIndices(t *testing.T) {
+	w := newWorkerServer(t)
+	_, coord := newTestServer(t, Options{Cluster: config.ClusterSpec{Peers: []string{w.URL}}})
+	code, m := postJob(t, coord, `{"kind": "figure", "figure": "ext", "spans": true, "profile": `+tinyProfile+`}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %v", code, m)
+	}
+	id := m["id"].(string)
+	waitState(t, coord, id, StateDone)
+	byName := checkWellFormed(t, getSpans(t, coord, id))
+
+	var root string
+	for _, r := range byName["job.run"] {
+		if r.ParentID == "" {
+			root = r.SpanID
+		}
+	}
+	camps := make(map[string]bool)
+	for _, c := range byName["campaign"] {
+		if c.ParentID == root {
+			camps[c.SpanID] = true
+		}
+	}
+	total, err := experiments.PointCount(tinyProfileValue(), "ext")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]bool)
+	for _, p := range byName["point"] {
+		if !camps[p.ParentID] {
+			continue
+		}
+		f, ok := p.Attrs["index"].(float64)
+		i := int(f)
+		if !ok || float64(i) != f || i < 0 || i >= total {
+			t.Fatalf("coordinator point span index %v, want an integer in [0, %d)", p.Attrs["index"], total)
+		}
+		if seen[i] {
+			t.Fatalf("two coordinator point spans carry index %d", i)
+		}
+		seen[i] = true
+	}
+	if len(camps) < 2 || len(seen) < 2 {
+		t.Fatalf("%d coordinator campaigns with %d point spans: the group did not run through the dispatcher", len(camps), len(seen))
+	}
+}
+
 // dyingWorker proxies one worker and simulates its death inside a lease:
 // submits and status polls pass through, but the first full-result fetch
 // and every request after it fail with a 500. The victim's first lease is
