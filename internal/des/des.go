@@ -1,12 +1,12 @@
 // Package des implements a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock and a calendar queue of timestamped
-// events (see calendar.go — amortised O(1) insert/pop, so multi-million-event
-// runs do not pay a log-factor per event). Events scheduled for the same
-// instant are executed in FIFO order of scheduling (a monotone sequence
-// number breaks ties), which makes runs bit-for-bit reproducible for a fixed
-// seed regardless of map iteration or goroutine scheduling — the engine is
-// strictly single-threaded.
+// The engine maintains a virtual clock and a priority queue of timestamped
+// events (see queue.go — a 4-ary heap, O(log n) insert and pop; the
+// figures and scale runs keep tens to a few thousand events pending).
+// Events scheduled for the same instant are executed in FIFO order of
+// scheduling (a monotone sequence number breaks ties), which makes runs
+// bit-for-bit reproducible for a fixed seed regardless of map iteration or
+// goroutine scheduling — the engine is strictly single-threaded.
 //
 // The paper's evaluation (ICPP'11, §V) is a pure simulation study; this
 // package is the substrate every experiment runs on.
@@ -45,21 +45,19 @@ type Handle struct {
 	gen  uint64
 }
 
-// item is a calendar-queue entry.
+// item is a scheduled event; its queue slot holds its time and sequence.
 type item struct {
-	at        Time
-	seq       uint64
 	gen       uint64
 	ev        Event
 	cancelled bool
-	queued    bool // in the calendar (not yet popped or reaped)
+	queued    bool // in the queue (not yet popped or reaped)
 }
 
 // Simulator owns the virtual clock and the pending-event queue.
 type Simulator struct {
 	now      Time
 	seq      uint64
-	cal      calendar
+	q        eventQueue
 	fired    uint64
 	maxQueue int
 	stopped  bool
@@ -103,14 +101,14 @@ func (s *Simulator) At(at Time, ev Event) Handle {
 	if n := len(s.free); n > 0 {
 		it = s.free[n-1]
 		s.free = s.free[:n-1]
-		it.at, it.seq, it.ev, it.cancelled = at, s.seq, ev, false
+		it.ev, it.cancelled = ev, false
 	} else {
-		it = &item{at: at, seq: s.seq, ev: ev}
+		it = &item{ev: ev}
 	}
+	s.q.insert(at, s.seq, it)
 	s.seq++
-	s.cal.insert(it)
-	if s.cal.total > s.maxQueue {
-		s.maxQueue = s.cal.total
+	if n := len(s.q.heap); n > s.maxQueue {
+		s.maxQueue = n
 	}
 	return Handle{item: it, gen: it.gen}
 }
@@ -147,9 +145,9 @@ func (s *Simulator) Cancel(h Handle) bool {
 		return false
 	}
 	h.item.cancelled = true
-	s.cal.noteCancelled()
-	if s.cal.needsReap() {
-		s.cal.reap(s.release)
+	s.q.noteCancelled()
+	if s.q.needsReap() {
+		s.q.reap(s.release)
 	}
 	return true
 }
@@ -164,7 +162,7 @@ func (s *Simulator) Stopped() bool { return s.stopped }
 // when the queue is empty (skipping over cancelled entries).
 func (s *Simulator) Step() bool {
 	for {
-		it := s.cal.popMin()
+		at, it := s.q.popMin()
 		if it == nil {
 			return false
 		}
@@ -172,8 +170,7 @@ func (s *Simulator) Step() bool {
 			s.release(it)
 			continue
 		}
-		s.now = it.at
-		s.cal.advanceTo(s.now)
+		s.now = at
 		s.fired++
 		ev := it.ev
 		s.release(it)

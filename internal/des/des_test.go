@@ -144,8 +144,8 @@ func TestPendingSkipsCancelled(t *testing.T) {
 	h1 := atFunc(sim, 1, func(*Simulator) {})
 	atFunc(sim, 2, func(*Simulator) {})
 	sim.Cancel(h1)
-	if sim.cal.live != 1 {
-		t.Fatalf("Pending %d, want 1", sim.cal.live)
+	if sim.q.live != 1 {
+		t.Fatalf("Pending %d, want 1", sim.q.live)
 	}
 }
 

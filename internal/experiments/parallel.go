@@ -174,8 +174,10 @@ func RunManyCtx(ctx context.Context, p Profile, specs []RunSpec) ([]sched.Result
 // through RunPoints; the profile handed down numbers the distinct list
 // by call-wide index (see PointIndex). Copies tick Progress with zero
 // counters, so the hook still fires once per index while the engine
-// counters it sums count real runs only. A profile with in-process
-// recorders runs every index: its recorders are per index.
+// counters it sums count real runs only; a panic in such a tick becomes
+// a *PointError naming the copy's spec and call-wide index. A profile
+// with in-process recorders runs every index: its recorders are per
+// index.
 func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen, base int) ([]sched.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -190,11 +192,18 @@ func runMany(ctx context.Context, p Profile, specs []RunSpec, gen workloadGen, b
 	if err != nil || slot == nil {
 		return res, err
 	}
+	progress := p.Progress
+	tick := func(int) error { progress(sched.RunStats{}); return nil }
 	out := make([]sched.Result, len(specs))
 	for i, k := range slot {
 		out[i] = res[k]
-		if orig[k] != i && p.Progress != nil {
-			p.Progress(sched.RunStats{})
+		if orig[k] == i || progress == nil {
+			continue
+		}
+		if err := runPoint(tick, base+i); err != nil {
+			pe := err.(*PointError)
+			pe.Point, pe.Index = specs[i], base+i
+			return nil, pe
 		}
 	}
 	return out, nil

@@ -550,6 +550,40 @@ func TestHookPanicNamesCallWideIndex(t *testing.T) {
 	}
 }
 
+// TestCopyTickPanicIsPointError runs specs [a, a] with a Progress hook
+// that panics on its second tick: the tick of the copy at index 1, which
+// is not simulated but copied from index 0. The panic must come back as
+// a *PointError naming the copy, not escape RunManyCtx.
+func TestCopyTickPanicIsPointError(t *testing.T) {
+	a := RunSpec{Policy: Greedy, NumTasks: 10, Seed: 1}
+	for _, workers := range []int{1, 2} {
+		p := fastProfile()
+		p.Workers = workers
+		ticks := 0
+		p.Progress = func(sched.RunStats) {
+			if ticks++; ticks == 2 {
+				panic("tick bug")
+			}
+		}
+		var err error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("workers=%d: the tick's panic escaped RunManyCtx: %v", workers, r)
+				}
+			}()
+			_, err = RunManyCtx(context.Background(), p, []RunSpec{a, a})
+		}()
+		var pe *PointError
+		if !errors.As(err, &pe) || pe.Panic != "tick bug" {
+			t.Fatalf("workers=%d: got error %v, want the tick's PointError", workers, err)
+		}
+		if pe.Index != 1 || pe.Point != a {
+			t.Fatalf("workers=%d: PointError names index %d spec %+v; want 1, %+v", workers, pe.Index, pe.Point, a)
+		}
+	}
+}
+
 // TestRunManyFailureInjectionDeterministicAcrossWorkers extends the
 // determinism guarantee to failure-injection campaigns: a FailureMTBF > 0
 // profile must produce bit-identical results at Workers=1 and Workers=8,
