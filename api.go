@@ -11,6 +11,7 @@ import (
 	"rlsched/internal/config"
 	"rlsched/internal/core"
 	"rlsched/internal/experiments"
+	"rlsched/internal/metrics"
 	"rlsched/internal/obs/span"
 	"rlsched/internal/platform"
 	"rlsched/internal/probe"
@@ -34,7 +35,7 @@ type (
 	// optional heterogeneity override and seed.
 	RunSpec = experiments.RunSpec
 	// Result is the summary of one simulation run (response time, energy,
-	// success rate, utilisation series, per-task records).
+	// success rate, utilisation series, engine counters).
 	Result = sched.Result
 	// PolicyName names one of the scheduling policies.
 	PolicyName = experiments.PolicyName
@@ -49,9 +50,16 @@ type (
 	// EngineConfig holds scheduling-framework parameters (merge-buffer
 	// timeouts, decision interval, split/dispatch switches, tracing).
 	EngineConfig = sched.Config
-	// EngineRecorders are one run's tracer, probe and decision audit, as
-	// EngineConfig embeds them and Profile.RecordersFor returns them.
+	// EngineRecorders are one run's tracer, probe, decision audit and
+	// record log, as EngineConfig embeds them and Profile.RecordersFor
+	// returns them.
 	EngineRecorders = sched.Recorders
+	// Records is the opt-in log of one run's task and group completions:
+	// attach a new(Records) via EngineConfig.Records (single run) or
+	// Profile.RecordersFor (one per campaign point) to export record CSVs
+	// or read exact response-time percentiles. A run without one keeps
+	// only counters, so its memory does not grow with the task count.
+	Records = metrics.Records
 	// RunStats are one run's engine counters, as Profile.Progress gets them.
 	RunStats = sched.RunStats
 	// PlatformConfig parameterises random platform generation (§V.A
@@ -445,12 +453,15 @@ func ScalePreset(name string) (ScaleConfig, error) { return experiments.ScalePre
 
 // RunScale executes one scale scenario end to end and returns its
 // summary. The result's Collector is in streaming mode: headline
-// metrics are exact, RTPercentile approximate, per-task records absent.
+// metrics are exact and RTPercentile approximate. ScaleConfig.Records
+// can attach a record log, at a memory cost that grows with the task
+// count.
 func RunScale(c ScaleConfig) (Result, error) { return experiments.RunScale(c) }
 
 // NewEngineFromSource builds an engine that pulls tasks from a streaming
-// source instead of a pre-generated slice. Set EngineConfig.LowMemory to
-// retain no per-task records (O(active) memory).
+// source instead of a pre-generated slice. Its memory is O(active tasks)
+// plus the cycle series; set EngineConfig.LowMemory to bound that series
+// too, and leave EngineConfig.Records nil to keep no per-task records.
 func NewEngineFromSource(cfg EngineConfig, pl *Platform, src WorkloadSource, policy Policy, r *Stream) (*Engine, error) {
 	return sched.NewFromSource(cfg, pl, src, policy, r)
 }

@@ -93,6 +93,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeline = rlsched.NewTimeline()
 		profile.Engine.Tracer = timeline
 	}
+	// The record log backs -dump-tasks, -dump-groups and the exact p95
+	// of the summary.
+	records := new(rlsched.Records)
+	profile.Engine.Records = records
 
 	// rlsim runs one point, so either series output attaches one probe
 	// recorder and either decision output one audit recorder straight to
@@ -124,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "policy            %s\n", res.Policy)
 	fmt.Fprintf(stdout, "tasks             %d submitted, %d completed\n", res.Submitted, res.Completed)
 	fmt.Fprintf(stdout, "avg response time %.2f t units (wait %.2f, p95 %.2f)\n",
-		res.AveRT, res.MeanWait, res.Collector.RTPercentile(95))
+		res.AveRT, res.MeanWait, records.RTPercentile(95))
 	fmt.Fprintf(stdout, "energy (ECS)      %.3f million W·t (%.1f per task, idle share %.1f%%)\n",
 		res.ECS/1e6, res.Efficiency.EnergyPerTask, res.Efficiency.IdleFraction*100)
 	fmt.Fprintf(stdout, "successful rate   %.3f (%d deadline hits)\n", res.SuccessRate, res.DeadlineHits)
@@ -144,8 +148,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s\n", path)
 		return true
 	}
-	if !export(*dumpTasks, res.Collector.WriteTaskRecords) ||
-		!export(*dumpGroups, res.Collector.WriteGroupRecords) ||
+	if !export(*dumpTasks, records.WriteTaskRecords) ||
+		!export(*dumpGroups, records.WriteGroupRecords) ||
 		!export(*dumpGantt, timeline.WriteCSV) {
 		return 1
 	}

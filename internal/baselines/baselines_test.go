@@ -9,6 +9,7 @@ import (
 	"rlsched/internal/baselines/onlinerl"
 	"rlsched/internal/baselines/predictive"
 	"rlsched/internal/baselines/qplus"
+	"rlsched/internal/metrics"
 	"rlsched/internal/platform"
 	"rlsched/internal/rng"
 	"rlsched/internal/sched"
@@ -16,6 +17,13 @@ import (
 )
 
 func run(t *testing.T, policy sched.Policy, n int, seed uint64) sched.Result {
+	t.Helper()
+	res, _ := runLogged(t, policy, n, seed)
+	return res
+}
+
+// runLogged is run with a record log attached, which it returns.
+func runLogged(t *testing.T, policy sched.Policy, n int, seed uint64) (sched.Result, *metrics.Records) {
 	t.Helper()
 	r := rng.NewStream(seed, "bl-test")
 	pcfg := platform.DefaultGenConfig()
@@ -27,8 +35,10 @@ func run(t *testing.T, policy sched.Policy, n int, seed uint64) sched.Result {
 	wcfg.MeanInterArrival = 1
 	wcfg.SlowestSpeedMIPS = pl.SlowestSpeed()
 	tasks := workload.MustGenerate(wcfg, r.Split("workload"))
-	eng := sched.MustNew(sched.DefaultConfig(), pl, tasks, policy, r.Split("engine"))
-	return eng.MustRun()
+	cfg := sched.DefaultConfig()
+	cfg.Records = new(metrics.Records)
+	eng := sched.MustNew(cfg, pl, tasks, policy, r.Split("engine"))
+	return eng.MustRun(), cfg.Records
 }
 
 func TestAllBaselinesComplete(t *testing.T) {
@@ -165,12 +175,12 @@ func TestQPlusSleepsProcessors(t *testing.T) {
 
 func TestPredictiveModelTrains(t *testing.T) {
 	p := predictive.NewDefault()
-	res := run(t, p, 400, 19)
+	_, recs := runLogged(t, p, 400, 19)
 	if p.Samples() == 0 {
 		t.Fatal("predictive model never trained")
 	}
-	if p.Samples() != len(res.Collector.Groups()) {
-		t.Fatalf("trained on %d samples, %d groups completed", p.Samples(), len(res.Collector.Groups()))
+	if p.Samples() != len(recs.Groups()) {
+		t.Fatalf("trained on %d samples, %d groups completed", p.Samples(), len(recs.Groups()))
 	}
 }
 

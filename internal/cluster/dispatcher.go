@@ -217,7 +217,7 @@ func (d *Dispatcher) Runner(meta JobMeta) func(context.Context, experiments.Prof
 }
 
 // encodeResult marshals a point result for the cache and the wire. The
-// Collector (per-task records for post-hoc analysis) is dropped: no
+// Collector (the run's counters and cycle log) is dropped: no
 // figure or summary reads it, and it can dwarf the result scalars.
 func encodeResult(r sched.Result) ([]byte, error) {
 	r.Collector = nil

@@ -6,6 +6,7 @@ import (
 	"rlsched/internal/audit"
 	"rlsched/internal/grouping"
 	"rlsched/internal/memory"
+	"rlsched/internal/metrics"
 	"rlsched/internal/platform"
 	"rlsched/internal/rng"
 	"rlsched/internal/sched"
@@ -13,6 +14,13 @@ import (
 )
 
 func runWith(t *testing.T, policy sched.Policy, n int, seed uint64) sched.Result {
+	t.Helper()
+	res, _ := runLogged(t, policy, n, seed)
+	return res
+}
+
+// runLogged is runWith with a record log attached, which it returns.
+func runLogged(t *testing.T, policy sched.Policy, n int, seed uint64) (sched.Result, *metrics.Records) {
 	t.Helper()
 	r := rng.NewStream(seed, "core-test")
 	pcfg := platform.DefaultGenConfig()
@@ -24,8 +32,10 @@ func runWith(t *testing.T, policy sched.Policy, n int, seed uint64) sched.Result
 	wcfg.MeanInterArrival = 1
 	wcfg.SlowestSpeedMIPS = pl.SlowestSpeed()
 	tasks := workload.MustGenerate(wcfg, r.Split("workload"))
-	eng := sched.MustNew(sched.DefaultConfig(), pl, tasks, policy, r.Split("engine"))
-	return eng.MustRun()
+	cfg := sched.DefaultConfig()
+	cfg.Records = new(metrics.Records)
+	eng := sched.MustNew(cfg, pl, tasks, policy, r.Split("engine"))
+	return eng.MustRun(), cfg.Records
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -103,9 +113,9 @@ func TestSharedMemoryPopulated(t *testing.T) {
 }
 
 func TestAdaptiveOpnumVaries(t *testing.T) {
-	res := runWith(t, NewDefault(), 600, 13)
+	_, recs := runLogged(t, NewDefault(), 600, 13)
 	sizes := map[int]bool{}
-	for _, g := range res.Collector.Groups() {
+	for _, g := range recs.Groups() {
 		sizes[g.Size] = true
 	}
 	if len(sizes) < 2 {
@@ -132,8 +142,8 @@ func TestAblationFlagsRun(t *testing.T) {
 func TestExplorationDecays(t *testing.T) {
 	// After a long run the mean group l_val late in the run should beat
 	// the early mean: the agent learns to pick favourable actions.
-	res := runWith(t, NewDefault(), 1200, 19)
-	groups := res.Collector.Groups()
+	_, recs := runLogged(t, NewDefault(), 1200, 19)
+	groups := recs.Groups()
 	if len(groups) < 40 {
 		t.Skipf("too few groups (%d)", len(groups))
 	}

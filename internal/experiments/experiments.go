@@ -188,13 +188,14 @@ type Profile struct {
 }
 
 // InProcess reports whether the profile carries in-process
-// instrumentation: a RecordersFor hook or an Engine recorder. Such a
-// recorder is fed by the engine run itself, so it cannot follow a point
-// to another machine or be filled from the result cache: RunManyCtx then
-// bypasses RunPoints and runs the campaign locally.
+// instrumentation: a RecordersFor hook or an Engine recorder (tracer,
+// probe, decision audit or record log). Such a recorder is fed by the
+// engine run itself, so it cannot follow a point to another machine or
+// be filled from the result cache: RunManyCtx then bypasses RunPoints
+// and runs the campaign locally.
 func (p Profile) InProcess() bool {
 	r := p.Engine.Recorders
-	return p.RecordersFor != nil || r.Tracer != nil || r.Probe != nil || r.Audit != nil
+	return p.RecordersFor != nil || r.Tracer != nil || r.Probe != nil || r.Audit != nil || r.Records != nil
 }
 
 // DefaultProfile returns the tuned defaults used for every figure.

@@ -13,6 +13,7 @@ import (
 
 	"rlsched/internal/cache"
 	"rlsched/internal/core"
+	"rlsched/internal/metrics"
 	"rlsched/internal/sched"
 )
 
@@ -43,10 +44,13 @@ var goldenDigests = map[string]map[string]string{
 	},
 }
 
-// goldenPoint is one tiny simulation point of the digest panel.
+// goldenPoint is one tiny simulation point of the digest panel. A
+// default-mode point runs with a record log attached (records); a
+// low-memory or scale point keeps none.
 type goldenPoint struct {
-	name string
-	run  func() (sched.Result, error)
+	name    string
+	run     func() (sched.Result, error)
+	records *metrics.Records
 }
 
 // goldenPanel covers every policy and every engine path at a size that
@@ -60,7 +64,10 @@ func goldenPanel() []goldenPoint {
 	const n = 300
 	spec := func(p PolicyName) RunSpec { return RunSpec{Policy: p, NumTasks: n, Seed: 1} }
 	run := func(name string, prof Profile, s RunSpec) goldenPoint {
-		return goldenPoint{name, func() (sched.Result, error) { return Run(prof, s) }}
+		if !prof.Engine.LowMemory {
+			prof.Engine.Records = new(metrics.Records)
+		}
+		return goldenPoint{name, func() (sched.Result, error) { return Run(prof, s) }, prof.Engine.Records}
 	}
 
 	var panel []goldenPoint
@@ -74,6 +81,7 @@ func goldenPanel() []goldenPoint {
 
 	sleep := tiny
 	sleep.Platform.SleepPowerW = 5
+	sleep.Engine.Records = new(metrics.Records)
 	panel = append(panel, goldenPoint{"idle-sleep", func() (sched.Result, error) {
 		cfg := core.DefaultConfig()
 		cfg.ManageIdleSleep = true
@@ -82,7 +90,7 @@ func goldenPanel() []goldenPoint {
 			return sched.Result{}, err
 		}
 		return RunWith(sleep, spec(AdaptiveRL), policy)
-	}})
+	}, sleep.Engine.Records})
 
 	dvfs := tiny
 	dvfs.Platform.PowerExponent = 3
@@ -106,31 +114,38 @@ func goldenPanel() []goldenPoint {
 		}
 		c.Sites, c.NumTasks = 80, 20_000
 		return RunScale(c)
-	}})
+	}, nil})
 	return panel
 }
 
 // goldenPointDigest hashes what the result cache stores for a point — the
-// canonical JSON of its Result with the Collector dropped — plus what the
-// Collector still exports: the task and group record CSVs and the 95th
-// response-time percentile.
-func goldenPointDigest(res sched.Result) (string, error) {
-	col := res.Collector
+// canonical JSON of its Result with the Collector dropped — plus the
+// point's record exports: the task and group record CSVs and the 95th
+// response-time percentile. A default-mode point reads them from its
+// record log; a point with none (records nil: low-memory and scale
+// points) hashes header-only CSVs and its collector's histogram p95.
+func goldenPointDigest(res sched.Result, records *metrics.Records) (string, error) {
+	p95 := res.Collector.RTPercentile(95)
+	if records == nil {
+		records = new(metrics.Records)
+	} else {
+		p95 = records.RTPercentile(95)
+	}
 	res.Collector = nil
 	canon, err := cache.CanonicalJSON(res)
 	if err != nil {
 		return "", err
 	}
 	var tasks, groups bytes.Buffer
-	if err := col.WriteTaskRecords(&tasks); err != nil {
+	if err := records.WriteTaskRecords(&tasks); err != nil {
 		return "", err
 	}
-	if err := col.WriteGroupRecords(&groups); err != nil {
+	if err := records.WriteGroupRecords(&groups); err != nil {
 		return "", err
 	}
 	h := sha256.New()
 	for _, part := range [][]byte{canon, tasks.Bytes(), groups.Bytes(),
-		[]byte(strconv.FormatFloat(col.RTPercentile(95), 'g', -1, 64))} {
+		[]byte(strconv.FormatFloat(p95, 'g', -1, 64))} {
 		fmt.Fprintf(h, "%d:", len(part))
 		h.Write(part)
 	}
@@ -154,7 +169,7 @@ func TestGoldenEngineDigest(t *testing.T) {
 		if pt.name == "failures" && res.Failures == 0 {
 			t.Fatalf("failures point injected no failures")
 		}
-		if got[pt.name], err = goldenPointDigest(res); err != nil {
+		if got[pt.name], err = goldenPointDigest(res, pt.records); err != nil {
 			t.Fatalf("%s: %v", pt.name, err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rlsched/internal/audit"
+	"rlsched/internal/metrics"
 	"rlsched/internal/obs"
 	"rlsched/internal/probe"
 	"rlsched/internal/sched"
@@ -98,6 +99,9 @@ func TestRunPointsBypassedForProbes(t *testing.T) {
 		{"engine-tracer", func(p *Profile) {
 			p.Engine.Tracer = trace.NewRing(16, trace.LevelDebug)
 		}, true},
+		{"engine-records", func(p *Profile) {
+			p.Engine.Records = new(metrics.Records)
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := base
@@ -135,6 +139,7 @@ func TestCacheFingerprintDropsRuntimeHooks(t *testing.T) {
 	hooked.Engine.Tracer = trace.NewRing(16, trace.LevelDebug)
 	hooked.Engine.Probe = probe.NewRecorder(probe.Config{})
 	hooked.Engine.Audit = audit.NewRecorder(audit.Config{})
+	hooked.Engine.Records = new(metrics.Records)
 	if got, want := hooked.CacheFingerprint(), bare.CacheFingerprint(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fingerprint keeps a runtime hook:\n got %+v\nwant %+v", got, want)
 	}

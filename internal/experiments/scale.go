@@ -141,8 +141,8 @@ func (c ScaleConfig) Workload(r *rng.Stream) (workload.Source, workload.DiurnalC
 // RunScale executes one scale scenario end to end: streaming diurnal
 // workload, low-memory engine, aggregated metrics. The returned Result
 // carries exact headline metrics (AveRT, ECS, SuccessRate, utilisation)
-// and a streaming Collector (Tasks/Groups empty, RTPercentile
-// approximate — see metrics.NewStreamingCollector).
+// and a streaming Collector (RTPercentile approximate — see
+// metrics.NewStreamingCollector).
 func RunScale(c ScaleConfig) (sched.Result, error) {
 	if err := c.Validate(); err != nil {
 		return sched.Result{}, err

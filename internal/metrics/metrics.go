@@ -2,7 +2,9 @@
 // the paper's evaluation (§V): task response times (Eq. 4), deadline
 // success (Eq. 8 aggregated to the successful rate rew_val/N), group
 // feedback, and the utilisation-versus-learning-cycle series of
-// Experiment 2.
+// Experiment 2. A Collector computes all of them from running counters
+// and its cycle log; the per-task and per-group records themselves live
+// in a Records log, which a run keeps only when a caller attaches one.
 package metrics
 
 import (
@@ -13,28 +15,6 @@ import (
 	"rlsched/internal/stats"
 	"rlsched/internal/workload"
 )
-
-// TaskRecord is the completion record of one task.
-type TaskRecord struct {
-	ID           int
-	Priority     workload.Priority
-	ResponseTime float64
-	WaitTime     float64
-	MetDeadline  bool
-	FinishedAt   float64
-}
-
-// GroupRecord is the feedback record of one completed task group.
-type GroupRecord struct {
-	GroupID int
-	AgentID int
-	Size    int
-	Reward  int
-	ErrTG   float64
-	// LVal is the learning value the agent derived (Eq. 7).
-	LVal        float64
-	CompletedAt float64
-}
 
 // CycleRecord marks one learning cycle: the completion of a task group and
 // the platform's cumulative utilisation integrals at that instant. The
@@ -53,14 +33,12 @@ type CycleRecord struct {
 
 // Collector accumulates a single simulation run's observations. Every
 // aggregate comes from counters fed as records arrive, so both modes
-// report identical headline metrics. The mode only decides what is
-// retained: the default keeps every task and group record and the full
-// cycle series (exact RTPercentile, record export), while streaming mode
-// (NewStreamingCollector) keeps a response-time histogram and a strided
-// cycle series in constant memory — see streaming.go.
+// report identical headline metrics; neither keeps the records (see
+// Records). The mode decides the rest: the default keeps the full cycle
+// series, while streaming mode (NewStreamingCollector) keeps a strided
+// cycle series and a response-time histogram in constant memory — see
+// streaming.go.
 type Collector struct {
-	tasks  []TaskRecord
-	groups []GroupRecord
 	cycles []CycleRecord
 
 	completed   int
@@ -84,8 +62,8 @@ type Collector struct {
 	rtHist *rtHistogram
 }
 
-// NewCollector creates a collector that retains every record, for a
-// platform with the given (positive) processor count.
+// NewCollector creates a collector that keeps the full cycle series, for
+// a platform with the given (positive) processor count.
 func NewCollector(numProcessors int) *Collector {
 	if numProcessors <= 0 {
 		panic(fmt.Sprintf("metrics: processor count must be positive, got %d", numProcessors))
@@ -93,21 +71,18 @@ func NewCollector(numProcessors int) *Collector {
 	return &Collector{cycleStride: 1}
 }
 
-// ReserveTasks makes room in the task-record log for n more completions,
-// and in the group and cycle logs for n/2 more records each (the figure
-// workloads form one group, and so one learning cycle, per ~2.4 tasks),
-// so a run whose task count is known up front never regrows the task
-// log and seldom the other two. A streaming collector retains no task or
-// group records and bounds its cycle series, and ignores it.
+// ReserveTasks makes room in the cycle log for the n/2 learning cycles
+// that n more task completions bring (the figure workloads form one
+// group, and so one learning cycle, per ~2.4 tasks), so a run whose task
+// count is known up front seldom regrows it. A streaming collector
+// bounds its cycle series and ignores it.
 func (c *Collector) ReserveTasks(n int) {
 	if c.rtHist == nil {
-		c.tasks = slices.Grow(c.tasks, n)
-		c.groups = slices.Grow(c.groups, n/2)
 		c.cycles = slices.Grow(c.cycles, n/2)
 	}
 }
 
-// RecordTask logs one task completion.
+// RecordTask counts one task completion.
 func (c *Collector) RecordTask(r TaskRecord) {
 	c.completed++
 	c.rt.Add(r.ResponseTime)
@@ -119,12 +94,10 @@ func (c *Collector) RecordTask(r TaskRecord) {
 	}
 	if c.rtHist != nil {
 		c.rtHist.add(r.ResponseTime)
-		return
 	}
-	c.tasks = append(c.tasks, r)
 }
 
-// RecordGroup logs one group completion.
+// RecordGroup counts one group completion.
 func (c *Collector) RecordGroup(r GroupRecord) {
 	if r.Reward > r.Size && c.groupErr == nil {
 		c.groupErr = fmt.Errorf("metrics: group %d reward %d > size %d", r.GroupID, r.Reward, r.Size)
@@ -133,9 +106,6 @@ func (c *Collector) RecordGroup(r GroupRecord) {
 	c.groupReward += r.Reward
 	c.lval.Add(r.LVal)
 	c.gsize.Add(float64(r.Size))
-	if c.rtHist == nil {
-		c.groups = append(c.groups, r)
-	}
 }
 
 // RecordCycle logs one learning cycle. Records must arrive in
@@ -156,12 +126,6 @@ func (c *Collector) RecordCycle(at, cumBusyDemand, cumCapDemand float64) {
 		c.decimateCycles()
 	}
 }
-
-// Tasks returns the recorded task completions (empty in streaming mode).
-func (c *Collector) Tasks() []TaskRecord { return c.tasks }
-
-// Groups returns the recorded group completions (empty in streaming mode).
-func (c *Collector) Groups() []GroupRecord { return c.groups }
 
 // Cycles returns the learning-cycle records (a bounded uniformly strided
 // subset in streaming mode).
@@ -189,21 +153,15 @@ func (c *Collector) SuccessRate(submitted int) float64 {
 // DeadlineHits returns the raw number of tasks that met their deadline.
 func (c *Collector) DeadlineHits() int { return c.success }
 
-// RTPercentile returns a response-time percentile over completed tasks
-// (approximate in streaming mode, exact otherwise). It returns 0 when
-// nothing completed.
+// RTPercentile returns a streaming collector's histogram approximation of
+// a response-time percentile over completed tasks (0 when nothing
+// completed). A default-mode collector keeps no per-task data and returns
+// NaN: the exact percentile comes from an attached Records log.
 func (c *Collector) RTPercentile(p float64) float64 {
-	if c.rtHist != nil {
-		return c.rtHist.percentile(p)
+	if c.rtHist == nil {
+		return math.NaN()
 	}
-	if len(c.tasks) == 0 {
-		return 0
-	}
-	rts := make([]float64, len(c.tasks))
-	for i, t := range c.tasks {
-		rts[i] = t.ResponseTime
-	}
-	return stats.Percentile(rts, p)
+	return c.rtHist.percentile(p)
 }
 
 // SuccessByPriority breaks the deadline-hit rate down per priority class

@@ -54,19 +54,50 @@ func TestSuccessRate(t *testing.T) {
 	}
 }
 
+// TestRTPercentile: a Records log gives the exact percentile; a
+// default-mode collector, which keeps no per-task data, says NaN rather
+// than a plausible 0.
 func TestRTPercentile(t *testing.T) {
-	c := NewCollector(4)
-	if c.RTPercentile(50) != 0 {
-		t.Fatal("empty collector percentile must be 0")
+	var r Records
+	if r.RTPercentile(50) != 0 {
+		t.Fatal("empty log percentile must be 0")
 	}
+	c := NewCollector(4)
 	for _, rt := range []float64{1, 2, 3, 4, 5} {
+		r.RecordTask(TaskRecord{ResponseTime: rt})
 		c.RecordTask(TaskRecord{ResponseTime: rt})
 	}
-	if got := c.RTPercentile(50); got != 3 {
+	if got := r.RTPercentile(50); got != 3 {
 		t.Fatalf("P50 = %g", got)
 	}
-	if got := c.RTPercentile(100); got != 5 {
+	if got := r.RTPercentile(100); got != 5 {
 		t.Fatalf("P100 = %g", got)
+	}
+	if got := c.RTPercentile(50); !math.IsNaN(got) {
+		t.Fatalf("default-mode collector P50 = %g, want NaN", got)
+	}
+	if got := NewStreamingCollector(4).RTPercentile(50); got != 0 {
+		t.Fatalf("empty streaming collector P50 = %g, want 0", got)
+	}
+}
+
+// TestRecordsKeepOrder: the log holds every record in arrival order, and
+// Reserve keeps what it holds.
+func TestRecordsKeepOrder(t *testing.T) {
+	var r Records
+	r.RecordTask(TaskRecord{ID: 4})
+	r.Reserve(10)
+	r.RecordTask(TaskRecord{ID: 2})
+	r.RecordGroup(GroupRecord{GroupID: 9})
+	r.RecordGroup(GroupRecord{GroupID: 3})
+	if got := r.Tasks(); len(got) != 2 || got[0].ID != 4 || got[1].ID != 2 {
+		t.Fatalf("tasks %+v, want IDs 4, 2", got)
+	}
+	if got := r.Groups(); len(got) != 2 || got[0].GroupID != 9 || got[1].GroupID != 3 {
+		t.Fatalf("groups %+v, want IDs 9, 3", got)
+	}
+	if cap(r.Tasks()) < 11 || cap(r.Groups()) < 5 {
+		t.Fatalf("Reserve(10) left room for %d tasks, %d groups", cap(r.Tasks()), cap(r.Groups()))
 	}
 }
 
@@ -294,7 +325,7 @@ func BenchmarkRecordTask(b *testing.B) {
 }
 
 func TestWriteTaskRecords(t *testing.T) {
-	c := NewCollector(2)
+	var c Records
 	c.RecordTask(TaskRecord{ID: 3, Priority: workload.PriorityHigh, ResponseTime: 12.5, WaitTime: 2, MetDeadline: true, FinishedAt: 40})
 	var sb strings.Builder
 	if err := c.WriteTaskRecords(&sb); err != nil {
@@ -309,7 +340,7 @@ func TestWriteTaskRecords(t *testing.T) {
 }
 
 func TestWriteGroupRecords(t *testing.T) {
-	c := NewCollector(2)
+	var c Records
 	c.RecordGroup(GroupRecord{GroupID: 7, AgentID: 1, Size: 3, Reward: 2, ErrTG: 0.5, LVal: 4, CompletedAt: 99})
 	var sb strings.Builder
 	if err := c.WriteGroupRecords(&sb); err != nil {

@@ -2,13 +2,12 @@ package metrics
 
 import "math"
 
-// Streaming mode: a Collector built by NewStreamingCollector retains no
-// records, so memory stays constant no matter how many tasks a run
-// streams through. The headline metrics come from the same counters as
-// in the default mode and are exact; RTPercentile comes from a bounded
-// geometric histogram (a few percent relative error); the learning-cycle
-// series is downsampled to a bounded uniformly strided subset; Tasks()
-// and Groups() return nothing.
+// Streaming mode: a Collector built by NewStreamingCollector keeps
+// memory constant no matter how many tasks a run streams through. The
+// headline metrics come from the same counters as in the default mode
+// and are exact; RTPercentile comes from a bounded geometric histogram (a
+// few percent relative error); the learning-cycle series is downsampled
+// to a bounded uniformly strided subset.
 
 const (
 	// rtHistBuckets and rtHistGamma shape the response-time histogram:
@@ -76,8 +75,8 @@ func NewStreamingCollector(numProcessors int) *Collector {
 	return c
 }
 
-// Streaming reports whether the collector aggregates instead of
-// retaining records.
+// Streaming reports whether the collector bounds its cycle series and
+// keeps a response-time histogram.
 func (c *Collector) Streaming() bool { return c.rtHist != nil }
 
 // decimateCycles halves the retained cycle series to every other record

@@ -65,16 +65,17 @@ type Config struct {
 	// is positive).
 	RepairTime float64
 	// Recorders are the run's runtime-only observers; the embedding keeps
-	// cfg.Tracer, cfg.Probe and cfg.Audit addressable directly.
+	// cfg.Tracer, cfg.Probe, cfg.Audit and cfg.Records addressable
+	// directly.
 	Recorders `json:"-"`
 	// LowMemory switches the run to streaming observation so memory stays
 	// O(active tasks + aggregate statistics) regardless of workload length:
-	// the collector retains no task or group records (Collector.Tasks/
-	// Groups return nothing, RTPercentile becomes approximate) and only a
-	// strided cycle series, and learning-cycle utilisation bookkeeping is
-	// O(1) per cycle instead of O(processors+nodes). Required for
-	// multi-million-task scale runs; leave off to keep full per-task
-	// records and byte-identical historical results.
+	// the collector keeps a strided cycle series and a response-time
+	// histogram (Collector.RTPercentile becomes an approximation), and
+	// learning-cycle utilisation bookkeeping is O(1) per cycle instead of
+	// O(processors+nodes), which rounds ECS differently in the last bit.
+	// Required for multi-million-task scale runs; leave off for
+	// byte-identical historical results.
 	LowMemory bool
 }
 
@@ -95,6 +96,11 @@ type Recorders struct {
 	// bounded reservoir. It draws no randomness and schedules no events,
 	// so an audited run is byte-identical to an unaudited one.
 	Audit *audit.Recorder
+	// Records, when non-nil, logs every task and group completion (record
+	// export, exact response-time percentiles). Its memory grows with the
+	// task count; without it a run keeps only the collector's counters
+	// and cycle series.
+	Records *metrics.Records
 }
 
 // DefaultConfig returns the engine defaults.
@@ -165,7 +171,9 @@ type Result struct {
 	// Efficiency bundles derived energy indicators.
 	Efficiency energy.Efficiency
 
-	// Collector retains per-task/group records for detailed analysis.
+	// Collector holds the run's counters and learning-cycle series; the
+	// per-task and per-group records are in Config.Records when one was
+	// attached.
 	Collector *metrics.Collector
 }
 
@@ -274,11 +282,14 @@ func New(cfg Config, pl *platform.Platform, tasks []*workload.Task, policy Polic
 	}
 	// The task count is known here, so the event-loop guard can start at
 	// its final value (NewFromSource grows it as tasks stream in), and
-	// the collector can size its task log once.
+	// the collector and an attached record log can size their logs once.
 	if cfg.MaxEvents == 0 {
 		e.sim.MaxEvents = uint64(len(tasks))*1000 + 1_000_000
 	}
 	e.col.ReserveTasks(len(tasks))
+	if cfg.Records != nil {
+		cfg.Records.Reserve(len(tasks))
+	}
 	return e, nil
 }
 
@@ -958,10 +969,9 @@ func (e *Engine) tryDispatch(node *platform.Node) {
 	for _, proc := range e.idleProcs(node) {
 		// Aborted executions restart first: their groups hold queue slots
 		// and their deadlines have been running the longest.
-		if rl := e.retries[node.ID]; len(rl) > 0 {
-			r := rl[0]
-			rl[0] = retryEntry{} // the popped slot must not pin the task
-			e.retries[node.ID] = rl[1:]
+		if len(e.retries[node.ID]) > 0 {
+			var r retryEntry
+			r, e.retries[node.ID] = popFront(e.retries[node.ID])
 			e.startTask(node, proc, r.group, r.task, true)
 			continue
 		}
@@ -1100,14 +1110,18 @@ func (e *Engine) finishTask(node *platform.Node, proc *platform.Processor) {
 	}
 	proc.SetState(platform.StateIdle, now)
 	met := task.MetDeadline()
-	e.col.RecordTask(metrics.TaskRecord{
+	rec := metrics.TaskRecord{
 		ID:           task.ID,
 		Priority:     task.Priority,
 		ResponseTime: task.ResponseTime(),
 		WaitTime:     task.StartTime - task.ArrivalTime,
 		MetDeadline:  met,
 		FinishedAt:   now,
-	})
+	}
+	e.col.RecordTask(rec)
+	if e.cfg.Records != nil {
+		e.cfg.Records.RecordTask(rec)
+	}
 	if e.tracing(trace.LevelDebug) {
 		e.emit(trace.LevelDebug, "finish",
 			trace.F("task", task.ID), trace.F("proc", proc.ID), trace.F("met", met))
@@ -1151,7 +1165,7 @@ func (e *Engine) completeGroup(g *grouping.Group, node *platform.Node) {
 	ag := e.groupAgent[g.ID]
 	delete(e.groupAgent, g.ID) // retire the entry: the map tracks open groups only
 	exp := memory.Experience{Reward: float64(g.Reward()), Error: g.ErrTG}
-	e.col.RecordGroup(metrics.GroupRecord{
+	rec := metrics.GroupRecord{
 		GroupID:     g.ID,
 		AgentID:     ag.ID,
 		Size:        g.Len(),
@@ -1159,7 +1173,11 @@ func (e *Engine) completeGroup(g *grouping.Group, node *platform.Node) {
 		ErrTG:       g.ErrTG,
 		LVal:        exp.LVal(),
 		CompletedAt: now,
-	})
+	}
+	e.col.RecordGroup(rec)
+	if e.cfg.Records != nil {
+		e.cfg.Records.RecordGroup(rec)
+	}
 	if e.tracing(trace.LevelInfo) {
 		e.emit(trace.LevelInfo, "group-complete",
 			trace.F("group", g.ID), trace.F("reward", g.Reward()), trace.F("size", g.Len()))
@@ -1204,15 +1222,26 @@ func (e *Engine) placeBacklog(ag *Agent) {
 		if len(candidates) == 0 {
 			return
 		}
-		g := ag.backlog[0]
-		ag.backlog[0] = nil
-		ag.backlog = ag.backlog[1:]
+		var g *grouping.Group
+		g, ag.backlog = popFront(ag.backlog)
 		node := e.policy.PlaceGroup(e.ctx, ag, g, candidates)
 		if !e.isCandidate(node) {
 			node = e.leastLoaded(candidates)
 		}
 		e.enqueue(ag, g, node)
 	}
+}
+
+// popFront removes and returns the head of a FIFO list. It shifts the
+// rest down, so later appends reuse the whole backing array (an s[1:]
+// pop strands a slot per pop and makes them reallocate), and zeroes the
+// vacated last slot so it pins nothing.
+func popFront[T any](s []T) (T, []T) {
+	head := s[0]
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	return head, s[:n]
 }
 
 // sleepProcessor honours a policy's go_sleep action on an idle processor.

@@ -3,10 +3,12 @@ package sched
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"rlsched/internal/grouping"
+	"rlsched/internal/metrics"
 	"rlsched/internal/platform"
 	"rlsched/internal/rng"
 	"rlsched/internal/trace"
@@ -33,6 +35,23 @@ func buildRun(t *testing.T, n int, policy Policy, seed uint64, mutate func(*Conf
 	}
 	eng := MustNew(cfg, pl, tasks, policy, r.Split("engine"))
 	return eng.MustRun()
+}
+
+// recordedRun is buildRun with a record log attached; it fails the test
+// unless the log holds one record per completed task.
+func recordedRun(t *testing.T, n int, policy Policy, seed uint64, mutate func(*Config)) (Result, *metrics.Records) {
+	t.Helper()
+	recs := new(metrics.Records)
+	res := buildRun(t, n, policy, seed, func(c *Config) {
+		c.Records = recs
+		if mutate != nil {
+			mutate(c)
+		}
+	})
+	if len(recs.Tasks()) != res.Completed {
+		t.Fatalf("record log holds %d tasks, %d completed", len(recs.Tasks()), res.Completed)
+	}
+	return res, recs
 }
 
 func TestRunCompletesAllTasks(t *testing.T) {
@@ -77,8 +96,8 @@ func TestSeedChangesOutcome(t *testing.T) {
 }
 
 func TestResponseTimeDominatesExecTime(t *testing.T) {
-	res := buildRun(t, 200, NewGreedy(), 3, nil)
-	for _, tr := range res.Collector.Tasks() {
+	res, recs := recordedRun(t, 200, NewGreedy(), 3, nil)
+	for _, tr := range recs.Tasks() {
 		if tr.WaitTime < 0 {
 			t.Fatalf("task %d has negative wait %g", tr.ID, tr.WaitTime)
 		}
@@ -118,8 +137,8 @@ func TestSplitImprovesUtilization(t *testing.T) {
 }
 
 func TestGroupRecordsConsistent(t *testing.T) {
-	res := buildRun(t, 250, NewGreedy(), 13, nil)
-	groups := res.Collector.Groups()
+	res, recs := recordedRun(t, 250, NewGreedy(), 13, nil)
+	groups := recs.Groups()
 	if len(groups) == 0 {
 		t.Fatal("no groups recorded")
 	}
@@ -202,8 +221,8 @@ func TestIdenticalModeGroupsAreUniform(t *testing.T) {
 }
 
 func TestTaskStartRespectsArrival(t *testing.T) {
-	res := buildRun(t, 200, NewGreedy(), 37, nil)
-	for _, tr := range res.Collector.Tasks() {
+	_, recs := recordedRun(t, 200, NewGreedy(), 37, nil)
+	for _, tr := range recs.Tasks() {
 		if tr.FinishedAt <= 0 {
 			t.Fatalf("task %d finished at %g", tr.ID, tr.FinishedAt)
 		}
@@ -370,6 +389,62 @@ func TestHeavyLoadBacklogDrains(t *testing.T) {
 	}
 	if res.MeanWait <= 0 {
 		t.Fatal("backlog pressure must produce queueing delay")
+	}
+}
+
+// TestBacklogPlacedInFIFOOrder: an agent's deferred groups are placed in
+// the order they were backlogged. One node with a single queue slot under
+// heavy load holds several backlogged groups at once, so a pop from the
+// wrong end would reorder them.
+func TestBacklogPlacedInFIFOOrder(t *testing.T) {
+	r := rng.NewStream(51, "bk")
+	pcfg := platform.DefaultGenConfig()
+	pcfg.Sites = 1
+	pcfg.MinNodesPerSite, pcfg.MaxNodesPerSite = 1, 1
+	pcfg.MinQueueCap, pcfg.MaxQueueCap = 1, 1
+	pl := platform.MustGenerate(pcfg, r.Split("p"))
+	wcfg := workload.DefaultGenConfig()
+	wcfg.NumTasks = 300
+	wcfg.MeanInterArrival = 0.3
+	wcfg.SlowestSpeedMIPS = pl.SlowestSpeed()
+	tasks := workload.MustGenerate(wcfg, r.Split("w"))
+	ring := trace.NewRing(1<<16, trace.LevelInfo)
+	cfg := DefaultConfig()
+	cfg.Tracer = ring
+	MustNew(cfg, pl, tasks, NewGreedy(), r.Split("e")).MustRun()
+	if ring.Total() > uint64(ring.Len()) {
+		t.Fatalf("ring dropped %d events", ring.Total()-uint64(ring.Len()))
+	}
+	group := func(ev trace.Event) int {
+		for _, f := range ev.Fields {
+			if f.Key == "group" {
+				return f.Value.(int)
+			}
+		}
+		t.Fatalf("%s event without a group field", ev.Kind)
+		return 0
+	}
+	var waiting []int // backlogged group IDs, oldest first
+	deepest := 0
+	for _, ev := range ring.Events() {
+		switch ev.Kind {
+		case "backlog":
+			waiting = append(waiting, group(ev))
+			deepest = max(deepest, len(waiting))
+		case "enqueue":
+			switch i := slices.Index(waiting, group(ev)); {
+			case i > 0:
+				t.Fatalf("group %d placed before the older backlog %v", waiting[i], waiting[:i])
+			case i == 0:
+				waiting = waiting[1:]
+			}
+		}
+	}
+	if deepest < 2 {
+		t.Fatalf("backlog held at most %d groups: the scenario cannot tell the order", deepest)
+	}
+	if len(waiting) != 0 {
+		t.Fatalf("groups %v backlogged but never placed", waiting)
 	}
 }
 
@@ -578,6 +653,8 @@ func TestCapacityWeightedRouting(t *testing.T) {
 	counter := trace.NewCounter(trace.LevelDebug)
 	cfg := DefaultConfig()
 	cfg.Tracer = counter
+	recs := new(metrics.Records)
+	cfg.Records = recs
 	eng := MustNew(cfg, pl, tasks, NewGreedy(), r.Split("e"))
 	res := eng.MustRun()
 	if res.Completed != 2000 {
@@ -586,7 +663,7 @@ func TestCapacityWeightedRouting(t *testing.T) {
 	// Count arrivals per agent from the trace ring... the counter only
 	// keys by kind; instead recount by group completions per agent.
 	perAgent := map[int]int{}
-	for _, g := range res.Collector.Groups() {
+	for _, g := range recs.Groups() {
 		perAgent[g.AgentID] += g.Size
 	}
 	frac1 := float64(perAgent[1]) / 2000

@@ -57,9 +57,12 @@ func TestFailureDeterminism(t *testing.T) {
 func TestRestartedTasksRunOnce(t *testing.T) {
 	// Validate() already cross-checks group rewards against task records;
 	// additionally ensure no task record is duplicated.
-	res := failureRun(t, 300, 100, 20, 83)
+	_, recs := recordedRun(t, 300, NewGreedy(), 83, func(c *Config) {
+		c.FailureMTBF = 100
+		c.RepairTime = 20
+	})
 	seen := map[int]bool{}
-	for _, tr := range res.Collector.Tasks() {
+	for _, tr := range recs.Tasks() {
 		if seen[tr.ID] {
 			t.Fatalf("task %d completed twice", tr.ID)
 		}

@@ -5,13 +5,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rlsched/internal/metrics"
 	"rlsched/internal/platform"
 	"rlsched/internal/rng"
 	"rlsched/internal/workload"
 )
 
-// runSeed executes one small greedy run for a property check.
-func runSeed(seed uint64, n int, failures bool) Result {
+// runSeed executes one small greedy run for a property check, with a
+// record log attached.
+func runSeed(seed uint64, n int, failures bool) (Result, *metrics.Records) {
 	r := rng.NewStream(seed, "prop")
 	pcfg := platform.DefaultGenConfig()
 	pcfg.Sites = 2
@@ -27,7 +29,9 @@ func runSeed(seed uint64, n int, failures bool) Result {
 		cfg.FailureMTBF = 200
 		cfg.RepairTime = 15
 	}
-	return MustNew(cfg, pl, tasks, NewGreedy(), r.Split("engine")).MustRun()
+	recs := new(metrics.Records)
+	cfg.Records = recs
+	return MustNew(cfg, pl, tasks, NewGreedy(), r.Split("engine")).MustRun(), recs
 }
 
 // Property: for arbitrary seeds (with and without failure injection) the
@@ -36,7 +40,7 @@ func runSeed(seed uint64, n int, failures bool) Result {
 func TestQuickEngineInvariants(t *testing.T) {
 	f := func(seedRaw uint16, sizeRaw uint8, failures bool) bool {
 		n := int(sizeRaw)%150 + 30
-		res := runSeed(uint64(seedRaw)+1, n, failures)
+		res, recs := runSeed(uint64(seedRaw)+1, n, failures)
 		if res.Completed != n || res.Submitted != n {
 			return false
 		}
@@ -57,7 +61,10 @@ func TestQuickEngineInvariants(t *testing.T) {
 			return false
 		}
 		// Every task record has consistent timing.
-		for _, tr := range res.Collector.Tasks() {
+		if len(recs.Tasks()) != n {
+			return false
+		}
+		for _, tr := range recs.Tasks() {
 			if tr.ResponseTime < 0 || tr.WaitTime < 0 || tr.ResponseTime < tr.WaitTime {
 				return false
 			}
@@ -77,8 +84,8 @@ func TestQuickEngineInvariants(t *testing.T) {
 func TestQuickEngineDeterminism(t *testing.T) {
 	f := func(seedRaw uint16, failures bool) bool {
 		seed := uint64(seedRaw) + 1
-		a := runSeed(seed, 80, failures)
-		b := runSeed(seed, 80, failures)
+		a, _ := runSeed(seed, 80, failures)
+		b, _ := runSeed(seed, 80, failures)
 		return a.AveRT == b.AveRT && a.ECS == b.ECS && a.EndTime == b.EndTime &&
 			a.Failures == b.Failures && a.Restarts == b.Restarts
 	}

@@ -1453,7 +1453,7 @@ func (s *Server) execute(ctx context.Context, j *job, prof experiments.Profile, 
 		}
 		var full []sched.Result
 		if j.spec.KeepResults {
-			// The Collector (per-task records) never crosses the wire:
+			// The Collector (counters and cycle log) never crosses the wire:
 			// no summary or figure reads it, and it can dwarf the result
 			// scalars.
 			full = make([]sched.Result, len(results))
